@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Optimal row partitioning under different cost models.
 
-Runs the linear-time dynamic program against exhaustive search, then uses
+Runs the dynamic program against exhaustive search, then uses
 the alternating scheme to block both axes of a matrix with two dense
 blobs.
 """

@@ -1,7 +1,7 @@
 """Sparse matrix blocking toolkit.
 
 Variable-block-row (VBR) and single-axis (1D-VBR) blocked sparse formats,
-an optimal linear-time contiguous row partitioner under separable rank-R
+an optimal contiguous row partitioner under separable rank-R
 cost models, the strict/overlap/alternating heuristics, blocked SpMV
 kernels, empirical cost-model calibration, and executable fixtures for
 the max-cut hardness gadgets.

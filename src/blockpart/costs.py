@@ -12,9 +12,12 @@ is the model's rank. Counting and storage costs are exact integers;
 measured (fitted) costs are floats.
 """
 
+import math
 from dataclasses import dataclass
 
-from .sparse import trivial_partition
+import numpy as np
+
+from .sparse import _block_pattern, trivial_partition
 
 __all__ = [
     "CostModel",
@@ -61,6 +64,10 @@ class CostModel:
         for t in self.beta_col:
             if len(t) != self.w_max:
                 raise ValueError("beta_col tables must match alpha_col range")
+        for t in self._tables():
+            for v in t:
+                if not isinstance(v, int) and not math.isfinite(v):
+                    raise ValueError(f"cost table entry {v!r} is not finite")
 
     @property
     def rank(self):
@@ -74,65 +81,69 @@ class CostModel:
     def w_max(self):
         return len(self.alpha_col)
 
+    def _tables(self):
+        return (self.alpha_row, self.alpha_col) + self.beta_row + self.beta_col
+
     @property
     def exact(self):
         """True when every table entry is an integer (exact argmin math)."""
-        tables = (self.alpha_row, self.alpha_col) + self.beta_row + self.beta_col
-        return all(isinstance(v, int) for t in tables for v in t)
+        return all(isinstance(v, int) for t in self._tables() for v in t)
+
+    def _price(self, u, w):
+        """Cost of one nonzero u x w block."""
+        return sum(br[u - 1] * bc[w - 1] for br, bc in zip(self.beta_row, self.beta_col))
 
 
-def _check_partitions(A, rows, cols):
-    if rows.size != A.m:
-        raise ValueError(f"row partition covers {rows.size} rows, matrix has {A.m}")
-    if cols.size != A.n:
-        raise ValueError(f"column partition covers {cols.size} columns, matrix has {A.n}")
+def _check_sizes(part, limit, kind, dim):
+    sizes = part.widths()
+    over = np.nonzero(sizes > limit)[0]
+    if len(over):
+        k = int(over[0])
+        raise ValueError(f"{kind} part {k} has {dim} {int(sizes[k])} > model range {limit}")
+
+
+def _size_counts(part):
+    """(size, number of parts of that size) for each distinct part size."""
+    sizes, counts = np.unique(part.widths(), return_counts=True)
+    return zip(sizes.tolist(), counts.tolist())
+
+
+def _block_shapes(A, rows, cols):
+    """(u, w, count) for each shape u x w among the nonzero blocks.
+
+    Blocks are tallied in a table indexed by distinct part height and
+    width, so only that table, never the block list, reaches Python.
+    """
+    k, l, _ = _block_pattern(A, rows, cols)
+    heights, height_class = np.unique(rows.widths(), return_inverse=True)
+    widths, width_class = np.unique(cols.widths(), return_inverse=True)
+    nw = len(widths)
+    table = np.bincount(height_class[k] * nw + width_class[l], minlength=len(heights) * nw)
+    cells = np.nonzero(table)[0]
+    return zip(heights[cells // nw].tolist(), widths[cells % nw].tolist(), table[cells].tolist())
 
 
 def _blocked_counts(A, rows, cols):
-    """(number of nonzero blocks, number of stored block entries).
-
-    Walks each block row once, marking column parts in a last-seen
-    workspace of length L, so the work is O(nnz + blocks).
-    """
-    pos = A.pos.tolist()
-    idx = A.idx.tolist()
-    spl = rows.spl.tolist()
-    col_part = cols.assignments().tolist()
-    col_width = cols.widths().tolist()
-    last_seen = [-1] * cols.num_parts
-    n_index = 0
-    n_value = 0
-    for k in range(rows.num_parts):
-        r0, r1 = spl[k], spl[k + 1]
-        u = r1 - r0
-        width_sum = 0
-        blocks = 0
-        for p in range(pos[r0], pos[r1]):
-            l = col_part[idx[p]]
-            if last_seen[l] != k:
-                last_seen[l] = k
-                blocks += 1
-                width_sum += col_width[l]
-        n_index += blocks
-        n_value += u * width_sum
+    """(number of nonzero blocks, number of stored block entries)."""
+    n_index = n_value = 0
+    for u, w, count in _block_shapes(A, rows, cols):
+        n_index += count
+        n_value += u * w * count
     return n_index, n_value
 
 
 def block_count(A, rows, cols):
     """Number of nonzero blocks induced by the two partitions."""
-    _check_partitions(A, rows, cols)
     return _blocked_counts(A, rows, cols)[0]
 
 
 def value_count(A, rows, cols):
     """Number of entries covered by all nonzero blocks (stored zeros included)."""
-    _check_partitions(A, rows, cols)
     return _blocked_counts(A, rows, cols)[1]
 
 
 def vbr_memory_bits(A, rows, cols, s_index, s_value):
     """Bits used by the VBR representation of ``A`` under the partitions."""
-    _check_partitions(A, rows, cols)
     n_index, n_value = _blocked_counts(A, rows, cols)
     k = rows.num_parts
     l = cols.num_parts
@@ -149,41 +160,17 @@ def onedvbr_memory_bits(A, rows, s_index, s_value):
 def evaluate(model, A, rows, cols):
     """Exact cost of (rows, cols) under ``model``.
 
-    Integer tables produce an integer result; float tables a float.
-    Part sizes beyond the model's table range are rejected.
+    Each block is priced by its shape, so the sum runs over the distinct
+    part sizes and block shapes only. Integer tables produce an integer
+    result; float tables a float. Part sizes beyond the model's table
+    range are rejected.
     """
-    _check_partitions(A, rows, cols)
-    u_list = rows.widths().tolist()
-    w_list = cols.widths().tolist()
-    for k, u in enumerate(u_list):
-        if u > model.u_max:
-            raise ValueError(f"row part {k} has height {u} > model range {model.u_max}")
-    for l, w in enumerate(w_list):
-        if w > model.w_max:
-            raise ValueError(f"column part {l} has width {w} > model range {model.w_max}")
-
-    total = sum(model.alpha_row[u - 1] for u in u_list)
-    total += sum(model.alpha_col[w - 1] for w in w_list)
-
-    rank = model.rank
-    beta_row = model.beta_row
-    beta_col = [[beta_col_r[w - 1] for w in w_list] for beta_col_r in model.beta_col]
-    pos = A.pos.tolist()
-    idx = A.idx.tolist()
-    spl = rows.spl.tolist()
-    col_part = cols.assignments().tolist()
-    last_seen = [-1] * cols.num_parts
-    for k in range(rows.num_parts):
-        u = u_list[k]
-        sums = [0] * rank
-        for p in range(pos[spl[k]], pos[spl[k + 1]]):
-            l = col_part[idx[p]]
-            if last_seen[l] != k:
-                last_seen[l] = k
-                for r in range(rank):
-                    sums[r] += beta_col[r][l]
-        for r in range(rank):
-            total += beta_row[r][u - 1] * sums[r]
+    _check_sizes(rows, model.u_max, "row", "height")
+    _check_sizes(cols, model.w_max, "column", "width")
+    total = sum(model.alpha_row[u - 1] * count for u, count in _size_counts(rows))
+    total += sum(model.alpha_col[w - 1] * count for w, count in _size_counts(cols))
+    for u, w, count in _block_shapes(A, rows, cols):
+        total += model._price(u, w) * count
     return total
 
 

@@ -2,13 +2,13 @@
 
 VbrMatrix groups both rows and columns; blocks are stored dense and
 column-major, packed left to right within each block row. OneDVbrMatrix
-keeps columns ungrouped, so every block in a block row is u x 1 and the
-value stride within the block row is constant.
+is the VbrMatrix whose columns are ungrouped, so every block in a block
+row is u x 1 and the value stride within the block row is constant.
 """
 
 import numpy as np
 
-from .sparse import _frozen
+from .sparse import _INT64_MAX, _block_pattern, _frozen, Partition, trivial_partition
 
 __all__ = [
     "VbrMatrix",
@@ -36,26 +36,32 @@ class VbrMatrix:
     __slots__ = ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val")
 
     def __init__(self, spl_rows, spl_cols, pos, idx, ofs, val):
-        self.spl_rows = _frozen(spl_rows, np.int64)
-        self.spl_cols = _frozen(spl_cols, np.int64)
+        self.spl_rows = Partition(spl_rows).spl
+        self.spl_cols = Partition(spl_cols).spl
         self.pos = _frozen(pos, np.int64)
         self.idx = _frozen(idx, np.int64)
         self.ofs = _frozen(ofs, np.int64)
         self.val = _frozen(val, np.float64)
         k = len(self.spl_rows) - 1
+        n_parts = len(self.spl_cols) - 1
         if len(self.pos) != k + 1 or len(self.ofs) != k + 1:
             raise ValueError("pos and ofs must have one entry per block row plus one")
         if self.pos[k] != len(self.idx) or self.ofs[k] != len(self.val):
             raise ValueError("pos/ofs must end at the stored block and value counts")
-        widths = np.diff(self.spl_cols)
-        heights = np.diff(self.spl_rows)
-        for kk in range(k):
-            blocks = self.idx[self.pos[kk]:self.pos[kk + 1]]
-            if len(blocks) > 1 and np.any(np.diff(blocks) <= 0):
-                raise ValueError(f"block column indices not increasing in block row {kk}")
-            expect = int(heights[kk]) * int(widths[blocks].sum())
-            if self.ofs[kk + 1] - self.ofs[kk] != expect:
-                raise ValueError(f"block row {kk} stores {expect} values per its pattern")
+        if self.pos[0] != 0 or np.any(np.diff(self.pos) < 0):
+            raise ValueError("pos must start at 0 and be non-decreasing")
+        if len(self.idx) and (self.idx.min() < 0 or self.idx.max() >= n_parts):
+            raise ValueError(f"block column index outside [0, {n_parts})")
+        block_row = np.repeat(np.arange(k), np.diff(self.pos))
+        falls = np.nonzero((np.diff(self.idx) <= 0) & (block_row[1:] == block_row[:-1]))[0]
+        if len(falls):
+            raise ValueError(
+                f"block column indices not increasing in block row {block_row[falls[0]]}"
+            )
+        starts = _value_starts(np.diff(self.spl_rows)[block_row], np.diff(self.spl_cols)[self.idx])
+        wrong = np.nonzero(starts[self.pos] != self.ofs)[0]
+        if len(wrong):
+            raise ValueError(f"block row {max(int(wrong[0]) - 1, 0)} disagrees with its pattern")
 
     @property
     def m(self):
@@ -66,201 +72,80 @@ class VbrMatrix:
         return int(self.spl_cols[-1])
 
     def __repr__(self):
-        return f"VbrMatrix({self.m}x{self.n}, blocks={len(self.idx)}, values={len(self.val)})"
+        return (f"{type(self).__name__}({self.m}x{self.n}, blocks={len(self.idx)}, "
+                f"values={len(self.val)})")
 
 
-class OneDVbrMatrix:
+class OneDVbrMatrix(VbrMatrix):
     """Blocked matrix with grouped rows and ungrouped columns.
 
-    ``idx`` holds plain column indices; block q of block row k starts at
-    ``ofs[k] + (q - pos[k]) * u_k`` in ``val``.
+    A VbrMatrix whose column partition is the trivial one on ``n``
+    columns, so ``idx`` holds plain column indices and block q of block
+    row k starts at ``ofs[k] + (q - pos[k]) * u_k`` in ``val``.
     """
 
-    __slots__ = ("n", "spl_rows", "pos", "idx", "ofs", "val")
+    __slots__ = ()
 
     def __init__(self, n, spl_rows, pos, idx, ofs, val):
-        self.n = int(n)
-        self.spl_rows = _frozen(spl_rows, np.int64)
-        self.pos = _frozen(pos, np.int64)
-        self.idx = _frozen(idx, np.int64)
-        self.ofs = _frozen(ofs, np.int64)
-        self.val = _frozen(val, np.float64)
-        k = len(self.spl_rows) - 1
-        if len(self.pos) != k + 1 or len(self.ofs) != k + 1:
-            raise ValueError("pos and ofs must have one entry per block row plus one")
-        if self.pos[k] != len(self.idx) or self.ofs[k] != len(self.val):
-            raise ValueError("pos/ofs must end at the stored block and value counts")
-        heights = np.diff(self.spl_rows)
-        for kk in range(k):
-            blocks = self.idx[self.pos[kk]:self.pos[kk + 1]]
-            if len(blocks) > 1 and np.any(np.diff(blocks) <= 0):
-                raise ValueError(f"block column indices not increasing in block row {kk}")
-            if self.ofs[kk + 1] - self.ofs[kk] != heights[kk] * len(blocks):
-                raise ValueError(f"block row {kk} breaks the constant-stride law")
-
-    @property
-    def m(self):
-        return int(self.spl_rows[-1])
-
-    def __repr__(self):
-        return f"OneDVbrMatrix({self.m}x{self.n}, blocks={len(self.idx)}, values={len(self.val)})"
+        super().__init__(spl_rows, trivial_partition(n).spl, pos, idx, ofs, val)
 
 
-def _merge_patterns(idx, cursors, ends, key):
-    """Sorted union of the rows' remaining patterns under ``key``.
+def _value_starts(heights, widths):
+    """Offset of each block's values, plus the total, for blocks of the given shapes.
 
-    Linear-search merge: repeatedly scan the row cursors for the smallest
-    key, then advance every cursor past it. Cheap for the short parts the
-    partitioners produce.
+    A sum that could leave int64 is rejected rather than left to wrap.
     """
-    out = []
-    while True:
-        lo = None
-        for r in range(len(cursors)):
-            if cursors[r] < ends[r]:
-                cand = key(idx[cursors[r]])
-                if lo is None or cand < lo:
-                    lo = cand
-        if lo is None:
-            return out
-        out.append(lo)
-        for r in range(len(cursors)):
-            while cursors[r] < ends[r] and key(idx[cursors[r]]) == lo:
-                cursors[r] += 1
+    if len(heights) and int(heights.max()) * int(widths.max()) * len(heights) > _INT64_MAX:
+        raise ValueError("block values do not fit 64-bit offsets")
+    starts = np.zeros(len(heights) + 1, dtype=np.int64)
+    np.cumsum(heights * widths, out=starts[1:])
+    return starts
+
+
+def _blocked_arrays(A, rows, cols):
+    """(pos, idx, ofs, val) of ``A`` blocked under the two partitions.
+
+    Blocks are laid out column-major and packed left to right within each
+    block row. Every stored entry is placed by one scatter into a zeroed
+    value array, so a block covering a missing entry holds an explicit 0.0.
+    """
+    k, l, pair = _block_pattern(A, rows, cols)
+    heights = rows.widths()[k]
+    starts = _value_starts(heights, cols.widths()[l])
+    pos = np.zeros(rows.num_parts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(k, minlength=rows.num_parts), out=pos[1:])
+    entry_rows = np.repeat(np.arange(A.m, dtype=np.int64), np.diff(A.pos))
+    at = (starts[pair] + (A.idx - cols.spl[l[pair]]) * heights[pair]
+          + entry_rows - rows.spl[k[pair]])
+    val = np.zeros(int(starts[-1]))
+    val[at] = A.val
+    return pos, l, starts[pos], val
 
 
 def to_vbr(A, row_partition, col_partition):
-    """Convert CSR to VBR under the given partitions.
-
-    Two passes per block row: a merge of the member rows' patterns sizes
-    the output, then a cursor walk fills values column by column, writing
-    an explicit 0.0 wherever a block covers a missing entry.
-    """
-    if row_partition.size != A.m:
-        raise ValueError(f"row partition covers {row_partition.size} rows, matrix has {A.m}")
-    if col_partition.size != A.n:
-        raise ValueError(
-            f"column partition covers {col_partition.size} columns, matrix has {A.n}"
-        )
-    idx_in = A.idx.tolist()
-    val_in = A.val.tolist()
-    pos_in = A.pos.tolist()
-    row_spl = row_partition.spl.tolist()
-    col_spl = col_partition.spl.tolist()
-    col_part = col_partition.assignments().tolist()
-
-    k_parts = row_partition.num_parts
-    pos = [0] * (k_parts + 1)
-    ofs = [0] * (k_parts + 1)
-    patterns = []
-    for k in range(k_parts):
-        r0, r1 = row_spl[k], row_spl[k + 1]
-        cursors = [pos_in[i] for i in range(r0, r1)]
-        ends = [pos_in[i + 1] for i in range(r0, r1)]
-        pattern = _merge_patterns(idx_in, cursors, ends, lambda j: col_part[j])
-        patterns.append(pattern)
-        width_sum = sum(col_spl[l + 1] - col_spl[l] for l in pattern)
-        pos[k + 1] = pos[k] + len(pattern)
-        ofs[k + 1] = ofs[k] + (r1 - r0) * width_sum
-
-    idx_out = np.empty(pos[k_parts], dtype=np.int64)
-    val_out = np.empty(ofs[k_parts], dtype=np.float64)
-    at = 0
-    for k in range(k_parts):
-        r0, r1 = row_spl[k], row_spl[k + 1]
-        cursors = [pos_in[i] for i in range(r0, r1)]
-        ends = [pos_in[i + 1] for i in range(r0, r1)]
-        idx_out[pos[k]:pos[k + 1]] = patterns[k]
-        for l in patterns[k]:
-            for j in range(col_spl[l], col_spl[l + 1]):
-                for r in range(r1 - r0):
-                    if cursors[r] < ends[r] and idx_in[cursors[r]] == j:
-                        val_out[at] = val_in[cursors[r]]
-                        cursors[r] += 1
-                    else:
-                        val_out[at] = 0.0
-                    at += 1
-    return VbrMatrix(row_partition.spl, col_partition.spl, pos, idx_out, ofs, val_out)
+    """Convert CSR to VBR under the given partitions, zero-filling blocks."""
+    return VbrMatrix(row_partition.spl, col_partition.spl,
+                     *_blocked_arrays(A, row_partition, col_partition))
 
 
 def to_1dvbr(A, row_partition):
-    """Convert CSR to 1D-VBR under the given row partition.
-
-    Block rows whose member rows share one pattern skip the merge: the
-    pattern is copied from the first row and values are packed by
-    coiterating the rows, with no fill. Other block rows go through the
-    general merge-and-fill path; the two paths produce identical output
-    on identical-pattern inputs.
-    """
-    if row_partition.size != A.m:
-        raise ValueError(f"row partition covers {row_partition.size} rows, matrix has {A.m}")
-    idx_in = A.idx.tolist()
-    val_in = A.val.tolist()
-    pos_in = A.pos.tolist()
-    row_spl = row_partition.spl.tolist()
-
-    k_parts = row_partition.num_parts
-    pos = [0] * (k_parts + 1)
-    ofs = [0] * (k_parts + 1)
-    idx_chunks = []
-    val_chunks = []
-    for k in range(k_parts):
-        r0, r1 = row_spl[k], row_spl[k + 1]
-        u = r1 - r0
-        first = A.row_cols(r0)
-        identical = all(
-            len(A.row_cols(i)) == len(first) and bool((A.row_cols(i) == first).all())
-            for i in range(r0 + 1, r1)
-        )
-        if identical:
-            pattern = first.tolist()
-            vals = np.empty((len(pattern), u))
-            for r in range(u):
-                vals[:, r] = A.row_vals(r0 + r)
-            val_chunks.append(vals.ravel())
-        else:
-            cursors = [pos_in[i] for i in range(r0, r1)]
-            ends = [pos_in[i + 1] for i in range(r0, r1)]
-            pattern = _merge_patterns(idx_in, cursors, ends, lambda j: j)
-            cursors = [pos_in[i] for i in range(r0, r1)]
-            vals = np.zeros(u * len(pattern))
-            at = 0
-            for j in pattern:
-                for r in range(u):
-                    if cursors[r] < ends[r] and idx_in[cursors[r]] == j:
-                        vals[at] = val_in[cursors[r]]
-                        cursors[r] += 1
-                    at += 1
-            val_chunks.append(vals)
-        idx_chunks.append(pattern)
-        pos[k + 1] = pos[k] + len(pattern)
-        ofs[k + 1] = ofs[k] + u * len(pattern)
-
-    idx_out = np.concatenate([np.asarray(c, dtype=np.int64) for c in idx_chunks]) \
-        if idx_chunks else np.empty(0, dtype=np.int64)
-    val_out = np.concatenate(val_chunks) if val_chunks else np.empty(0)
-    return OneDVbrMatrix(A.n, row_partition.spl, pos, idx_out, ofs, val_out)
-
-
-def _find_block(B, k, target):
-    lo, hi = int(B.pos[k]), int(B.pos[k + 1])
-    q = lo + int(np.searchsorted(B.idx[lo:hi], target))
-    if q == hi or B.idx[q] != target:
-        return -1
-    return q
+    """Convert CSR to 1D-VBR under the given row partition, zero-filling blocks."""
+    return OneDVbrMatrix(A.n, row_partition.spl,
+                         *_blocked_arrays(A, row_partition, trivial_partition(A.n)))
 
 
 def vbr_get(B, i, j):
-    """Entry (i, j) of a VBR matrix; 0.0 when no block covers it."""
+    """Entry (i, j) of a VBR or 1D-VBR matrix; 0.0 when no block covers it."""
     if not (0 <= i < B.m and 0 <= j < B.n):
         raise IndexError(f"({i}, {j}) outside {B.m}x{B.n} matrix")
     k = int(np.searchsorted(B.spl_rows, i, side="right")) - 1
     l = int(np.searchsorted(B.spl_cols, j, side="right")) - 1
-    q = _find_block(B, k, l)
-    if q < 0:
+    lo, hi = int(B.pos[k]), int(B.pos[k + 1])
+    q = lo + int(np.searchsorted(B.idx[lo:hi], l))
+    if q == hi or B.idx[q] != l:
         return 0.0
     u = int(B.spl_rows[k + 1] - B.spl_rows[k])
-    before = B.idx[B.pos[k]:q]
+    before = B.idx[lo:q]
     skipped = int((B.spl_cols[before + 1] - B.spl_cols[before]).sum())
     p = int(B.ofs[k]) + u * skipped
     return float(B.val[p + (j - B.spl_cols[l]) * u + (i - B.spl_rows[k])])
@@ -268,15 +153,7 @@ def vbr_get(B, i, j):
 
 def onedvbr_get(B, i, j):
     """Entry (i, j) of a 1D-VBR matrix; 0.0 when no block covers it."""
-    if not (0 <= i < B.m and 0 <= j < B.n):
-        raise IndexError(f"({i}, {j}) outside {B.m}x{B.n} matrix")
-    k = int(np.searchsorted(B.spl_rows, i, side="right")) - 1
-    q = _find_block(B, k, j)
-    if q < 0:
-        return 0.0
-    u = int(B.spl_rows[k + 1] - B.spl_rows[k])
-    p = int(B.ofs[k]) + (q - int(B.pos[k])) * u
-    return float(B.val[p + (i - B.spl_rows[k])])
+    return vbr_get(B, i, j)
 
 
 def stored_counts(B):

@@ -8,8 +8,10 @@ partitioner on the transpose.
 
 import math
 
-from .costs import evaluate, CostModel
-from .sparse import Partition, transpose, trivial_partition
+import numpy as np
+
+from .costs import _check_sizes, evaluate, CostModel
+from .sparse import _INT64_MAX, _block_pattern, Partition, transpose, trivial_partition
 
 __all__ = [
     "optimal_partition",
@@ -23,12 +25,17 @@ __all__ = [
 def optimal_partition(A, col_partition, model, u_max):
     """Row partition minimizing ``model`` under a fixed column partition.
 
-    Single backward pass over the rows. The running sums needed to price a
-    candidate part are maintained incrementally: a length-L workspace
-    remembers the most recent row containing each column part, which lets
-    us record, per row, the change in each rank's column-factor sum as the
-    candidate part grows downward. Runs in O(R * (u_max * m + nnz) + n)
-    time and O(R * m + L) extra space.
+    A candidate part [s, s + u) pays the price of a u x w_l block once for
+    every column part l it touches. The P <= nnz distinct (row, column
+    part) pairs come from the shared block pattern; pair (t, l), whose
+    previous row holding part l is ``prev``, is the first occurrence of l
+    in exactly the windows starting in (max(prev, t - u), t], so one
+    scatter-add of its price at those bounds and one prefix sum give every
+    window cost of height u. A scalar backward pass then picks each row's
+    best part, the shortest among equals. Finding the pairs sorts the
+    stored entries and finding ``prev`` sorts the pairs, so the bound is
+    O(nnz log nnz + u_max * (m + P) + R * u_max * w_max + n) time and
+    O(u_max * m + nnz + n) space.
 
     The per-column-part alpha term is a constant under a fixed column
     partition, so it is ignored here; ``evaluate`` includes it.
@@ -37,62 +44,62 @@ def optimal_partition(A, col_partition, model, u_max):
         raise ValueError(f"u_max must be at least 1, got {u_max}")
     if u_max > model.u_max:
         raise ValueError(f"u_max {u_max} exceeds model table range {model.u_max}")
-    if col_partition.size != A.n:
-        raise ValueError(
-            f"column partition covers {col_partition.size} columns, matrix has {A.n}"
-        )
-    widths = col_partition.widths()
-    if len(widths) and int(widths.max()) > model.w_max:
-        l = int(widths.argmax())
-        raise ValueError(
-            f"column part {l} has width {int(widths.max())} > model range {model.w_max}"
-        )
+    _check_sizes(col_partition, model.w_max, "column", "width")
 
     m = A.m
-    rank = model.rank
-    alpha_row = model.alpha_row
-    beta_row = model.beta_row
-    # column factor of each part, per rank
-    col_factor = [[model.beta_col[r][w - 1] for w in widths.tolist()] for r in range(rank)]
-    col_part = col_partition.assignments().tolist()
-    pos = A.pos.tolist()
-    idx = A.idx.tolist()
+    t, l, _ = _block_pattern(A, trivial_partition(m), col_partition)
+    # reorder the pairs by column part, then row, so that each pair follows
+    # the previous row holding its part; _block_pattern checked m * L fits
+    key = np.sort(l * m + t)
+    l, t = key // m, key % m
+    prev = np.full(len(t), -1, dtype=np.int64)
+    same = l[1:] == l[:-1]
+    prev[1:][same] = t[:-1][same]
 
-    best = [math.inf] * (m + 1)
-    best[m] = 0
+    widths, width_class = np.unique(col_partition.widths(), return_inverse=True)
+    pair_class = width_class[l]
+    heights = range(1, min(u_max, m) + 1)
+    prices = [[model._price(u, w) for w in widths.tolist()] for u in heights]
+    dtype = np.float64
+    if model.exact:
+        bound = max(map(abs, model.alpha_row))
+        bound += max(len(t), 1) * max((abs(p) for row in prices for p in row), default=0)
+        dtype = np.int64 if bound <= _INT64_MAX else object
+    # the buffers are reused across heights: fresh arrays of this size
+    # would cost a page fault per page on every height
+    gap = t - prev
+    after = t + 1
+    start = np.empty_like(t)
+    price = np.empty(len(t), dtype=dtype)
+    diff = np.empty(m + 1, dtype=dtype)
+    window_cost = []
+    for u in heights:
+        np.take(np.array(prices[u - 1], dtype=dtype), pair_class, out=price)
+        np.subtract(after, np.minimum(gap, u, out=start), out=start)
+        diff.fill(0)
+        np.add.at(diff, start, price)
+        np.subtract.at(diff, after, price)
+        np.cumsum(diff, out=diff)
+        diff += model.alpha_row[u - 1]
+        window_cost.append(diff[:m - u + 1].tolist())
+
+    best = [0] * (m + 1)
     next_split = [0] * (m + 1)
-    delta = [[0] * (m + 1) for _ in range(rank)]
-    last_row = [m] * col_partition.num_parts
-
     for i in range(m - 1, -1, -1):
-        prev_l = -1
-        for p in range(pos[i], pos[i + 1]):
-            l = col_part[idx[p]]
-            if l == prev_l:
-                continue
-            prev_l = l
-            seen_at = last_row[l]
-            for r in range(rank):
-                f = col_factor[r][l]
-                delta[r][i] += f
-                delta[r][seen_at] -= f
-            last_row[l] = i
-        sums = [0] * rank
-        for i_next in range(i + 1, min(i + u_max, m) + 1):
-            u = i_next - i
-            cost = alpha_row[u - 1]
-            for r in range(rank):
-                sums[r] += delta[r][i_next - 1]
-                cost += sums[r] * beta_row[r][u - 1]
-            total = cost + best[i_next]
-            if total < best[i]:
-                best[i] = total
-                next_split[i] = i_next
+        best_i = math.inf
+        end = i
+        for cost in window_cost[:m - i]:
+            end += 1
+            total = cost[i] + best[end]
+            if total < best_i:
+                best_i = total
+                next_split[i] = end
+        if not next_split[i]:
+            raise ValueError(f"no part starting at row {i} has a finite cost")
+        best[i] = best_i
     splits = [0]
-    i = 0
-    while i != m:
-        i = next_split[i]
-        splits.append(i)
+    while splits[-1] != m:
+        splits.append(next_split[splits[-1]])
     return Partition(splits)
 
 

@@ -19,6 +19,9 @@ __all__ = [
 ]
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _frozen(arr, dtype):
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.flags.writeable = False
@@ -178,14 +181,40 @@ def build_csr(m, n, entries):
         raise ValueError(
             f"entry {b} at (row, col)=({rows[b]}, {cols[b]}) is outside a {m}x{n} matrix"
         )
-    keys = rows * n + cols
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    summed = np.bincount(inverse, weights=vals, minlength=len(uniq))
-    urows = uniq // n
-    ucols = uniq % n
+    urows, ucols, inverse = _unique_pairs(rows, cols, m, n)
+    summed = np.bincount(inverse, weights=vals, minlength=len(urows))
     pos = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(urows, minlength=m), out=pos[1:])
     return CsrMatrix(m, n, pos, ucols, summed)
+
+
+def _unique_pairs(a, b, na, nb):
+    """Sorted distinct pairs of ``a`` in [0, na) and ``b`` in [0, nb).
+
+    Returns ``(a_pairs, b_pairs, inverse)``, with ``inverse`` giving each
+    input's pair index. Pairs are ranked by the single int64 key
+    ``a * nb + b``; index ranges whose product does not fit in int64 are
+    rejected rather than left to wrap.
+    """
+    if int(na) * int(nb) > _INT64_MAX:
+        raise ValueError(f"{na} x {nb} index pairs do not fit a 64-bit key")
+    uniq, inverse = np.unique(a * nb + b, return_inverse=True)
+    return uniq // nb, uniq % nb, inverse
+
+
+def _block_pattern(A, rows, cols):
+    """Nonzero blocks of ``A`` under a row and a column partition.
+
+    Returns ``(k, l, inverse)``: the block row and column part of every
+    distinct (block row, column part) pair that holds a stored entry,
+    sorted row-major, and for each stored entry the index of its pair.
+    """
+    if rows.size != A.m:
+        raise ValueError(f"row partition covers {rows.size} rows, matrix has {A.m}")
+    if cols.size != A.n:
+        raise ValueError(f"column partition covers {cols.size} columns, matrix has {A.n}")
+    entry_rows = np.repeat(rows.assignments(), np.diff(A.pos))
+    return _unique_pairs(entry_rows, cols.assignments()[A.idx], rows.num_parts, cols.num_parts)
 
 
 def transpose(A):
