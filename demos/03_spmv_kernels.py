@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Blocked sparse matrix-vector multiply.
 
-Converts a random matrix to both blocked formats, multiplies with all
-three kernels, and shows that the blocked results match CSR while the
-instrumented multiply-add count equals the stored value count.
+Converts a random matrix to both blocked formats, multiplies each with
+the blocked kernel (``spmv_1dvbr`` is ``spmv_vbr``: 1D-VBR is VBR with a
+trivial column partition), and shows that the blocked results match CSR
+while the instrumented multiply-add count equals the stored value count.
 """
 import numpy as np
 

@@ -24,7 +24,7 @@ from .costs import (
     vbr_memory_bits,
 )
 from .formats import stored_counts, to_1dvbr, to_vbr
-from .kernels import spmv_1dvbr, spmv_csr, spmv_vbr
+from .kernels import spmv_csr, spmv_vbr
 from .partition import alternating_partition, optimal_partition, overlap_partition, strict_partition
 from .sparse import csr_memory_bits, transpose, trivial_partition
 
@@ -63,7 +63,13 @@ class BenchReport:
     error: str = None
 
     def to_json(self):
-        return json.dumps(asdict(self), sort_keys=False)
+        """One strict RFC 8259 JSON object; an infinite critical point is
+        written as null with ``critical_point_inf`` set."""
+        row = asdict(self)
+        row["critical_point_inf"] = row["critical_point"] == math.inf
+        if row["critical_point_inf"]:
+            row["critical_point"] = None
+        return json.dumps(row, allow_nan=False)
 
 
 def resolve_seed(seed=None):
@@ -185,14 +191,12 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 if fmt == "vbr":
                     B = to_vbr(A, rows, cols)
                     memory = vbr_memory_bits(A, rows, cols, S_INDEX, S_VALUE)
-                    kernel = spmv_vbr
                 else:
                     B = to_1dvbr(A, rows)
                     memory = onedvbr_memory_bits(A, rows, S_INDEX, S_VALUE)
-                    kernel = spmv_1dvbr
                 t_conv = (clock() - t0) / 1e9
                 y = np.zeros(A.m)
-                t_mult = time_min(lambda: kernel(y, B, x), trials, clock=clock,
+                t_mult = time_min(lambda: spmv_vbr(y, B, x), trials, clock=clock,
                                   warmup=warmup, time_budget=time_budget)
                 row.K = rows.num_parts
                 row.L = cols.num_parts
@@ -267,5 +271,8 @@ def reports_from_jsonl(text):
     rows = []
     for line in text.splitlines():
         if line.strip():
-            rows.append(BenchReport(**json.loads(line)))
+            row = json.loads(line)
+            if row.pop("critical_point_inf", False):
+                row["critical_point"] = math.inf
+            rows.append(BenchReport(**row))
     return rows

@@ -2,10 +2,11 @@
 
 The runtime of a blocked multiply is modeled as an affine function of the
 partition shape: a per-row-part cost, a per-column-part cost, and a
-per-block cost for each block size. Calibration times synthetic
-block-grid matrices in four shapes per block size, fits the coefficients
-by least squares weighted to minimize relative error, and compresses the
-block-cost table to a low rank with a small Jacobi SVD.
+per-block cost for each block size, plus a fixed cost per multiply.
+Calibration times synthetic block-grid matrices in four shapes per block
+size, fits the coefficients by least squares weighted to minimize
+relative error, and compresses the block-cost table to a low rank with
+an SVD.
 """
 
 import csv
@@ -90,14 +91,18 @@ def _grid_csr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
         raise ValueError(
             f"cannot place {blocks_per_row} distinct blocks in {n_block_cols} block columns"
         )
-    entries = []
-    for k in range(n_block_rows):
-        picks = np.sort(rng.choice(n_block_cols, size=blocks_per_row, replace=False))
-        for l in picks:
-            for di in range(u):
-                for dj in range(w):
-                    entries.append((k * u + di, int(l) * w + dj, rng.uniform(0.1, 1.0)))
-    A = build_csr(n_block_rows * u, n_block_cols * w, entries)
+    # Floyd's sampling, all block rows at once: the i-th draw picks from
+    # [0, top] and takes top itself when the draw is already taken
+    picks = np.empty((n_block_rows, blocks_per_row), dtype=np.int64)
+    for i, top in enumerate(range(n_block_cols - blocks_per_row, n_block_cols)):
+        draw = rng.integers(0, top + 1, size=n_block_rows)
+        picks[:, i] = np.where((picks[:, :i] == draw[:, None]).any(axis=1), top, draw)
+    entry_rows, entry_cols = np.broadcast_arrays(
+        np.arange(n_block_rows)[:, None, None, None] * u + np.arange(u)[:, None],
+        picks[:, :, None, None] * w + np.arange(w))
+    vals = rng.uniform(0.1, 1.0, entry_rows.size)
+    A = build_csr(n_block_rows * u, n_block_cols * w,
+                  zip(entry_rows.ravel().tolist(), entry_cols.ravel().tolist(), vals.tolist()))
     rows = Partition(np.arange(n_block_rows + 1) * u)
     cols = Partition(np.arange(n_block_cols + 1) * w)
     return A, rows, cols
@@ -180,13 +185,16 @@ def fit_cost_model(samples, rank):
 
     Every sample contributes one equation
 
-        seconds = K * alpha_row[u] + L * alpha_col[w] + blocks * beta[u, w]
+        seconds = K * alpha_row[u] + L * alpha_col[w] + blocks * beta[u, w] + c
 
-    with K, L, and the block count reconstructed by ``_sample_design``.
-    Each equation is divided by its measured time so the least-squares fit
-    minimizes relative error. The fitted beta table is made monotone by a
-    running maximum along both axes, then factored by a one-sided Jacobi
-    SVD and truncated to the requested rank.
+    with K, L, and the block count reconstructed by ``_sample_design`` and
+    c the fixed cost of one multiply call. Each equation is divided by its
+    measured time so the least-squares fit minimizes relative error. The
+    returned model drops c: it is the same for every partition, so the
+    model's value differs from the fitted runtime by a partition-independent
+    constant and minimizers coincide. The fitted beta table is made
+    monotone by a running maximum along both axes, then factored by an SVD
+    and truncated to the requested rank.
 
     A design missing any (u, w, variant) cell is rejected, naming the
     missing cells.
@@ -208,20 +216,19 @@ def fit_cost_model(samples, rank):
     if not 1 <= rank <= min(u_max, w_max):
         raise ValueError(f"rank must be in 1..{min(u_max, w_max)}, got {rank}")
 
-    n_unknowns = u_max + w_max + u_max * w_max
+    n_unknowns = u_max + w_max + u_max * w_max + 1  # the last is c
     design = np.zeros((len(samples), n_unknowns))
-    target = np.zeros(len(samples))
     for row, s in enumerate(samples):
         k, l, blocks = _sample_design(s)
         design[row, s.u - 1] = k / s.seconds
         design[row, u_max + s.w - 1] = l / s.seconds
         design[row, u_max + w_max + (s.u - 1) * w_max + (s.w - 1)] = blocks / s.seconds
-        target[row] = 1.0
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+        design[row, -1] = 1 / s.seconds
+    coef, *_ = np.linalg.lstsq(design, np.ones(len(samples)), rcond=None)
 
     alpha_row = coef[:u_max]
     alpha_col = coef[u_max:u_max + w_max]
-    beta = coef[u_max + w_max:].reshape(u_max, w_max)
+    beta = coef[u_max + w_max:-1].reshape(u_max, w_max)
     beta = np.maximum.accumulate(np.maximum.accumulate(beta, axis=0), axis=1)
 
     left, sing, right = jacobi_svd(beta)
@@ -235,50 +242,10 @@ def fit_cost_model(samples, rank):
     )
 
 
-def jacobi_svd(M, tol=1e-12, max_sweeps=60):
-    """One-sided Jacobi SVD of a small dense matrix.
-
-    Returns (U, s, V) with M = U @ diag(s) @ V.T and s sorted descending.
-    Columns are rotated pairwise until every off-diagonal inner product is
-    below ``tol`` relative to the column norms.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    transposed = M.shape[0] < M.shape[1]
-    A = (M.T if transposed else M).copy()
-    n = A.shape[1]
-    V = np.eye(n)
-    for _ in range(max_sweeps):
-        converged = True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = float(A[:, p] @ A[:, p])
-                aqq = float(A[:, q] @ A[:, q])
-                apq = float(A[:, p] @ A[:, q])
-                if abs(apq) <= tol * math.sqrt(app * aqq) or apq == 0.0:
-                    continue
-                converged = False
-                diff = aqq - app
-                if abs(diff) > 1e150 * abs(apq):
-                    t = apq / diff  # tiny rotation; tau itself would overflow
-                else:
-                    tau = diff / (2.0 * apq)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                rot = np.array([[c, s], [-s, c]])
-                A[:, [p, q]] = A[:, [p, q]] @ rot
-                V[:, [p, q]] = V[:, [p, q]] @ rot
-        if converged:
-            break
-    sing = np.linalg.norm(A, axis=0)
-    U = np.zeros_like(A)
-    nonzero = sing > 0
-    U[:, nonzero] = A[:, nonzero] / sing[nonzero]
-    order = np.argsort(-sing)
-    U, sing, V = U[:, order], sing[order], V[:, order]
-    if transposed:
-        return V, sing, U
-    return U, sing, V
+def jacobi_svd(M):
+    """SVD of a small dense matrix: (U, s, V) with M = U @ diag(s) @ V.T, s descending."""
+    U, sing, Vt = np.linalg.svd(np.asarray(M, dtype=np.float64), full_matrices=False)
+    return U, sing, Vt.T
 
 
 def critical_point(t_partition, t_convert, t_blocked_multiply, t_csr_multiply):

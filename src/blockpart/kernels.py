@@ -1,9 +1,14 @@
 """Sparse matrix-vector multiply kernels for CSR, VBR, and 1D-VBR.
 
-The blocked kernels walk the value stream sequentially and load each
-input-vector element once per block column, accumulating block rows top
-down and blocks left to right. Pass a dict as ``counter`` to tally the
-multiply-add count actually executed (key ``"madds"``).
+The blocked kernel groups the stored blocks by shape (u, w); Python loops
+only over the distinct shapes. Each group is one gather of its blocks'
+values, one gather of x that loads each input-vector element once per
+block column, one batched product and one scatter-add into y. A block's
+rows sum its columns left to right, a group's blocks are added to y in
+storage order, and groups go in ascending (u, w). 1D-VBR is VBR with a
+trivial column partition, so ``spmv_1dvbr`` is the same kernel. Pass a
+dict as ``counter`` to tally the multiply-add count actually executed
+(key ``"madds"``).
 """
 
 import numpy as np
@@ -21,59 +26,33 @@ def spmv_csr(A, x):
 
 
 def spmv_vbr(y, B, x, counter=None):
-    """Add B @ x into y in place and return y."""
+    """Add B @ x into y in place and return y; B is VBR or 1D-VBR."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({B.n},)")
     if y.shape != (B.m,):
         raise ValueError(f"y has shape {y.shape}, expected ({B.m},)")
-    spl_rows = B.spl_rows
-    spl_cols = B.spl_cols
-    pos = B.pos
-    idx = B.idx
-    val = B.val
-    madds = 0
-    for k in range(len(spl_rows) - 1):
-        r0, r1 = int(spl_rows[k]), int(spl_rows[k + 1])
-        u = r1 - r0
-        p = int(B.ofs[k])
-        acc = y[r0:r1]
-        for q in range(int(pos[k]), int(pos[k + 1])):
-            l = int(idx[q])
-            c0, c1 = int(spl_cols[l]), int(spl_cols[l + 1])
-            w = c1 - c0
-            # column-major block: column j is u consecutive values
-            block = val[p:p + u * w].reshape(w, u)
-            acc += block.T @ x[c0:c1]
-            p += u * w
-            madds += u * w
+    block_row = np.repeat(np.arange(len(B.pos) - 1), np.diff(B.pos))
+    u = np.diff(B.spl_rows)[block_row]
+    w = np.diff(B.spl_cols)[B.idx]
+    value_start = np.cumsum(u * w) - u * w
+    first_row = B.spl_rows[block_row]
+    first_col = B.spl_cols[B.idx]
+    order = np.lexsort((w, u))  # by shape, storage order within a shape
+    u, w = u[order], w[order]
+    lo = np.flatnonzero(np.diff(u, prepend=0) | np.diff(w, prepend=0))
+    for a, b in zip(lo.tolist(), [*lo[1:].tolist(), len(order)]):
+        bu, bw = int(u[a]), int(w[a])
+        sel = order[a:b]
+        # column-major blocks: column j of a block is u consecutive values
+        blocks = B.val[value_start[sel, None] + np.arange(bu * bw)].reshape(-1, bw, bu)
+        xs = x[first_col[sel, None] + np.arange(bw)]
+        rows = first_row[sel, None] + np.arange(bu)
+        y += np.bincount(rows.ravel(), weights=np.matmul(xs[:, None, :], blocks).ravel(),
+                         minlength=B.m)
     if counter is not None:
-        counter["madds"] = counter.get("madds", 0) + madds
+        counter["madds"] = counter.get("madds", 0) + len(B.val)
     return y
 
 
-def spmv_1dvbr(y, B, x, counter=None):
-    """Add B @ x into y in place and return y.
-
-    All blocks in a block row share height u and a constant stride, so
-    the whole block row is one gather and one small matmul.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (B.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({B.n},)")
-    if y.shape != (B.m,):
-        raise ValueError(f"y has shape {y.shape}, expected ({B.m},)")
-    spl_rows = B.spl_rows
-    madds = 0
-    for k in range(len(spl_rows) - 1):
-        q0, q1 = int(B.pos[k]), int(B.pos[k + 1])
-        if q0 == q1:
-            continue
-        r0, r1 = int(spl_rows[k]), int(spl_rows[k + 1])
-        u = r1 - r0
-        blocks = B.val[int(B.ofs[k]):int(B.ofs[k + 1])].reshape(q1 - q0, u)
-        y[r0:r1] += blocks.T @ x[B.idx[q0:q1]]
-        madds += u * (q1 - q0)
-    if counter is not None:
-        counter["madds"] = counter.get("madds", 0) + madds
-    return y
+spmv_1dvbr = spmv_vbr

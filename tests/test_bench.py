@@ -131,6 +131,20 @@ class TestRunSweep:
         again = reports_from_jsonl(one)
         assert reports_to_jsonl(again) == one
 
+    def test_jsonl_is_strict_json(self):
+        # the CSR row's critical point is infinite; strict parsers reject
+        # the bare Infinity token, so it must travel as null plus a flag
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        reports = run_sweep(block_pair_matrix(), "p", STANDARD_METHODS, formats=("1dvbr", "vbr"),
+                            u_max=4, w_max=4, trials=2, clock=fake_clock(), seed=5)
+        text = reports_to_jsonl(reports)
+        rows = [json.loads(line, parse_constant=reject) for line in text.splitlines()]
+        assert rows[0]["critical_point"] is None and rows[0]["critical_point_inf"] is True
+        assert [r.critical_point for r in reports_from_jsonl(text)] == [
+            r.critical_point for r in reports]
+
 
 class TestPerformanceProfile:
     def test_two_methods_one_instance(self):

@@ -125,6 +125,21 @@ class TestFitCostModel:
         for s in samples:
             assert predict(model, s) == pytest.approx(s.seconds, rel=1e-9)
 
+    def test_fixed_call_cost_is_fitted_and_dropped(self):
+        # every multiply pays the same fixed cost on top of the planted
+        # tables; the fit must not spread it over the table entries
+        rng = np.random.default_rng(8)
+        a_r, a_c, beta = planted_tables(4, 4, 2, rng)
+        samples = [
+            TimingSample(s.u, s.w, s.m_rows, s.blocks_per_row, s.seconds + 2e-5, s.variant)
+            for s in synth_samples(4, 4, a_r, a_c, beta)
+        ]
+        model = fit_cost_model(samples, rank=2)
+        fitted = sum(np.outer(model.beta_row[r], model.beta_col[r]) for r in range(2))
+        assert np.allclose(model.alpha_row, a_r, rtol=0.02, atol=0)
+        assert np.allclose(model.alpha_col, a_c, rtol=0.02, atol=0)
+        assert np.allclose(fitted, beta, rtol=0.02, atol=0)
+
     def test_missing_cells_rejected(self):
         rng = np.random.default_rng(5)
         a_r, a_c, beta = planted_tables(2, 2, 1, rng)
