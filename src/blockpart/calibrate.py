@@ -20,7 +20,7 @@ import numpy as np
 from .costs import CostModel
 from .formats import to_vbr
 from .kernels import spmv_vbr
-from .sparse import build_csr, Partition
+from .sparse import ENTRY_DTYPE, build_csr, Partition
 
 __all__ = [
     "TimingSample",
@@ -100,9 +100,10 @@ def _grid_csr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
     entry_rows, entry_cols = np.broadcast_arrays(
         np.arange(n_block_rows)[:, None, None, None] * u + np.arange(u)[:, None],
         picks[:, :, None, None] * w + np.arange(w))
-    vals = rng.uniform(0.1, 1.0, entry_rows.size)
-    A = build_csr(n_block_rows * u, n_block_cols * w,
-                  zip(entry_rows.ravel().tolist(), entry_cols.ravel().tolist(), vals.tolist()))
+    entries = np.rec.fromarrays(
+        [entry_rows.ravel(), entry_cols.ravel(), rng.uniform(0.1, 1.0, entry_rows.size)],
+        dtype=ENTRY_DTYPE)
+    A = build_csr(n_block_rows * u, n_block_cols * w, entries)
     rows = Partition(np.arange(n_block_rows + 1) * u)
     cols = Partition(np.arange(n_block_cols + 1) * w)
     return A, rows, cols

@@ -40,6 +40,15 @@ def _partition_args(sub, with_alternate=True):
                          help="run N alternating half-steps to also partition columns")
 
 
+def _emit(text, path):
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _run_partitioner(args, A):
     model_spec = _load_model_spec(args.model)
     rows = None
@@ -65,12 +74,7 @@ def _cmd_partition(args):
     out = {"spl_rows": rows.spl.tolist()}
     if cols is not None:
         out["spl_cols"] = cols.spl.tolist()
-    text = json.dumps(out)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(out) + "\n", args.out)
 
 
 def _cmd_convert(args):
@@ -120,12 +124,7 @@ def _cmd_sweep(args):
         all_reports += run_sweep(A, path, specs, formats=formats, u_max=args.umax,
                                  w_max=args.wmax, trials=args.trials, warmup=args.warmup,
                                  time_budget=args.time_budget)
-    text = bench.reports_to_jsonl(all_reports)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(bench.reports_to_jsonl(all_reports), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
             fh.write(_summary_csv(all_reports))
@@ -163,12 +162,7 @@ def _cmd_profile(args):
             v = math.inf
         values.setdefault(method, {})[r.matrix_id] = v
     taus, fractions = bench.performance_profile(values)
-    text = bench.profile_to_csv(taus, fractions)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(bench.profile_to_csv(taus, fractions), args.out)
 
 
 def _cmd_calibrate(args):

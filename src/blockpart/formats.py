@@ -114,9 +114,8 @@ def _blocked_arrays(A, rows, cols):
     starts = _value_starts(heights, cols.widths()[l])
     pos = np.zeros(rows.num_parts + 1, dtype=np.int64)
     np.cumsum(np.bincount(k, minlength=rows.num_parts), out=pos[1:])
-    entry_rows = np.repeat(np.arange(A.m, dtype=np.int64), np.diff(A.pos))
     at = (starts[pair] + (A.idx - cols.spl[l[pair]]) * heights[pair]
-          + entry_rows - rows.spl[k[pair]])
+          + A.entry_rows() - rows.spl[k[pair]])
     val = np.zeros(int(starts[-1]))
     val[at] = A.val
     return pos, l, starts[pos], val

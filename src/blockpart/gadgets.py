@@ -11,7 +11,9 @@ actually counting blocks.
 import math
 from dataclasses import dataclass
 
-from .sparse import build_csr, Partition, transpose
+import numpy as np
+
+from .sparse import ENTRY_DTYPE, build_csr, Partition, transpose
 
 __all__ = [
     "GadgetParams",
@@ -64,6 +66,10 @@ class GadgetParams:
         return 3 + self.mu1 + (1 + self.mu1) * self.mu2 + 2 * (1 + self.mu1) * self.mu3
 
 
+# 3x3 cores: B1 holds the diagonal, B2 the anti-diagonal.
+_CORES = {"B1": [(0, 0), (1, 1), (2, 2)], "B2": [(0, 2), (1, 1), (2, 0)]}
+
+
 def _pattern_positions(p):
     """Positions of the full / top / bottom border patterns along one axis.
 
@@ -71,14 +77,8 @@ def _pattern_positions(p):
     by its own filler band: mu2 full patterns, mu3 first-line patterns,
     mu3 third-line patterns.
     """
-    step = 1 + p.mu1
-    base = 3 + p.mu1
-    full = [base + g * step for g in range(p.mu2)]
-    base += p.mu2 * step
-    first = [base + g * step for g in range(p.mu3)]
-    base += p.mu3 * step
-    third = [base + g * step for g in range(p.mu3)]
-    return full, first, third
+    at = [3 + p.mu1 + g * (1 + p.mu1) for g in range(p.mu2 + 2 * p.mu3)]
+    return at[:p.mu2], at[p.mu2:p.mu2 + p.mu3], at[p.mu2 + p.mu3:]
 
 
 def build_gadget(kind, p):
@@ -90,27 +90,13 @@ def build_gadget(kind, p):
     columns and (row 2) the bottom-pattern columns, and symmetrically for
     core columns.
     """
-    core = _core_entries(kind)
-    full_cols, top_cols, bottom_cols = _pattern_positions(p)
-    entries = list(core)
-    for c in full_cols:
-        entries += [(0, c), (1, c), (2, c)]
-    entries += [(0, c) for c in top_cols]
-    entries += [(2, c) for c in bottom_cols]
-    full_rows, left_rows, bottom_rows = _pattern_positions(p)
-    for r in full_rows:
-        entries += [(r, 0), (r, 1), (r, 2)]
-    entries += [(r, 0) for r in left_rows]
-    entries += [(r, 2) for r in bottom_rows]
+    if kind not in _CORES:
+        raise ValueError(f"unknown gadget kind {kind!r}")
+    full, first, third = _pattern_positions(p)
+    border = ([(i, c) for c in full for i in range(3)]
+              + [(0, c) for c in first] + [(2, c) for c in third])
+    entries = _CORES[kind] + border + [(c, i) for i, c in border]
     return build_csr(p.mu, p.mu, [(i, j, 1.0) for i, j in entries])
-
-
-def _core_entries(kind):
-    if kind == "B1":
-        return [(0, 0), (1, 1), (2, 2)]
-    if kind == "B2":
-        return [(0, 2), (1, 1), (2, 0)]
-    raise ValueError(f"unknown gadget kind {kind!r}")
 
 
 # The hardness argument reduces every relevant partition to one of four
@@ -243,17 +229,15 @@ def build_count_gadget(kind, u_max, w_max):
     if u_max < 2 or w_max < 2:
         raise ValueError("count gadget needs u_max >= 2 and w_max >= 2")
     if kind == "B1":
-        holes = {(0, w_max), (u_max, 0)}
+        holes = ([0, u_max], [w_max, 0])
     elif kind == "B2":
-        holes = {(0, 0), (u_max, w_max)}
+        holes = ([0, u_max], [0, w_max])
     else:
         raise ValueError(f"unknown gadget kind {kind!r}")
-    entries = [
-        (i, j, 1.0)
-        for i in range(u_max + 1)
-        for j in range(w_max + 1)
-        if (i, j) not in holes
-    ]
+    keep = np.ones((u_max + 1, w_max + 1), bool)
+    keep[holes] = False
+    i, j = np.nonzero(keep)
+    entries = np.rec.fromarrays([i, j, np.ones(i.size)], dtype=ENTRY_DTYPE)
     return build_csr(2 * u_max + 1, 2 * w_max + 1, entries)
 
 
@@ -280,23 +264,21 @@ def build_reduction_matrix(n_vertices, edges, p):
     mu = p.mu
     b1 = build_gadget("B1", p)
     b2 = build_gadget("B2", p)
-    entries = []
-    for j, (lo, hi) in enumerate(norm):
-        for tile, vertex in ((b1, lo), (b2, hi)):
-            for i in range(tile.m):
-                for q in range(tile.pos[i], tile.pos[i + 1]):
-                    entries.append((vertex * mu + i, j * mu + int(tile.idx[q]), 1.0))
+    # per edge j: B1's entries at tile (lo, j), then B2's at tile (hi, j)
+    ends = np.array(norm, dtype=np.int64).reshape(-1, 2)
+    end = np.repeat([0, 1], [b1.nnz, b2.nnz])
+    rows = (ends[:, end] * mu + np.concatenate([b1.entry_rows(), b2.entry_rows()])).ravel()
+    cols = (np.arange(len(norm))[:, None] * mu + np.concatenate([b1.idx, b2.idx])).ravel()
+    entries = np.rec.fromarrays([rows, cols, np.ones(rows.size)], dtype=ENTRY_DTYPE)
     return build_csr(n_vertices * mu, len(norm) * mu, entries)
 
 
 def symmetric_embed(A):
     """Pattern-symmetric (m+n) x (m+n) embedding [[0, A], [A^T, 0]]."""
     At = transpose(A)
-    entries = []
-    for i in range(A.m):
-        for q in range(A.pos[i], A.pos[i + 1]):
-            entries.append((i, A.m + int(A.idx[q]), float(A.val[q])))
-    for j in range(At.m):
-        for q in range(At.pos[j], At.pos[j + 1]):
-            entries.append((A.m + j, int(At.idx[q]), float(At.val[q])))
+    entries = np.rec.fromarrays([
+        np.concatenate([A.entry_rows(), A.m + At.entry_rows()]),
+        np.concatenate([A.m + A.idx, At.idx]),
+        np.concatenate([A.val, At.val]),
+    ], dtype=ENTRY_DTYPE)
     return build_csr(A.m + A.n, A.m + A.n, entries)

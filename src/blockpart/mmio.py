@@ -3,9 +3,18 @@
 Supports real, integer, and pattern fields with general or symmetric
 symmetry. Indices are 1-based on disk and 0-based in memory; duplicate
 coordinates are summed on read.
+
+The entry block is converted by one ``np.loadtxt`` call into a record
+array of ``ENTRY_DTYPE`` for ``build_csr``; only when that call fails is
+it walked line by line, to name the first bad entry as ``file:line``.
+Text after a ``%`` on an entry line is a comment.
 """
 
-from .sparse import build_csr
+import warnings
+
+import numpy as np
+
+from .sparse import ENTRY_DTYPE, build_csr
 
 __all__ = ["read_matrix_market", "write_matrix_market", "parse_matrix_market"]
 
@@ -15,54 +24,63 @@ def parse_matrix_market(text, name="<string>"):
     if not lines:
         raise ValueError(f"{name}: empty file")
     header = lines[0].strip()
-    parts = header.split()
-    if len(parts) != 5 or parts[0] != "%%MatrixMarket":
+    parts = header.lower().split()
+    if (len(parts) != 5 or header.split()[0] != "%%MatrixMarket"
+            or parts[1:3] != ["matrix", "coordinate"]
+            or parts[3] not in ("real", "integer", "pattern")
+            or parts[4] not in ("general", "symmetric")):
         raise ValueError(f"{name}: unsupported header {header!r}")
-    _, obj, layout, field, symmetry = (p.lower() for p in parts)
-    if obj != "matrix" or layout != "coordinate":
-        raise ValueError(f"{name}: unsupported header {header!r}")
-    if field not in ("real", "integer", "pattern"):
-        raise ValueError(f"{name}: unsupported header {header!r}")
-    if symmetry not in ("general", "symmetric"):
-        raise ValueError(f"{name}: unsupported header {header!r}")
+    field, symmetry = parts[3:]
 
-    want = 2 if field == "pattern" else 3
-    size = None
-    entries = []
-    declared = 0
-    file_entries = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        tokens = line.split()
-        if size is None:
-            if len(tokens) != 3:
-                raise ValueError(f"{name}:{lineno}: malformed size line {line!r}")
-            try:
-                m, n, declared = (int(t) for t in tokens)
-            except ValueError:
-                raise ValueError(f"{name}:{lineno}: malformed size line {line!r}") from None
-            size = (m, n)
+        if line and not line.startswith("%"):
+            break
+    else:
+        raise ValueError(f"{name}: missing size line")
+    try:
+        m, n, declared = (int(t) for t in line.split())
+    except ValueError:
+        raise ValueError(f"{name}:{lineno}: malformed size line {line!r}") from None
+
+    names = ["row", "col"] if field == "pattern" else ["row", "col", "val"]
+    data = _entry_block(lines, lineno, ENTRY_DTYPE[names], name)
+    if len(data) != declared:
+        raise ValueError(f"{name}: size line declares {declared} entries, found {len(data)}")
+    rows, cols = data["row"] - 1, data["col"] - 1
+    vals = np.ones(len(data)) if field == "pattern" else data["val"]
+    if symmetry == "symmetric":
+        # each entry followed by its mirror, in file order; diagonals have none
+        keep = np.stack([np.ones(len(rows), bool), rows != cols], axis=1)
+        rows, cols, vals = (np.stack(pair, axis=1)[keep]
+                            for pair in ((rows, cols), (cols, rows), (vals, vals)))
+    return build_csr(m, n, np.rec.fromarrays([rows, cols, vals], dtype=ENTRY_DTYPE))
+
+
+def _entry_block(lines, start, dtype, name):
+    """Entry lines after ``lines[:start]`` as a record array of ``dtype``.
+
+    If ``loadtxt`` fails or warns (it warns on a block with no entries),
+    each line is parsed on its own to name the first bad one.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines[start:], dtype=dtype, comments="%", ndmin=1)
+    except (ValueError, Warning):
+        pass
+    want = len(dtype.names)
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        tokens = raw.split("%", 1)[0].split()
+        if not tokens:
             continue
         if len(tokens) != want:
-            raise ValueError(f"{name}:{lineno}: expected {want} fields, got {line!r}")
+            raise ValueError(f"{name}:{lineno}: expected {want} fields, got {raw.strip()!r}")
         try:
-            i = int(tokens[0]) - 1
-            j = int(tokens[1]) - 1
-            v = 1.0 if field == "pattern" else float(tokens[2])
+            np.loadtxt([raw], dtype=dtype, comments="%")
         except ValueError:
-            raise ValueError(f"{name}:{lineno}: malformed entry {line!r}") from None
-        entries.append((i, j, v))
-        file_entries += 1
-        if symmetry == "symmetric" and i != j:
-            entries.append((j, i, v))
-
-    if size is None:
-        raise ValueError(f"{name}: missing size line")
-    if file_entries != declared:
-        raise ValueError(f"{name}: size line declares {declared} entries, found {file_entries}")
-    return build_csr(size[0], size[1], entries)
+            raise ValueError(f"{name}:{lineno}: malformed entry {raw.strip()!r}") from None
+    return np.zeros(0, dtype)  # every line was blank or a comment
 
 
 def read_matrix_market(path):
@@ -77,11 +95,11 @@ def write_matrix_market(path, A, comment=None):
     Values are rendered with shortest round-trip precision, so a
     read-back reproduces the matrix exactly.
     """
+    rows = (A.entry_rows() + 1).tolist()
+    cols = (A.idx + 1).tolist()
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         if comment:
             fh.write(f"% {comment}\n")
         fh.write(f"{A.m} {A.n} {A.nnz}\n")
-        for i in range(A.m):
-            for q in range(A.pos[i], A.pos[i + 1]):
-                fh.write(f"{i + 1} {int(A.idx[q]) + 1} {float(A.val[q])!r}\n")
+        fh.write("".join([f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, A.val.tolist())]))

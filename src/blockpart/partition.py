@@ -163,10 +163,10 @@ def strict_partition(A, u_max=None):
 def overlap_partition(A, rho, u_max):
     """Greedy top-to-bottom grouping of rows with overlapping patterns.
 
-    Row i' joins the current group when the group is not full and
-    ``|v_g & v_i'| >= rho * min(|v_g|, |v_i'|)``, where g is the group's
-    first row. One length-n workspace stamps v_g with the leader's row
-    number, so each stored index is read at most twice.
+    Row i' joins the current group when the group is not full and v_i'
+    is empty or ``|v_g & v_i'| >= max(rho * min(|v_g|, |v_i'|), 1)``, g
+    being the group's first row. One length-n workspace stamps v_g with
+    the leader's row number, so each stored index is read at most twice.
     """
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
@@ -189,7 +189,7 @@ def overlap_partition(A, rho, u_max):
         for p in range(lo, hi):
             if stamp[idx[p]] == leader:
                 overlap += 1
-        if i - leader == u_max or overlap < rho * min(leader_len, hi - lo):
+        if i - leader == u_max or (hi > lo and overlap < max(rho * min(leader_len, hi - lo), 1)):
             splits.append(i)
             leader = i
             leader_len = hi - lo

@@ -4,6 +4,10 @@ Everything in this package is built on two small immutable types: a CSR
 matrix and a contiguous partition of an index range, stored as a vector of
 split points. Both validate their invariants on construction and expose
 read-only numpy arrays.
+
+Coordinates travel as a 1-D record array of ``ENTRY_DTYPE``: int64 row,
+int64 col and float64 val columns, one (row, col, value) triple per
+record, which ``build_csr`` takes as is.
 """
 
 import numpy as np
@@ -11,6 +15,7 @@ import numpy as np
 __all__ = [
     "CsrMatrix",
     "Partition",
+    "ENTRY_DTYPE",
     "build_csr",
     "transpose",
     "row_pattern",
@@ -20,6 +25,8 @@ __all__ = [
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
 
 def _frozen(arr, dtype):
@@ -80,13 +87,13 @@ class CsrMatrix:
         """Column indices stored in row ``i`` (sorted, read-only view)."""
         return self.idx[self.pos[i]:self.pos[i + 1]]
 
-    def row_vals(self, i):
-        return self.val[self.pos[i]:self.pos[i + 1]]
+    def entry_rows(self):
+        """Row index of every stored entry, aligned with ``idx`` and ``val``."""
+        return np.repeat(np.arange(self.m, dtype=np.int64), np.diff(self.pos))
 
     def to_dense(self):
         dense = np.zeros((self.m, self.n))
-        for i in range(self.m):
-            dense[i, self.row_cols(i)] = self.row_vals(i)
+        dense[self.entry_rows(), self.idx] = self.val
         return dense
 
     def __eq__(self, other):
@@ -166,15 +173,17 @@ def trivial_partition(r):
 def build_csr(m, n, entries):
     """Assemble a CSR matrix from (row, col, value) triples.
 
-    Entries are sorted row-major; duplicate coordinates are summed.
-    Out-of-range coordinates are rejected, naming the offending entry.
+    ``entries`` is a 1-D record array of ``ENTRY_DTYPE``, used as is, or
+    any iterable of triples (tuples, lists, a generator), converted in
+    one ``np.fromiter`` call. Entries are sorted row-major; duplicate
+    coordinates are summed in input order. Out-of-range coordinates are
+    rejected, naming the offending entry.
     """
-    entries = list(entries)
-    if not entries:
+    if not (isinstance(entries, np.ndarray) and entries.dtype == ENTRY_DTYPE):
+        entries = np.fromiter(map(tuple, entries), ENTRY_DTYPE)
+    if not len(entries):
         return CsrMatrix(m, n, np.zeros(m + 1, np.int64), [], [])
-    rows = np.array([e[0] for e in entries], dtype=np.int64)
-    cols = np.array([e[1] for e in entries], dtype=np.int64)
-    vals = np.array([e[2] for e in entries], dtype=np.float64)
+    rows, cols = entries["row"], entries["col"]
     bad = np.nonzero((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n))[0]
     if len(bad):
         b = int(bad[0])
@@ -182,7 +191,7 @@ def build_csr(m, n, entries):
             f"entry {b} at (row, col)=({rows[b]}, {cols[b]}) is outside a {m}x{n} matrix"
         )
     urows, ucols, inverse = _unique_pairs(rows, cols, m, n)
-    summed = np.bincount(inverse, weights=vals, minlength=len(urows))
+    summed = np.bincount(inverse, weights=entries["val"], minlength=len(urows))
     pos = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(urows, minlength=m), out=pos[1:])
     return CsrMatrix(m, n, pos, ucols, summed)
@@ -224,11 +233,10 @@ def transpose(A):
     stable counting sort of the entries by column preserves row order, so
     the new rows come out sorted.
     """
-    row_of = np.repeat(np.arange(A.m, dtype=np.int64), np.diff(A.pos))
     order = np.argsort(A.idx, kind="stable")
     pos_t = np.zeros(A.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(A.idx, minlength=A.n), out=pos_t[1:])
-    return CsrMatrix(A.n, A.m, pos_t, row_of[order], A.val[order])
+    return CsrMatrix(A.n, A.m, pos_t, A.entry_rows()[order], A.val[order])
 
 
 def row_pattern(A, i, col_partition):
@@ -237,9 +245,7 @@ def row_pattern(A, i, col_partition):
         raise ValueError(
             f"column partition covers {col_partition.size} columns, matrix has {A.n}"
         )
-    cols = A.row_cols(i)
-    parts = col_partition.assignments()[cols] if len(cols) else cols
-    return np.unique(parts)
+    return np.unique(col_partition.assignments()[A.row_cols(i)])
 
 
 def csr_memory_bits(A, s_index, s_value):

@@ -170,6 +170,16 @@ class TestOverlapPartition:
         # row 1 joins row 0's group; row 2 shares nothing with row 0, so it splits
         assert got.spl.tolist() == [0, 2, 3]
 
+    def test_nonempty_row_never_joins_empty_leader(self):
+        # row 0 is empty, so rho * min(0, |v|) is 0 for every following row
+        A = build_csr(4, 6, [(1, 0, 1.0), (2, 5, 1.0), (3, 2, 1.0)])
+        assert overlap_partition(A, 0.9, 4).spl.tolist() == [0, 1, 2, 3, 4]
+
+    def test_empty_rows_still_group(self):
+        # rows 0 and 1 are empty and share a group; row 2 starts its own
+        A = build_csr(3, 2, [(2, 0, 1.0)])
+        assert overlap_partition(A, 0.9, 4).spl.tolist() == [0, 2, 3]
+
     def test_rejects_bad_rho(self):
         A = identity(2)
         for rho in (0.0, -0.5, 1.5):
