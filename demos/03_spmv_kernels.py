@@ -46,6 +46,7 @@ print("1D-VBR:", blocks, "blocks,", counter["madds"], "multiply-adds",
 print("max |vbr - csr|:   ", np.abs(y_vbr - y_csr).max())
 print("max |1dvbr - csr|: ", np.abs(y_1d - y_csr).max())
 
-# The kernels accumulate in place, so a second multiply doubles y.
+# The kernels accumulate in place, so a second multiply doubles y. It
+# reuses the multiply plan the first one built and cached on D.
 spmv_1dvbr(y_1d, D, x)
 print("in-place accumulate doubles y:", np.allclose(y_1d, 2 * y_csr))

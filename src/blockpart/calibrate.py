@@ -6,7 +6,8 @@ per-block cost for each block size, plus a fixed cost per multiply.
 Calibration times synthetic block-grid matrices in four shapes per block
 size, fits the coefficients by least squares weighted to minimize
 relative error, and compresses the block-cost table to a low rank with
-an SVD.
+an SVD. Each sample's warm-up multiply builds the container's multiply
+plan, so the samples time the steady-state multiply.
 """
 
 import csv
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 VARIANTS = ("base", "double-blocks", "double-rows", "double-cols")
+_BATCH_BYTES = 64 << 20  # stored values built before a batch of samples is timed
 
 
 @dataclass(frozen=True)
@@ -148,22 +150,33 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
                     trials=3, warmup=1, clock=None, seed=0, time_budget=None):
     """Time the four measurement variants for every block size.
 
-    Runs strictly sequentially. Returns the samples to feed
-    ``fit_cost_model``.
+    Runs strictly sequentially. The matrices are built and warmed up
+    first (the warm-up builds each container's multiply plan), in batches
+    of up to 64 MiB of stored values, and each batch is then timed back to
+    back, so the samples the fit compares are measured close together
+    rather than each right after its own construction. Returns the
+    samples to feed ``fit_cost_model``.
     """
     rng = np.random.default_rng(seed)
-    samples = []
-    for u in range(1, u_max + 1):
-        for w in range(1, w_max + 1):
-            for variant in VARIANTS:
-                k, l, b = _variant_shape(u, w, blocks_per_row, min_bytes, variant)
-                A, rows, cols = _grid_csr(u, w, k, l, b, rng)
-                B = to_vbr(A, rows, cols)
-                x = rng.standard_normal(A.n)
-                y = np.zeros(A.m)
-                seconds = time_min(lambda: spmv_vbr(y, B, x), trials,
-                                   clock=clock, warmup=warmup, time_budget=time_budget)
-                samples.append(TimingSample(u, w, A.m, b, seconds, variant))
+    samples, batch, held = [], [], 0
+    cells = [(u, w, v) for u in range(1, u_max + 1) for w in range(1, w_max + 1)
+             for v in VARIANTS]
+    for i, (u, w, variant) in enumerate(cells):
+        k, l, b = _variant_shape(u, w, blocks_per_row, min_bytes, variant)
+        A, rows, cols = _grid_csr(u, w, k, l, b, rng)
+        B = to_vbr(A, rows, cols)
+        x = rng.standard_normal(A.n)
+        y = np.zeros(A.m)
+        for _ in range(warmup):
+            spmv_vbr(y, B, x)
+        batch.append((u, w, b, variant, B, x, y))
+        held += B.val.nbytes
+        if held >= _BATCH_BYTES or i == len(cells) - 1:
+            for u, w, b, variant, B, x, y in batch:
+                seconds = time_min(lambda: spmv_vbr(y, B, x), trials, clock=clock,
+                                   warmup=0, time_budget=time_budget)
+                samples.append(TimingSample(u, w, B.m, b, seconds, variant))
+            batch, held = [], 0
     return samples
 
 
@@ -196,6 +209,11 @@ def fit_cost_model(samples, rank):
     constant and minimizers coincide. The fitted beta table is made
     monotone by a running maximum along both axes, then factored by an SVD
     and truncated to the requested rank.
+
+    Fitted coefficients may be negative (noisy samples, or a cost the
+    design cannot separate from another) and are kept as fitted: the DP
+    and ``evaluate`` accept any finite model, and the partition minimizes
+    the model as given.
 
     A design missing any (u, w, variant) cell is rejected, naming the
     missing cells.

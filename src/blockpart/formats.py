@@ -30,10 +30,11 @@ class VbrMatrix:
     splits), ``pos`` (K+1 offsets into ``idx``), ``idx`` (column-part
     index of each stored block, ascending within a block row), ``ofs``
     (K+1 offsets of each block row's values), ``val`` (dense block
-    values, column-major within each block).
+    values, column-major within each block). ``_plan`` caches the
+    multiply plan the first ``spmv_vbr`` call builds (see ``kernels``).
     """
 
-    __slots__ = ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val")
+    __slots__ = ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val", "_plan")
 
     def __init__(self, spl_rows, spl_cols, pos, idx, ofs, val):
         self.spl_rows = Partition(spl_rows).spl
@@ -42,6 +43,7 @@ class VbrMatrix:
         self.idx = _frozen(idx, np.int64)
         self.ofs = _frozen(ofs, np.int64)
         self.val = _frozen(val, np.float64)
+        self._plan = None
         k = len(self.spl_rows) - 1
         n_parts = len(self.spl_cols) - 1
         if len(self.pos) != k + 1 or len(self.ofs) != k + 1:

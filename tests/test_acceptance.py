@@ -254,23 +254,25 @@ def test_criterion_9_complexity_smoke():
     rng = np.random.default_rng(17)
     model = planted_model(8, 1, rng, rank=3)
 
-    def timed(m):
+    def matrix(m):
         entries = []
         for i in range(m):
             for j in sorted(rng.choice(m, size=4, replace=False)):
                 entries.append((i, int(j), 1.0))
-        A = build_csr(m, m, entries)
-        cols = trivial_partition(m)
+        return build_csr(m, m, entries), trivial_partition(m)
+
+    cases = [matrix(8000), matrix(16000)]
+    for A, cols in cases:
         optimal_partition(A, cols, model, 8)  # warm-up
-        runs = []
-        for _ in range(5):
+    # the sizes alternate, so a shared machine's drifting speed hits both
+    # alike, and a median is not moved by one slow run
+    runs = [[], []]
+    for _ in range(5):
+        for size, (A, cols) in enumerate(cases):
             t0 = time.perf_counter()
             optimal_partition(A, cols, model, 8)
-            runs.append(time.perf_counter() - t0)
-        return sum(runs) / len(runs)
-
-    small = timed(8000)
-    large = timed(16000)
+            runs[size].append(time.perf_counter() - t0)
+    small, large = np.median(runs, axis=1)
     assert large / small <= 2.5, f"scaling ratio {large / small:.2f}"
 
 

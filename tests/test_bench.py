@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from blockpart import build_csr, run_sweep, performance_profile, write_matrix_market
+from blockpart import build_csr, run_sweep, performance_profile, spmv_vbr, write_matrix_market
 from blockpart.bench import profile_to_csv, reports_from_jsonl, reports_to_jsonl
 from blockpart.cli import main as cli_main
 
@@ -112,6 +112,35 @@ class TestRunSweep:
         assert row.critical_point == critical_point(
             row.partition_seconds, row.convert_seconds,
             row.multiply_seconds, csr_row.multiply_seconds)
+
+    def test_first_multiply_excess_charged_to_convert(self, monkeypatch):
+        # every clock reading advances 1 ms, and the kernel stand-in adds 5 s
+        # to the call that builds the container's plan, as a cold multiply
+        # would; the cached calls take the 1 ms between readings
+        import blockpart.bench as bench
+        from blockpart.calibrate import critical_point
+
+        now = [0]
+
+        def clock():
+            now[0] += 10**6
+            return now[0]
+
+        def kernel(y, B, x, counter=None):
+            if B._plan is None:
+                now[0] += 5 * 10**9
+            return spmv_vbr(y, B, x, counter)
+
+        monkeypatch.setattr(bench, "spmv_vbr", kernel)
+        for warmup in (0, 1, 2):
+            csr_row, row = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
+                                     formats=("vbr",), trials=3, warmup=warmup, clock=clock,
+                                     seed=1)
+            assert row.multiply_seconds == pytest.approx(1e-3)
+            assert row.convert_seconds == pytest.approx(1e-3 + 5.0)
+            assert row.critical_point == critical_point(
+                row.partition_seconds, row.convert_seconds,
+                row.multiply_seconds, csr_row.multiply_seconds)
 
     def test_seed_env_override(self, monkeypatch):
         from blockpart.bench import resolve_seed

@@ -15,6 +15,7 @@ from blockpart.calibrate import (
     samples_to_csv,
 )
 from blockpart.formats import stored_counts, to_vbr
+from blockpart.kernels import spmv_vbr
 
 
 def planted_tables(u_max, w_max, rank, rng):
@@ -210,6 +211,23 @@ class TestMeasurement:
         assert len(samples) == 2 * 2 * len(VARIANTS)
         have = {(s.u, s.w, s.variant) for s in samples}
         assert len(have) == len(samples)
+
+    def test_samples_time_warm_containers_back_to_back(self, monkeypatch):
+        # every container is built and warmed up (which builds its plan)
+        # before any sample is timed, so no timed call pays for a plan
+        import blockpart.calibrate as calibrate
+
+        plan_missing = []
+
+        def kernel(y, B, x, counter=None):
+            plan_missing.append(B._plan is None)
+            return spmv_vbr(y, B, x, counter)
+
+        monkeypatch.setattr(calibrate, "spmv_vbr", kernel)
+        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=2, warmup=1,
+                                  clock=iter(range(0, 10**12, 10**6)).__next__)
+        assert plan_missing == [True] * len(samples) + [False] * (2 * len(samples))
+        assert all(s.seconds == pytest.approx(1e-3) for s in samples)
 
     def test_samples_csv_round_trip(self):
         samples = [TimingSample(1, 2, 4, 2, 0.125, "base"),

@@ -1,5 +1,6 @@
-"""Properties of the shared block-pattern core, checked against independent
-references, plus regressions for inputs the core must reject.
+"""Properties of the shared block-pattern core, the blocked multiply and its
+cached plan, and the CSR and partition invariants, checked against
+independent references, plus regressions for inputs the core must reject.
 
 The references walk the dense matrix entry by entry, so they share no code
 with the vectorized counters, converters, ``evaluate`` or the DP.
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blockpart.kernels as kernels
 from blockpart import (
     CostModel,
     OneDVbrMatrix,
@@ -32,6 +34,7 @@ from blockpart import (
     stored_counts,
     to_1dvbr,
     to_vbr,
+    transpose,
     trivial_partition,
     value_count,
     vbr_get,
@@ -39,6 +42,7 @@ from blockpart import (
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+VALUES = [0.0, 1.0, -2.5, 0.125, 7.0]
 
 
 @st.composite
@@ -57,10 +61,28 @@ def blocked_inputs(draw, min_dim=0, max_dim=7):
     n = draw(st.integers(min_dim, max_dim))
     cells = draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)))) \
         if m and n else set()
-    values = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 0.125, 7.0]),
-                           min_size=len(cells), max_size=len(cells)))
+    values = draw(st.lists(st.sampled_from(VALUES), min_size=len(cells), max_size=len(cells)))
     A = build_csr(m, n, [(i, j, v) for (i, j), v in zip(sorted(cells), values)])
     return A, draw(partitions(m)), draw(partitions(n))
+
+
+@st.composite
+def vectors(draw, size):
+    """A float vector of the given length; all zeros one time in two."""
+    if draw(st.booleans()):
+        return np.zeros(size)
+    return np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=size, max_size=size)),
+                    dtype=np.float64)
+
+
+def blocked_pair(A, rows, cols):
+    """The VBR and the 1D-VBR container of A, each with no plan built yet."""
+    return to_vbr(A, rows, cols), to_1dvbr(A, rows)
+
+
+def within(got, want, bound):
+    """Elementwise |got - want| <= 1e-12 * bound (bound: sum of |terms| per row)."""
+    return bool(np.all(np.abs(got - want) <= 1e-12 * bound))
 
 
 def ref_blocks(A, rows, cols):
@@ -117,14 +139,17 @@ class TestConverterProperties:
                 assert onedvbr_get(D, i, j) == dense[i, j]
 
     @PROPERTY
-    @given(blocked_inputs())
-    def test_spmv_matches_dense(self, case):
-        A, rows, cols = case
-        x = np.arange(1.0, A.n + 1.0)
-        want = A.to_dense() @ x
-        assert np.allclose(spmv_csr(A, x), want)
-        assert np.allclose(spmv_vbr(np.zeros(A.m), to_vbr(A, rows, cols), x), want)
-        assert np.allclose(spmv_1dvbr(np.zeros(A.m), to_1dvbr(A, rows), x), want)
+    @given(st.data())
+    def test_spmv_matches_dense(self, data):
+        A, rows, cols = data.draw(blocked_inputs())
+        x = data.draw(vectors(A.n))
+        dense = A.to_dense()
+        want, bound = dense @ x, np.abs(dense) @ np.abs(x)
+        y_csr = spmv_csr(A, x)
+        assert within(y_csr, want, bound)
+        B, D = blocked_pair(A, rows, cols)
+        for y in (spmv_vbr(np.zeros(A.m), B, x), spmv_1dvbr(np.zeros(A.m), D, x)):
+            assert within(y, want, bound) and within(y, y_csr, bound)
 
     @PROPERTY
     @given(blocked_inputs())
@@ -165,6 +190,128 @@ class TestConverterProperties:
         assert 8 * len(serialize_1dvbr(to_1dvbr(A, rows))) == bits_1d
 
 
+class TestMultiplyPlan:
+    @PROPERTY
+    @given(st.data())
+    def test_repeated_calls_bit_identical(self, data):
+        A, rows, cols = data.draw(blocked_inputs())
+        x = data.draw(vectors(A.n))
+        for B in blocked_pair(A, rows, cols):
+            first = spmv_vbr(np.zeros(A.m), B, x).tobytes()
+            for _ in range(2):
+                assert spmv_vbr(np.zeros(A.m), B, x).tobytes() == first
+
+    @PROPERTY
+    @given(st.data())
+    def test_plan_keeps_no_vector(self, data):
+        A, rows, cols = data.draw(blocked_inputs())
+        x0, x = data.draw(vectors(A.n)), data.draw(vectors(A.n))
+        y0 = np.array(data.draw(st.lists(st.floats(-100.0, 100.0), min_size=A.m,
+                                         max_size=A.m)), dtype=np.float64)
+        bound = np.abs(y0) + np.abs(A.to_dense()) @ np.abs(x)
+        for B in blocked_pair(A, rows, cols):
+            spmv_vbr(np.zeros(A.m), B, x0)
+            y = y0.copy()
+            assert spmv_vbr(y, B, x) is y
+            assert within(y, y0 + spmv_csr(A, x), bound)
+
+    @pytest.mark.parametrize("m, n, entries, spl", [
+        (0, 0, [], [0]),
+        (0, 3, [], [0]),
+        (3, 0, [], [0, 1, 3]),
+        (3, 3, [], [0, 2, 3]),  # no stored block
+        (4, 3, [(0, 0, 1.0), (3, 2, -2.5)], [0, 1, 3, 4]),  # empty middle block row
+    ])
+    def test_edge_cases(self, m, n, entries, spl):
+        A = build_csr(m, n, entries)
+        rows = Partition(spl)
+        for x in (np.zeros(n), np.arange(1.0, n + 1.0)):
+            for B in blocked_pair(A, rows, trivial_partition(n)):
+                want = spmv_csr(A, x)
+                assert np.array_equal(spmv_vbr(np.zeros(m), B, x), want)
+                assert np.array_equal(spmv_vbr(np.ones(m), B, x), 1.0 + want)
+
+    def test_plan_built_once_per_container(self, example_matrix, monkeypatch):
+        builds = []
+        monkeypatch.setattr(kernels, "_build_plan",
+                            lambda B, build=kernels._build_plan: builds.append(B) or build(B))
+        A = example_matrix
+        for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
+            assert B._plan is None
+            spmv_vbr(np.zeros(A.m), B, np.ones(A.n))
+            plan = B._plan
+            assert plan is not None
+            spmv_1dvbr(np.zeros(A.m), B, np.arange(A.n, dtype=np.float64))
+            assert B._plan is plan
+            assert builds.count(B) == 1
+
+    def test_shape_errors_raise_before_plan(self, example_matrix):
+        A = example_matrix
+        for B in blocked_pair(A, Partition([0, 4, 8]), trivial_partition(A.n)):
+            with pytest.raises(ValueError, match="x has shape"):
+                spmv_vbr(np.zeros(A.m), B, np.ones(A.n + 1))
+            with pytest.raises(ValueError, match="y has shape"):
+                spmv_vbr(np.zeros(A.m - 1), B, np.ones(A.n))
+            assert B._plan is None
+
+    def test_plan_arrays_read_only(self, example_matrix):
+        A = example_matrix
+        for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
+            spmv_vbr(np.zeros(A.m), B, np.ones(A.n))
+            groups, rows = B._plan
+            assert groups and not rows.flags.writeable
+            for blocks, cols in groups:
+                assert not blocks.flags.writeable and not cols.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                groups[0][0][0, 0, 0] = 1.0
+
+
+class TestCsrAndPartitionProperties:
+    @PROPERTY
+    @given(st.data())
+    def test_build_csr_sorts_and_sums_duplicates(self, data):
+        m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        entries = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                                               st.sampled_from(VALUES)), max_size=20)) \
+            if m and n else []
+        A = build_csr(m, n, entries)
+        assert A.pos[0] == 0 and A.pos[-1] == len(A.idx) and np.all(np.diff(A.pos) >= 0)
+        want = {}
+        for i, j, v in entries:
+            want[i, j] = want.get((i, j), 0.0) + v
+        got = {}
+        for i in range(m):
+            row_cols = A.row_cols(i)
+            assert np.all(np.diff(row_cols) > 0)
+            got.update({(i, int(j)): float(v)
+                        for j, v in zip(row_cols, A.val[A.pos[i]:A.pos[i + 1]])})
+        assert got == want
+
+    @PROPERTY
+    @given(blocked_inputs())
+    def test_transpose_twice_is_identity(self, case):
+        A, _, _ = case
+        At = transpose(A)
+        assert np.array_equal(At.to_dense(), A.to_dense().T)
+        assert transpose(At) == A
+
+    @PROPERTY
+    @given(st.integers(0, 12).flatmap(partitions))
+    def test_partition_splits_widths_and_assignments(self, part):
+        assert part.spl[0] == 0 and np.all(np.diff(part.spl) > 0)
+        assert int(part.widths().sum()) == part.size
+        owner = part.assignments()
+        assert len(owner) == part.size
+        for k in range(part.num_parts):
+            assert np.all(owner[part.spl[k]:part.spl[k + 1]] == k)
+        assert [part.inverse(i) for i in range(part.size)] == owner.tolist()
+
+    @pytest.mark.parametrize("spl", [[0, 2, 2], [0, 3, 1], [1, 2]])
+    def test_partition_rejects_bad_splits(self, spl):
+        with pytest.raises(ValueError):
+            Partition(spl)
+
+
 class TestCostProperties:
     @PROPERTY
     @given(st.data())
@@ -201,6 +348,25 @@ class TestCostProperties:
         oracle = brute_force_partition(A, cols, model, u_max)
         assert evaluate(model, A, dp, cols) == evaluate(model, A, oracle, cols)
         assert dp == oracle  # equal costs tie-break to the same partition
+
+    @PROPERTY
+    @given(st.data())
+    def test_dp_matches_brute_force_with_negative_float_entries(self, data):
+        # fitted models may hold negative coefficients and are kept as
+        # fitted; eighths keep every sum exact, so ties are exact too
+        A, _, cols = data.draw(blocked_inputs(min_dim=2, max_dim=6))
+        u_max = data.draw(st.integers(2, 4))
+        entry = st.integers(-40, 40).map(lambda v: v / 8)
+
+        def table(size):
+            return tuple(data.draw(st.lists(entry, min_size=size, max_size=size)))
+
+        w_max = max_size(cols)
+        model = CostModel(alpha_row=table(u_max), alpha_col=table(w_max),
+                          beta_row=(table(u_max), table(u_max)),
+                          beta_col=(table(w_max), table(w_max)))
+        dp = optimal_partition(A, cols, model, u_max)
+        assert dp == brute_force_partition(A, cols, model, u_max)
 
 
 class TestContainerChecks:
