@@ -38,7 +38,13 @@ __all__ = [
 ]
 
 VARIANTS = ("base", "double-blocks", "double-rows", "double-cols")
-_BATCH_BYTES = 64 << 20  # stored values built before a batch of samples is timed
+# Stored values a batch of samples holds before it is timed: a memory cap.
+# Cut into many batches, the fits degrade: at the CLI defaults (u, w <= 8,
+# 256 KiB per matrix, 96 MiB of values in all; seeds 1-21) a matrix of
+# aligned 3x3 blocks got a 3x3 partition from 11/21 fits timing each sample
+# alone, 11/18 with 16 MiB batches, 18/21 with this cap (two batches) and
+# 17/21 in one batch, at 47, 106, 242 and 324 MB peak RSS.
+_BATCH_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -150,33 +156,40 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
                     trials=3, warmup=1, clock=None, seed=0, time_budget=None):
     """Time the four measurement variants for every block size.
 
-    Runs strictly sequentially. The matrices are built and warmed up
-    first (the warm-up builds each container's multiply plan), in batches
-    of up to 64 MiB of stored values, and each batch is then timed back to
-    back, so the samples the fit compares are measured close together
-    rather than each right after its own construction. Returns the
+    Runs strictly sequentially. The matrices are built and warmed up in
+    batches of up to ``_BATCH_BYTES`` of stored values, and each batch is
+    then timed back to back, so the samples the fit compares are measured
+    close together rather than each right after its own construction. The
+    warm-up builds each container's multiply plan while the batch is
+    built, so no plan build falls between two timed samples. Returns the
     samples to feed ``fit_cost_model``.
     """
     rng = np.random.default_rng(seed)
     samples, batch, held = [], [], 0
-    cells = [(u, w, v) for u in range(1, u_max + 1) for w in range(1, w_max + 1)
-             for v in VARIANTS]
-    for i, (u, w, variant) in enumerate(cells):
-        k, l, b = _variant_shape(u, w, blocks_per_row, min_bytes, variant)
-        A, rows, cols = _grid_csr(u, w, k, l, b, rng)
-        B = to_vbr(A, rows, cols)
-        x = rng.standard_normal(A.n)
-        y = np.zeros(A.m)
-        for _ in range(warmup):
-            spmv_vbr(y, B, x)
-        batch.append((u, w, b, variant, B, x, y))
-        held += B.val.nbytes
-        if held >= _BATCH_BYTES or i == len(cells) - 1:
-            for u, w, b, variant, B, x, y in batch:
-                seconds = time_min(lambda: spmv_vbr(y, B, x), trials, clock=clock,
-                                   warmup=0, time_budget=time_budget)
-                samples.append(TimingSample(u, w, B.m, b, seconds, variant))
-            batch, held = [], 0
+
+    def time_batch():
+        for u, w, b, variant, B, x, y in batch:
+            seconds = time_min(lambda: spmv_vbr(y, B, x), trials, clock=clock,
+                               warmup=0, time_budget=time_budget)
+            samples.append(TimingSample(u, w, B.m, b, seconds, variant))
+        batch.clear()
+
+    for u in range(1, u_max + 1):
+        for w in range(1, w_max + 1):
+            for variant in VARIANTS:
+                k, l, b = _variant_shape(u, w, blocks_per_row, min_bytes, variant)
+                A, rows, cols = _grid_csr(u, w, k, l, b, rng)
+                B = to_vbr(A, rows, cols)
+                x = rng.standard_normal(A.n)
+                y = np.zeros(A.m)
+                for _ in range(warmup):
+                    spmv_vbr(y, B, x)
+                batch.append((u, w, b, variant, B, x, y))
+                held += B.val.nbytes
+                if held >= _BATCH_BYTES:
+                    time_batch()
+                    held = 0
+    time_batch()
     return samples
 
 

@@ -229,6 +229,34 @@ class TestMeasurement:
         assert plan_missing == [True] * len(samples) + [False] * (2 * len(samples))
         assert all(s.seconds == pytest.approx(1e-3) for s in samples)
 
+    def test_batch_is_timed_once_it_holds_the_byte_limit(self, monkeypatch):
+        import blockpart.calibrate as calibrate
+
+        calls = []  # (plan missing, stored value bytes) of every kernel call
+
+        def kernel(y, B, x, counter=None):
+            calls.append((B._plan is None, B.val.nbytes))
+            return spmv_vbr(y, B, x, counter)
+
+        def run():
+            return run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=1, warmup=1,
+                                   clock=iter(range(0, 10**12, 10**6)).__next__)
+
+        monkeypatch.setattr(calibrate, "spmv_vbr", kernel)
+        one = run()
+        n = len(one)
+        assert [cold for cold, _ in calls] == [True] * n + [False] * n
+        # a limit the first k containers reach and the rest do not exceed
+        sizes = [nbytes for _, nbytes in calls[:n]]
+        k = next(i for i in range(n) if 2 * sum(sizes[:i]) >= sum(sizes))
+        assert 0 < k < n
+        calls.clear()
+        monkeypatch.setattr(calibrate, "_BATCH_BYTES", sum(sizes[:k]))
+        two = run()
+        cold = [True] * k + [False] * k + [True] * (n - k) + [False] * (n - k)
+        assert [c for c, _ in calls] == cold
+        assert two == one
+
     def test_samples_csv_round_trip(self):
         samples = [TimingSample(1, 2, 4, 2, 0.125, "base"),
                    TimingSample(2, 2, 8, 4, 3.5e-05, "double-blocks")]
