@@ -258,12 +258,83 @@ class TestMultiplyPlan:
         A = example_matrix
         for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
             spmv_vbr(np.zeros(A.m), B, np.ones(A.n))
-            groups, rows = B._plan
-            assert groups and not rows.flags.writeable
-            for blocks, cols in groups:
-                assert not blocks.flags.writeable and not cols.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                groups[0][0][0, 0, 0] = 1.0
+            assert B._plan
+            for group in B._plan:
+                assert len(group) == 3
+                for array in group:
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[(0,) * array.ndim] = 1
+
+    @PROPERTY
+    @given(blocked_inputs())
+    def test_plan_layout(self, case):
+        # each group: (G, u, c_pad) values, (G, c_pad) x columns, (G, u) y rows;
+        # a block row's stored columns in order, then fewer than _PAD pad slots
+        # that hold 0.0 and read the zero slot x[n]
+        A, rows, cols = case
+        dense = np.hstack([A.to_dense(), np.zeros((A.m, 1))])
+        for B, part in zip(blocked_pair(A, rows, cols), (cols, trivial_partition(A.n))):
+            spmv_vbr(np.zeros(A.m), B, np.zeros(A.n))
+            blocks = ref_blocks(A, rows, part)
+            want_rows, got_rows = [], []
+            for k in range(rows.num_parts):
+                if any((k, l) in blocks for l in range(part.num_parts)):
+                    want_rows.extend(range(rows.spl[k], rows.spl[k + 1]))
+            shapes = [values.shape[1:] for values, _, _ in B._plan]
+            assert shapes == sorted(set(shapes))
+            for values, x_cols, y_rows in B._plan:
+                g, u, c = values.shape
+                assert c % kernels._PAD == 0 and x_cols.shape == (g, c) and y_rows.shape == (g, u)
+                assert np.array_equal(values, dense[y_rows[:, :, None], x_cols[:, None, :]])
+                for r, xc in zip(y_rows, x_cols):
+                    k = rows.inverse(int(r[0]))
+                    assert r.tolist() == list(range(rows.spl[k], rows.spl[k + 1]))
+                    stored = [j for l in range(part.num_parts) if (k, l) in blocks
+                              for j in range(part.spl[l], part.spl[l + 1])]
+                    assert c - kernels._PAD < len(stored) <= c
+                    assert xc.tolist() == stored + [A.n] * (c - len(stored))
+                got_rows.extend(y_rows.ravel().tolist())
+            # one y row per row of a non-empty block row, none per product
+            assert sorted(got_rows) == want_rows
+
+    @pytest.mark.parametrize("m, n, entries, spl, shapes", [
+        (0, 0, [], [0], []),
+        (0, 3, [], [0], []),
+        (3, 0, [], [0, 1, 3], []),
+        # block rows storing 5, 0, 1 and 4 columns: 5 y rows against 19 products
+        (6, 6, [(0, 0, 1.0), (0, 2, 2.0), (0, 4, 3.0), (1, 1, 4.0), (1, 3, 5.0), (3, 5, 6.0),
+                (4, 0, 7.0), (4, 1, 8.0), (5, 2, 9.0), (5, 3, 10.0)], [0, 2, 3, 4, 6],
+         [((1, 1, 4), [[3]], [[5, 6, 6, 6]]),
+          ((1, 2, 4), [[4, 5]], [[0, 1, 2, 3]]),
+          ((1, 2, 8), [[0, 1]], [[0, 1, 2, 3, 4, 6, 6, 6]])]),
+    ])
+    def test_plan_groups(self, m, n, entries, spl, shapes):
+        A = build_csr(m, n, entries)
+        B = to_1dvbr(A, Partition(spl))
+        x = np.arange(1.0, n + 1.0)
+        assert np.array_equal(spmv_vbr(np.zeros(m), B, x), spmv_csr(A, x))
+        assert [(v.shape, r.tolist(), c.tolist()) for v, c, r in B._plan] == shapes
+
+    @PROPERTY
+    @given(st.data())
+    def test_pad_adds_zero_whatever_x_holds(self, data):
+        # rows whose block row stores no slot of column j are finite and equal
+        # spmv_csr when x[j] is inf or NaN, though their pad is multiplied too
+        A, rows, cols = data.draw(blocked_inputs(min_dim=1))
+        j = data.draw(st.integers(0, A.n - 1))
+        x = data.draw(vectors(A.n))
+        bound = np.abs(A.to_dense()) @ np.abs(x)
+        x[j] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        with np.errstate(invalid="ignore"):  # stored zeros times inf in the other rows
+            want = spmv_csr(A, x)
+            ys = [spmv_vbr(np.zeros(A.m), B, x) for B in blocked_pair(A, rows, cols)]
+        for y, part in zip(ys, (cols, trivial_partition(A.n))):
+            blocks = ref_blocks(A, rows, part)
+            clear = [i for i in range(A.m)
+                     if (rows.inverse(i), part.inverse(j)) not in blocks]
+            y = y[clear]
+            assert np.all(np.isfinite(y)) and within(y, want[clear], bound[clear])
 
 
 class TestCsrAndPartitionProperties:

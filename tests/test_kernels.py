@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,26 @@ class TestSpmvCsr:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             spmv_csr(identity(3), np.ones(2))
+
+    @pytest.mark.parametrize("m, n, entries", [
+        (0, 0, []),
+        (0, 3, []),
+        (3, 0, []),
+        (5, 3, [(1, 0, 2.0), (1, 2, -1.0), (3, 1, 4.0)]),  # empty first, middle and last rows
+    ])
+    def test_empty_rows_and_matrices(self, m, n, entries):
+        A = build_csr(m, n, entries)
+        x = np.arange(1.0, n + 1.0)
+        y = spmv_csr(A, x)
+        assert y.dtype == np.float64 and y.tolist() == (A.to_dense() @ x).tolist()
+
+    def test_long_rows_within_rounding(self):
+        rng = np.random.default_rng(5)
+        A = random_csr(4, 40, 0.9, rng)
+        x = rng.standard_normal(40)
+        want = [math.fsum(A.val[q] * x[A.idx[q]] for q in range(A.pos[i], A.pos[i + 1]))
+                for i in range(4)]
+        assert np.abs(spmv_csr(A, x) - want).max() <= mixed_tolerance(A, x)
 
 
 class TestSpmvVbr:
