@@ -69,6 +69,9 @@ def _run_partitioner(args, A):
 
 
 def _cmd_partition(args):
+    if args.alternate and args.method == "optimal" and args.model == "mem1d":
+        raise ValueError("--alternate also partitions columns, so it needs a 2-D cost model: "
+                         "--model memvbr, blocks or file:PATH (mem1d prices rows only)")
     A = mmio.read_matrix_market(args.matrix)
     rows, cols = _run_partitioner(args, A)
     out = {"spl_rows": rows.spl.tolist()}

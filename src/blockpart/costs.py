@@ -102,10 +102,10 @@ def _check_sizes(part, limit, kind, dim):
         raise ValueError(f"{kind} part {k} has {dim} {int(sizes[k])} > model range {limit}")
 
 
-def _size_counts(part):
-    """(size, number of parts of that size) for each distinct part size."""
+def _alpha_sum(alpha, part):
+    """Sum of ``alpha[size - 1]`` over the parts of ``part``, by distinct size."""
     sizes, counts = np.unique(part.widths(), return_counts=True)
-    return zip(sizes.tolist(), counts.tolist())
+    return sum(alpha[s - 1] * c for s, c in zip(sizes.tolist(), counts.tolist()))
 
 
 def _block_shapes(A, rows, cols):
@@ -167,8 +167,7 @@ def evaluate(model, A, rows, cols):
     """
     _check_sizes(rows, model.u_max, "row", "height")
     _check_sizes(cols, model.w_max, "column", "width")
-    total = sum(model.alpha_row[u - 1] * count for u, count in _size_counts(rows))
-    total += sum(model.alpha_col[w - 1] * count for w, count in _size_counts(cols))
+    total = _alpha_sum(model.alpha_row, rows) + _alpha_sum(model.alpha_col, cols)
     for u, w, count in _block_shapes(A, rows, cols):
         total += model._price(u, w) * count
     return total

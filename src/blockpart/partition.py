@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .costs import _check_sizes, evaluate, CostModel
+from .costs import _alpha_sum, _check_sizes, evaluate, CostModel
 from .sparse import _INT64_MAX, _block_pattern, Partition, transpose, trivial_partition
 
 __all__ = [
@@ -22,6 +22,20 @@ __all__ = [
 ]
 
 
+class _Optimum(Partition):
+    """A partition from ``optimal_partition`` with the DP's minimum as ``cost``.
+
+    ``alternating_partition`` reads ``cost`` to report its objective
+    without evaluating the pair again.
+    """
+
+    __slots__ = ("cost",)
+
+    def __init__(self, spl, cost):
+        super().__init__(spl)
+        self.cost = cost
+
+
 def optimal_partition(A, col_partition, model, u_max):
     """Row partition minimizing ``model`` under a fixed column partition.
 
@@ -29,16 +43,22 @@ def optimal_partition(A, col_partition, model, u_max):
     every column part l it touches. The P <= nnz distinct (row, column
     part) pairs come from the shared block pattern; pair (t, l), whose
     previous row holding part l is ``prev``, is the first occurrence of l
-    in exactly the windows starting in (max(prev, t - u), t], so one
-    scatter-add of its price at those bounds and one prefix sum give every
-    window cost of height u. A scalar backward pass then picks each row's
-    best part, the shortest among equals. Finding the pairs sorts the
-    stored entries and finding ``prev`` sorts the pairs, so the bound is
-    O(nnz log nnz + u_max * (m + P) + R * u_max * w_max + n) time and
-    O(u_max * m + nnz + n) space.
+    in exactly the windows starting in (max(prev, t - u), t]. For each
+    height u, ``np.bincount`` counts those bounds per row and width class
+    (the end bound t + 1 is the same for every u, so it is counted once);
+    the counts times each class's price and one prefix sum give every
+    window cost of height u, in int64 or Python ints for an integer model
+    and in float64 otherwise. A scalar backward pass then picks each
+    row's best part, the shortest among equals. Finding the pairs sorts
+    the stored entries and finding ``prev`` sorts the pairs, so with W <=
+    w_max distinct column widths the bound is
+    O(nnz log nnz + u_max * (m * W + P) + R * u_max * W + n) time and
+    O(u_max * m + m * W + nnz + n) space.
 
     The per-column-part alpha term is a constant under a fixed column
-    partition, so it is ignored here; ``evaluate`` includes it.
+    partition, so it is ignored here; ``evaluate`` includes it. The
+    returned partition carries the minimum found, without that term, as
+    ``cost``, from which ``alternating_partition`` reports its objective.
     """
     if u_max < 1:
         raise ValueError(f"u_max must be at least 1, got {u_max}")
@@ -57,7 +77,7 @@ def optimal_partition(A, col_partition, model, u_max):
     prev[1:][same] = t[:-1][same]
 
     widths, width_class = np.unique(col_partition.widths(), return_inverse=True)
-    pair_class = width_class[l]
+    nw = len(widths)
     heights = range(1, min(u_max, m) + 1)
     prices = [[model._price(u, w) for w in widths.tolist()] for u in heights]
     dtype = np.float64
@@ -65,20 +85,17 @@ def optimal_partition(A, col_partition, model, u_max):
         bound = max(map(abs, model.alpha_row))
         bound += max(len(t), 1) * max((abs(p) for row in prices for p in row), default=0)
         dtype = np.int64 if bound <= _INT64_MAX else object
-    # the buffers are reused across heights: fresh arrays of this size
-    # would cost a page fault per page on every height
-    gap = t - prev
-    after = t + 1
-    start = np.empty_like(t)
-    price = np.empty(len(t), dtype=dtype)
-    diff = np.empty(m + 1, dtype=dtype)
+    # one bincount cell per (bound row, width class)
+    end_key = (t + 1) * nw + width_class[l]
+    ends = np.bincount(end_key, minlength=(m + 1) * nw).reshape(m + 1, nw)
+    gap = (t - prev) * nw
+    start_key = np.empty_like(end_key)
     window_cost = []
     for u in heights:
-        np.take(np.array(prices[u - 1], dtype=dtype), pair_class, out=price)
-        np.subtract(after, np.minimum(gap, u, out=start), out=start)
-        diff.fill(0)
-        np.add.at(diff, start, price)
-        np.subtract.at(diff, after, price)
+        np.subtract(end_key, np.minimum(gap, u * nw, out=start_key), out=start_key)
+        starts = np.bincount(start_key, minlength=(m + 1) * nw).reshape(m + 1, nw)
+        np.subtract(starts, ends, out=starts)
+        diff = starts @ np.array(prices[u - 1], dtype=dtype)
         np.cumsum(diff, out=diff)
         diff += model.alpha_row[u - 1]
         window_cost.append(diff[:m - u + 1].tolist())
@@ -100,7 +117,7 @@ def optimal_partition(A, col_partition, model, u_max):
     splits = [0]
     while splits[-1] != m:
         splits.append(next_split[splits[-1]])
-    return Partition(splits)
+    return _Optimum(splits, best[0])
 
 
 def brute_force_partition(A, col_partition, model, u_max):
@@ -215,21 +232,27 @@ def alternating_partition(A, model, u_max, w_max, rounds=3, objective_trace=None
     half-steps, rows first (the default 3 gives rows, columns, rows).
     Each half-step is globally optimal with the other axis held fixed and
     the incumbent is always feasible, so the objective never increases.
-    Pass a list as ``objective_trace`` to record it after each half-step.
+    Pass a list as ``objective_trace`` to record it after each half-step:
+    the DP's minimum plus the alpha sum of the axis held fixed, which is
+    ``evaluate`` of the pair (exactly so for an integer model). The
+    transpose is built only when a column half-step runs.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     if w_max > model.w_max or u_max > model.u_max:
         raise ValueError("u_max/w_max exceed the model's table ranges")
-    At = transpose(A)
+    At = transpose(A) if rounds > 1 else None
     swapped = _swap_axes(model)
     row_part = trivial_partition(A.m)
     col_part = trivial_partition(A.n)
     for step in range(rounds):
         if step % 2 == 0:
             row_part = optimal_partition(A, col_part, model, u_max)
+            found, alpha, fixed = row_part, model.alpha_col, col_part
         else:
             col_part = optimal_partition(At, row_part, swapped, w_max)
+            found, alpha, fixed = col_part, model.alpha_row, row_part
         if objective_trace is not None:
-            objective_trace.append(evaluate(model, A, row_part, col_part))
+            # the DP's minimum leaves out the alpha term of the axis held fixed
+            objective_trace.append(found.cost + _alpha_sum(alpha, fixed))
     return row_part, col_part

@@ -234,6 +234,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["spl_rows"][0] == 0 and out["spl_rows"][-1] == 8
 
+    def test_alternate_needs_2d_model(self, tmp_path, capsys):
+        (path,) = self._write_matrices(tmp_path, count=1)
+        with pytest.raises(SystemExit, match=r"blockpart partition: --alternate .*2-D cost model: "
+                                             r"--model memvbr, blocks or file:PATH"):
+            cli_main(["partition", "--matrix", path, "--alternate", "3"])
+        cli_main(["partition", "--matrix", path, "--alternate", "3", "--model", "memvbr"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["spl_rows"][-1] == 8 and out["spl_cols"][-1] == 8
+
     def test_convert_writes_bytes(self, tmp_path, capsys):
         (path,) = self._write_matrices(tmp_path, count=1)
         out = tmp_path / "m.1dvbr"

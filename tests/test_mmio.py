@@ -1,11 +1,13 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockpart import build_csr, read_matrix_market, write_matrix_market
+import blockpart.mmio as mmio
+from blockpart import CsrMatrix, build_csr, read_matrix_market, write_matrix_market
 from blockpart.cli import main as cli_main
 from blockpart.mmio import parse_matrix_market
 from blockpart.sparse import ENTRY_DTYPE
@@ -131,8 +133,12 @@ def csr_matrices(draw, max_dim=8):
     return build_csr(m, n, [(i, j, v) for (i, j), v in zip(cells, values)])
 
 
-# a line the parser must skip wherever it appears
-_SKIPPED = st.sampled_from(["", "   ", "%", "% comment 1 2 3", "  % indented comment"])
+# a line the parser must skip wherever it appears; form feeds and vertical
+# tabs separate fields, they do not end lines
+_SKIPPED = st.sampled_from(["", "   ", "%", "% comment 1 2 3", "  % indented comment",
+                            "% feed\f1 1 1", "\v"])
+# what may follow an entry on its line
+_TAILS = st.sampled_from(["", " % note", "\f", " %\f2 2 2"])
 
 
 @st.composite
@@ -156,7 +162,8 @@ def matrix_market_texts(draw):
     triples = []
     for i, j, v in entries:
         lines += draw(st.lists(_SKIPPED, max_size=2))
-        lines.append(f"{i + 1} {j + 1}" if field == "pattern" else f"{i + 1} {j + 1} {v!r}")
+        line = f"{i + 1} {j + 1}" if field == "pattern" else f"{i + 1} {j + 1} {v!r}"
+        lines.append(line + draw(_TAILS))
         v = 1.0 if field == "pattern" else float(v)
         triples.append((i, j, v))
         if symmetry == "symmetric" and i != j:
@@ -192,3 +199,72 @@ class TestProperties:
         assert build_csr(m, n, records) == A
         assert build_csr(m, n, [list(t) for t in triples]) == A
         assert build_csr(m, n, (t for t in triples)) == A
+
+
+_DEFECTS = [None, "width", "token", "int64", "non-ascii", "count"]
+
+
+@st.composite
+def matrix_market_files(draw):
+    """The bytes of a file from ``matrix_market_texts``, its defect (None
+    if well formed) and its number of entries, with lines ending in LF,
+    CRLF or CR."""
+    text = draw(matrix_market_texts())[0]
+    lines = text.split("\n")[:-1]
+    # the size line, then the entry lines: those left with a field once
+    # comments are cut (the header is a comment)
+    size, *at = [k for k, line in enumerate(lines) if line.split("%", 1)[0].split()]
+    defect = draw(st.sampled_from(_DEFECTS))
+    if defect == "count":
+        m, n, count = lines[size].split()
+        lines[size] = f"{m} {n} {int(count) + draw(st.sampled_from([-1, 1]))}"
+    elif defect == "non-ascii":
+        lines[draw(st.integers(0, len(lines) - 1))] += "\u00e9"
+    elif defect and at:
+        k = at[draw(st.integers(0, len(at) - 1))]
+        tokens = lines[k].split()
+        if defect == "width":
+            tokens.pop(draw(st.integers(0, 1)))
+        else:
+            tokens[draw(st.integers(0, 1))] = "1x" if defect == "token" else "9" * 20
+        lines[k] = " ".join(tokens)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text.encode("utf-8"), defect, len(at)
+
+
+def _read_as_text(path):
+    """The line walk alone: the whole file read as text, then parsed."""
+    with open(path, "r", encoding="ascii") as fh:
+        return parse_matrix_market(fh.read(), name=str(path))
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:  # UnicodeDecodeError included
+        return type(exc), str(exc)
+
+
+class TestReadPaths:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(matrix_market_files())
+    def test_chunked_read_matches_line_walk(self, case):
+        """Same matrix or same exception type and message as the line
+        walk; a well-formed file with entries never falls back to it."""
+        raw, defect, count = case
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse_matrix_market(*args, **kwargs)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.mtx"
+            path.write_bytes(raw)
+            with mock.patch.object(mmio, "parse_matrix_market", counted):
+                got = _outcome(read_matrix_market, path)
+            assert got == _outcome(_read_as_text, path)
+        if defect is None:
+            assert isinstance(got, CsrMatrix)
+            assert not calls or count == 0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import blockpart.partition as partition
 from blockpart import (
     Partition,
     alternating_partition,
@@ -234,6 +236,47 @@ class TestAlternating:
             trace = []
             alternating_partition(A, model, 8, 8, rounds=5, objective_trace=trace)
             assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 7), st.integers(0, 7), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from(["blocks", "memvbr", "float"]), st.data())
+    def test_objective_trace_is_evaluate(self, m, n, rounds, seed, kind, data):
+        """Each traced objective equals ``evaluate`` of the pair after that
+        half-step, recomputed from the partitions rather than the DP."""
+        rng = np.random.default_rng(seed)
+        cells = data.draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)))
+                          if m and n else st.just(set()))
+        A = build_csr(m, n, [(i, j, 1.0) for i, j in sorted(cells)])
+        u_max, w_max = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        model = {"blocks": model_block_count(u_max, w_max),
+                 "memvbr": model_memory_vbr(32, 64, u_max, w_max),
+                 "float": planted_model(u_max, w_max, rng)}[kind]
+        trace = []
+        for r in range(1, rounds + 1):
+            trace_r = []
+            rows, cols = alternating_partition(A, model, u_max, w_max, rounds=r,
+                                               objective_trace=trace_r)
+            assert trace_r[:-1] == trace
+            trace = trace_r
+            expected = evaluate(model, A, rows, cols)
+            if model.exact:
+                assert trace[-1] == expected and isinstance(trace[-1], int)
+            else:
+                assert abs(trace[-1] - expected) <= 1e-12 * abs(expected)
+
+    def test_one_round_skips_transpose(self, monkeypatch):
+        def no_transpose(A):
+            raise AssertionError("transpose built for a rows-only run")
+
+        monkeypatch.setattr(partition, "transpose", no_transpose)
+        A = build_csr(3, 2, [(0, 0, 1.0), (1, 0, 1.0), (2, 1, 1.0)])
+        trace = []
+        rows, cols = alternating_partition(A, model_block_count(3, 2), 3, 2, rounds=1,
+                                           objective_trace=trace)
+        assert rows.spl.tolist() == [0, 2, 3] and cols.is_trivial()
+        assert trace == [2]
+        with pytest.raises(AssertionError, match="rows-only"):
+            alternating_partition(A, model_block_count(3, 2), 3, 2, rounds=2)
 
     def test_rejects_bad_rounds(self):
         with pytest.raises(ValueError):
