@@ -11,7 +11,9 @@ import math
 import numpy as np
 
 from .costs import _alpha_sum, _check_sizes, evaluate, CostModel
-from .sparse import _INT64_MAX, _block_pattern, Partition, transpose, trivial_partition
+from .sparse import (
+    _INT64_MAX, _block_pattern, _pair_keys, Partition, transpose, trivial_partition,
+)
 
 __all__ = [
     "optimal_partition",
@@ -157,24 +159,32 @@ def brute_force_partition(A, col_partition, model, u_max):
 def strict_partition(A, u_max=None):
     """Group maximal runs of adjacent rows with identical column patterns.
 
-    Patterns are compared by coiterating the rows' sorted index slices.
-    The classic heuristic has no height cap; pass ``u_max`` to impose one.
+    Row i repeats row i - 1 when both hold l entries and every stored
+    index ``idx[p]`` of row i equals ``idx[p - l]``. One vectorized pass
+    compares each entry with the entry its row's length before it, and a
+    prefix count of the mismatches gives each row's verdict. The classic
+    heuristic has no height cap; pass ``u_max`` to cut every run each
+    ``u_max`` rows from its first row. O(nnz + m) time and space.
     """
-    splits = [0]
-    if A.m == 0:
-        return Partition(splits)
-    run = 1
-    for i in range(1, A.m):
-        prev = A.row_cols(i - 1)
-        cur = A.row_cols(i)
-        same = len(prev) == len(cur) and bool((prev == cur).all())
-        if same and (u_max is None or run < u_max):
-            run += 1
-        else:
-            splits.append(i)
-            run = 1
-    splits.append(A.m)
-    return Partition(splits)
+    if u_max is not None and u_max < 1:
+        raise ValueError(f"u_max must be at least 1, got {u_max}")
+    m = A.m
+    if m == 0:
+        return Partition([0])
+    pos = A.pos
+    lens = np.diff(pos)
+    # a row as long as the previous one reads back into it; any other row
+    # reads elsewhere (negative indices wrap) and fails the length test
+    mismatches = np.zeros(A.nnz + 1, dtype=np.int64)
+    np.cumsum(A.idx != A.idx[np.arange(A.nnz) - np.repeat(lens, lens)], out=mismatches[1:])
+    repeats = (lens[1:] == lens[:-1]) & (mismatches[pos[2:]] == mismatches[pos[1:-1]])
+    starts = np.concatenate(([True], ~repeats))
+    if u_max is not None:
+        # cut each run every u_max rows, counted from the run's first row
+        rows = np.arange(m)
+        run_first = np.maximum.accumulate(np.where(starts, rows, 0))
+        starts = (rows - run_first) % min(u_max, m) == 0
+    return Partition(np.append(np.flatnonzero(starts), m))
 
 
 def overlap_partition(A, rho, u_max):
@@ -182,37 +192,48 @@ def overlap_partition(A, rho, u_max):
 
     Row i' joins the current group when the group is not full and v_i'
     is empty or ``|v_g & v_i'| >= max(rho * min(|v_g|, |v_i'|), 1)``, g
-    being the group's first row. One length-n workspace stamps v_g with
-    the leader's row number, so each stored index is read at most twice.
+    being the group's first row. Only the lags d = i' - g < u_max matter,
+    so every overlap |v_g & v_(g+d)| is counted up front: with the stored
+    entries sorted by one (column, row) key, two entries j places apart
+    in the same column with rows d < u_max apart add one to it, through
+    one ``np.add.at`` per j. No such pair j places apart means none
+    further apart, so the passes stop there, after J < u_max of them.
+    The join test, evaluated in float64 for every (g, d), gives each
+    possible leader its group's end, and the partition follows those ends
+    from row 0. O(nnz log nnz + J * nnz + u_max * m) time and
+    O(nnz + u_max * m) space.
     """
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     if u_max < 1:
         raise ValueError(f"u_max must be at least 1, got {u_max}")
-    if A.m == 0:
+    m = A.m
+    if m == 0:
         return Partition([0])
+    u = min(u_max, m)
+    lens = np.diff(A.pos)
+    col, row = np.divmod(np.sort(_pair_keys(A.idx, A.entry_rows(), A.n, m)), m)
+    shared = np.zeros(u * m, dtype=np.int64)  # shared[d * m + g] = |v_g & v_(g+d)|
+    for j in range(1, u):
+        lag = row[j:] - row[:-j]
+        hit = np.flatnonzero((col[j:] == col[:-j]) & (lag < u))
+        if not len(hit):
+            break
+        np.add.at(shared, lag[hit] * m + row[hit], 1)
+    shared = shared.reshape(u, m)
 
-    idx = A.idx.tolist()
-    pos = A.pos.tolist()
-    stamp = [-1] * A.n
+    # end[g]: the first row to fail leader g's test, else g + u_max;
+    # larger lags go first so that the smallest failing lag is kept
+    end = np.minimum(np.arange(m) + u, m)
+    for d in range(u - 1, 0, -1):
+        cur = lens[d:]
+        need = np.maximum(rho * np.minimum(lens[:m - d], cur), 1)
+        fails = (cur > 0) & (shared[d, :m - d] < need)
+        end[:m - d][fails] = np.flatnonzero(fails) + d
+    end = end.tolist()
     splits = [0]
-    leader = 0
-    for p in range(pos[0], pos[1]):
-        stamp[idx[p]] = 0
-    leader_len = pos[1] - pos[0]
-    for i in range(1, A.m):
-        lo, hi = pos[i], pos[i + 1]
-        overlap = 0
-        for p in range(lo, hi):
-            if stamp[idx[p]] == leader:
-                overlap += 1
-        if i - leader == u_max or (hi > lo and overlap < max(rho * min(leader_len, hi - lo), 1)):
-            splits.append(i)
-            leader = i
-            leader_len = hi - lo
-            for p in range(lo, hi):
-                stamp[idx[p]] = i
-    splits.append(A.m)
+    while splits[-1] != m:
+        splits.append(end[splits[-1]])
     return Partition(splits)
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from blockpart import CostModel, Partition, build_csr
 
@@ -29,6 +30,26 @@ def random_csr(m, n, density, rng, value_range=(-1.0, 1.0)):
             if rng.random() < density:
                 entries.append((i, j, float(rng.uniform(*value_range))))
     return build_csr(m, n, entries)
+
+
+@st.composite
+def patterned_csr(draw, max_rows=30, max_cols=10):
+    """A CSR matrix of up to ``max_rows`` rows whose rows are often empty
+    or copies of the row above, so that runs of equal patterns form. Each
+    stored value is distinct and nonzero."""
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["copy", "empty", "fresh", "fresh"]))
+        if kind == "copy" and rows:
+            rows.append(rows[-1])
+        elif kind == "empty":
+            rows.append(set())
+        else:
+            rows.append(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return build_csr(m, n, [(i, j, float(i * n + j + 1))
+                            for i, cols in enumerate(rows) for j in sorted(cols)])
 
 
 def random_partition(r, max_width, rng):

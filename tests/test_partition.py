@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockpart.partition as partition
+import blockpart.sparse as sparse
 from blockpart import (
     Partition,
     alternating_partition,
@@ -19,7 +20,9 @@ from blockpart import (
     trivial_partition,
 )
 
-from conftest import random_csr, random_partition, planted_model
+from conftest import patterned_csr, random_csr, random_partition, planted_model
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
 
 def identity(n):
@@ -138,6 +141,17 @@ class TestStrictPartition:
     def test_empty(self):
         assert strict_partition(build_csr(0, 3, [])).spl.tolist() == [0]
 
+    def test_rejects_bad_cap(self):
+        for u_max in (0, -2):
+            with pytest.raises(ValueError, match="u_max"):
+                strict_partition(identity(3), u_max)
+
+    @PROPERTY
+    @given(patterned_csr())
+    def test_matches_row_walk(self, A):
+        for u_max in [None, *range(1, A.m + 2)]:
+            assert strict_partition(A, u_max) == _strict_walk(A, u_max)
+
 
 class TestOverlapPartition:
     def test_merges_at_half(self):
@@ -187,6 +201,26 @@ class TestOverlapPartition:
         for rho in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="rho"):
                 overlap_partition(A, rho, 2)
+
+    def test_rejects_bad_cap(self):
+        for u_max in (0, -2):
+            with pytest.raises(ValueError, match="u_max"):
+                overlap_partition(identity(2), 0.5, u_max)
+
+    def test_rejects_wrapping_key(self, monkeypatch):
+        A = build_csr(3, 4, [(0, 1, 1.0), (2, 3, 1.0)])
+        monkeypatch.setattr(sparse, "_INT64_MAX", 3 * 4)
+        assert overlap_partition(A, 0.5, 2).spl.tolist() == [0, 2, 3]
+        monkeypatch.setattr(sparse, "_INT64_MAX", 3 * 4 - 1)
+        with pytest.raises(ValueError, match="64-bit"):
+            overlap_partition(A, 0.5, 2)
+
+    @PROPERTY
+    @given(patterned_csr(), st.floats(0.0, 1.0, exclude_min=True))
+    def test_matches_entry_walk(self, A, drawn_rho):
+        for rho in (1 / 3, 0.5, 0.9, 1.0, drawn_rho):
+            for u_max in range(1, A.m + 2):
+                assert overlap_partition(A, rho, u_max) == _overlap_walk(A, rho, u_max)
 
     def test_strict_refines_overlap(self):
         # identical adjacent rows always land in one part for both
@@ -292,3 +326,45 @@ def _partitions_capped(r, cap):
             yield from extend(splits + [splits[-1] + u])
 
     yield from extend([0])
+
+
+def _strict_walk(A, u_max):
+    """Reference strict partition: compare each row with the one above."""
+    splits = [0]
+    run = 1
+    for i in range(1, A.m):
+        prev, cur = A.row_cols(i - 1), A.row_cols(i)
+        same = len(prev) == len(cur) and bool((prev == cur).all())
+        if same and (u_max is None or run < u_max):
+            run += 1
+        else:
+            splits.append(i)
+            run = 1
+    if A.m:
+        splits.append(A.m)
+    return Partition(splits)
+
+
+def _overlap_walk(A, rho, u_max):
+    """Reference overlap partition: a length-n workspace stamps the
+    leader's columns, and each following row's entries are looked up."""
+    if A.m == 0:
+        return Partition([0])
+    idx, pos = A.idx.tolist(), A.pos.tolist()
+    stamp = [-1] * A.n
+    splits = [0]
+    leader = 0
+    for p in range(pos[0], pos[1]):
+        stamp[idx[p]] = 0
+    leader_len = pos[1] - pos[0]
+    for i in range(1, A.m):
+        lo, hi = pos[i], pos[i + 1]
+        overlap = sum(stamp[idx[p]] == leader for p in range(lo, hi))
+        if i - leader == u_max or (hi > lo and overlap < max(rho * min(leader_len, hi - lo), 1)):
+            splits.append(i)
+            leader = i
+            leader_len = hi - lo
+            for p in range(lo, hi):
+                stamp[idx[p]] = i
+    splits.append(A.m)
+    return Partition(splits)

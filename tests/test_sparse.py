@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import blockpart.sparse as sparse
 from blockpart import (
     build_csr,
     csr_memory_bits,
@@ -10,7 +12,7 @@ from blockpart import (
     Partition,
 )
 
-from conftest import random_csr, random_partition
+from conftest import patterned_csr, random_csr, random_partition
 
 
 class TestBuildCsr:
@@ -77,6 +79,21 @@ class TestTranspose:
             m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
             A = random_csr(m, n, float(rng.uniform(0, 0.8)), rng)
             assert transpose(transpose(A)) == A
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(patterned_csr())
+    def test_matches_dense_transpose(self, A):
+        T = transpose(A)
+        assert (T.m, T.n, T.nnz) == (A.n, A.m, A.nnz)
+        assert np.array_equal(T.to_dense(), A.to_dense().T)
+
+    def test_rejects_wrapping_key(self, monkeypatch):
+        A = build_csr(3, 4, [(0, 1, 1.0), (2, 3, 2.0)])
+        monkeypatch.setattr(sparse, "_INT64_MAX", 3 * 4)
+        assert transpose(A).to_dense().tolist() == A.to_dense().T.tolist()
+        monkeypatch.setattr(sparse, "_INT64_MAX", 3 * 4 - 1)
+        with pytest.raises(ValueError, match="64-bit"):
+            transpose(A)
 
 
 class TestRowPattern:
