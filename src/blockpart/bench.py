@@ -16,7 +16,6 @@ import numpy as np
 
 from .calibrate import critical_point, default_clock, time_min
 from .costs import (
-    evaluate,
     model_block_count,
     model_memory_1dvbr,
     model_memory_vbr,
@@ -107,43 +106,32 @@ def _partitioner_id(spec):
     raise ValueError(f"unknown partitioner {spec!r}")
 
 
-def _partition_for(spec, A, At, fmt, u_max, w_max, clock):
-    """Run one partitioner, returning (rows, cols, seconds)."""
+def _partition_for(spec, A, fmt, u_max, w_max, rounds=3):
+    """Partition ``A`` for ``fmt`` as ``spec`` asks, returning (rows, cols).
+
+    1dvbr keeps the columns trivial. For vbr, strict and overlap run again
+    on the transpose and optimal alternates ``rounds`` half-steps. An
+    optimal spec without a model uses the storage model of ``fmt``.
+    """
     method = spec["method"]
-    t0 = clock()
     if method == "strict":
         rows = strict_partition(A)
-        cols = strict_partition(At) if fmt == "vbr" else trivial_partition(A.n)
+        cols = strict_partition(transpose(A)) if fmt == "vbr" else trivial_partition(A.n)
     elif method == "overlap":
         rho = spec["rho"]
         rows = overlap_partition(A, rho, u_max)
-        cols = overlap_partition(At, rho, w_max) if fmt == "vbr" else trivial_partition(A.n)
+        cols = overlap_partition(transpose(A), rho, w_max) if fmt == "vbr" else trivial_partition(A.n)
     elif method == "optimal":
         model = _resolve_model(spec.get("model", "mem1d" if fmt == "1dvbr" else "memvbr"),
                                fmt, u_max, w_max)
         if fmt == "vbr":
-            rows, cols = alternating_partition(A, model, u_max, w_max, rounds=3)
+            rows, cols = alternating_partition(A, model, u_max, w_max, rounds=rounds)
         else:
-            rows = optimal_partition(A, trivial_partition(A.n), model, u_max)
             cols = trivial_partition(A.n)
+            rows = optimal_partition(A, cols, model, u_max)
     else:
         raise ValueError(f"unknown partitioner {spec!r}")
-    return rows, cols, (clock() - t0) / 1e9
-
-
-def _objective(A, rows, cols, fmt):
-    """Memory-model objective used to score every blocked row.
-
-    Tables are sized to the partition at hand so heuristic partitions
-    with tall or wide parts still evaluate; the objective differs from
-    the storage bits only by a partition-independent constant.
-    """
-    u_max = int(rows.widths().max())
-    if fmt == "1dvbr":
-        model = model_memory_1dvbr(S_INDEX, S_VALUE, u_max)
-    else:
-        model = model_memory_vbr(S_INDEX, S_VALUE, u_max, int(cols.widths().max()))
-    return evaluate(model, A, rows, cols)
+    return rows, cols
 
 
 def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_max=8,
@@ -160,7 +148,6 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
     clock = clock or default_clock
     rng = np.random.default_rng(resolve_seed(seed))
     x = rng.standard_normal(A.n)
-    At = transpose(A)
 
     t_csr = time_min(lambda: spmv_csr(A, x), trials, clock=clock,
                      warmup=warmup, time_budget=time_budget)
@@ -190,7 +177,9 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 params={k: v for k, v in spec.items() if k != "method" and isinstance(v, (int, float, str))},
             )
             try:
-                rows, cols, t_part = _partition_for(spec, A, At, fmt, u_max, w_max, clock)
+                t0 = clock()
+                rows, cols = _partition_for(spec, A, fmt, u_max, w_max)
+                t_part = (clock() - t0) / 1e9
                 t0 = clock()
                 if fmt == "vbr":
                     B = to_vbr(A, rows, cols)
@@ -214,7 +203,8 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 row.convert_seconds = t_conv
                 row.multiply_seconds = t_mult
                 row.critical_point = critical_point(t_part, t_conv, t_mult, t_csr)
-                row.model_objective = _objective(A, rows, cols, fmt)
+                # the storage model's value: the bits less its fixed offset words
+                row.model_objective = memory - (4 if fmt == "vbr" else 3) * S_INDEX
             except (ValueError, IndexError) as exc:
                 row.error = str(exc)
             reports.append(row)

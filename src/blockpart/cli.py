@@ -6,6 +6,7 @@ RNG seed everywhere.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -14,8 +15,6 @@ from . import bench, calibrate, gadgets, mmio
 from .bench import resolve_seed, run_sweep
 from .costs import cost_model_from_csv, cost_model_to_csv
 from .formats import serialize_1dvbr, serialize_vbr, to_1dvbr, to_vbr
-from .partition import alternating_partition, optimal_partition, overlap_partition, strict_partition
-from .sparse import trivial_partition
 
 
 def _load_model_spec(spec):
@@ -31,13 +30,14 @@ def _partition_args(sub, with_alternate=True):
     sub.add_argument("--matrix", required=True, help="Matrix Market file")
     sub.add_argument("--method", default="optimal", choices=["strict", "overlap", "optimal"])
     sub.add_argument("--rho", type=float, default=0.9, help="overlap similarity threshold")
-    sub.add_argument("--model", default="mem1d",
-                     help="blocks | mem1d | memvbr | file:PATH (optimal method only)")
+    sub.add_argument("--model", help="blocks | mem1d | memvbr | file:PATH (optimal method only; "
+                                     "default: the storage model of the format)")
     sub.add_argument("--umax", type=int, default=8)
     sub.add_argument("--wmax", type=int, default=8)
     if with_alternate:
-        sub.add_argument("--alternate", type=int, default=0, metavar="N",
-                         help="run N alternating half-steps to also partition columns")
+        sub.add_argument("--alternate", type=int, metavar="N",
+                         help="run N alternating half-steps of the optimal method on rows "
+                              "and columns (default 3 for a 2-D request)")
 
 
 def _emit(text, path):
@@ -49,42 +49,47 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _run_partitioner(args, A):
-    model_spec = _load_model_spec(args.model)
-    rows = None
-    cols = None
-    if args.method == "strict":
-        rows = strict_partition(A)
-    elif args.method == "overlap":
-        rows = overlap_partition(A, args.rho, args.umax)
-    else:
-        model = bench._resolve_model(model_spec, "1dvbr" if args.model == "mem1d" else "vbr",
-                                     args.umax, args.wmax)
-        if getattr(args, "alternate", 0):
-            rows, cols = alternating_partition(A, model, args.umax, args.wmax,
-                                               rounds=args.alternate)
-        else:
-            rows = optimal_partition(A, trivial_partition(A.n), model, args.umax)
-    return rows, cols
+def _request(args, fmt):
+    """Check the flags of a partition, convert or spmv-bench call that asks
+    for ``fmt`` before any matrix is read, and return the sweep's spec.
+    An optimal spec without a model uses the storage model of ``fmt``."""
+    flag_2d = "--alternate" if args.command == "partition" else "--format vbr"
+    if getattr(args, "alternate", None) is not None and (args.method != "optimal" or fmt != "vbr"):
+        raise ValueError("--alternate alternates optimal row and column half-steps, so it needs "
+                         "--method optimal" + ("" if flag_2d == "--alternate" else " and --format vbr"))
+    if fmt == "vbr" and args.method == "optimal" and args.model == "mem1d":
+        raise ValueError(f"{flag_2d} also partitions columns, so it needs a 2-D cost model: "
+                         "--model memvbr, blocks or file:PATH (mem1d prices rows only)")
+    model = None if args.model is None else _load_model_spec(args.model)
+    spec = {"method": args.method}
+    if args.method == "overlap":
+        spec["rho"] = args.rho
+    elif args.method == "optimal" and model is not None:
+        spec["model"] = model
+    return spec
+
+
+def _partition(args, fmt):
+    """Partition the matrix for ``fmt`` as a sweep would; returns (A, rows, cols)."""
+    spec = _request(args, fmt)
+    A = mmio.read_matrix_market(args.matrix)
+    rounds = 3 if args.alternate is None else args.alternate
+    rows, cols = bench._partition_for(spec, A, fmt, args.umax, args.wmax, rounds)
+    return A, rows, cols
 
 
 def _cmd_partition(args):
-    if args.alternate and args.method == "optimal" and args.model == "mem1d":
-        raise ValueError("--alternate also partitions columns, so it needs a 2-D cost model: "
-                         "--model memvbr, blocks or file:PATH (mem1d prices rows only)")
-    A = mmio.read_matrix_market(args.matrix)
-    rows, cols = _run_partitioner(args, A)
+    fmt = "1dvbr" if args.alternate is None else "vbr"
+    _, rows, cols = _partition(args, fmt)
     out = {"spl_rows": rows.spl.tolist()}
-    if cols is not None:
+    if fmt == "vbr":
         out["spl_cols"] = cols.spl.tolist()
     _emit(json.dumps(out) + "\n", args.out)
 
 
 def _cmd_convert(args):
-    A = mmio.read_matrix_market(args.matrix)
-    rows, cols = _run_partitioner(args, A)
+    A, rows, cols = _partition(args, args.format)
     if args.format == "vbr":
-        cols = cols if cols is not None else trivial_partition(A.n)
         payload = serialize_vbr(to_vbr(A, rows, cols))
     else:
         payload = serialize_1dvbr(to_1dvbr(A, rows))
@@ -94,12 +99,8 @@ def _cmd_convert(args):
 
 
 def _cmd_spmv_bench(args):
+    spec = _request(args, args.format)
     A = mmio.read_matrix_market(args.matrix)
-    spec = {"method": args.method}
-    if args.method == "overlap":
-        spec["rho"] = args.rho
-    elif args.method == "optimal":
-        spec["model"] = _load_model_spec(args.model)
     reports = run_sweep(A, args.matrix, [spec], formats=(args.format,) if args.format != "csr" else (),
                         u_max=args.umax, w_max=args.wmax, trials=args.trials,
                         warmup=args.warmup, time_budget=args.time_budget)
@@ -134,9 +135,7 @@ def _cmd_sweep(args):
 
 
 def _summary_csv(reports):
-    cols = ["matrix_id", "format", "partitioner", "K", "L", "N_index", "N_value",
-            "memory_bits", "partition_seconds", "convert_seconds", "multiply_seconds",
-            "critical_point", "model_objective", "error"]
+    cols = [f.name for f in dataclasses.fields(bench.BenchReport) if f.name != "params"]
     lines = [",".join(cols)]
     for r in reports:
         row = []

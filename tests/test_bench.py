@@ -142,6 +142,47 @@ class TestRunSweep:
                 row.partition_seconds, row.convert_seconds,
                 row.multiply_seconds, csr_row.multiply_seconds)
 
+    def test_partition_seconds_include_the_transpose(self, monkeypatch):
+        # every clock reading advances 1 ms and the transpose stand-in 7 s,
+        # so only a row whose timed call builds a transpose pays the 7 s
+        import blockpart.bench as bench
+        import blockpart.partition as partition
+
+        now = [0]
+
+        def clock():
+            now[0] += 10**6
+            return now[0]
+
+        def slow(transpose):
+            def wrapped(A):
+                now[0] += 7 * 10**9
+                return transpose(A)
+            return wrapped
+
+        monkeypatch.setattr(bench, "transpose", slow(bench.transpose))
+        monkeypatch.setattr(partition, "transpose", slow(partition.transpose))
+        specs = [{"method": "strict"}, {"method": "optimal"}]
+        reports = run_sweep(block_pair_matrix(), "pair", specs, formats=("1dvbr", "vbr"),
+                            u_max=4, w_max=4, trials=1, clock=clock, seed=1)
+        seconds = {(r.partitioner, r.format): r.partition_seconds for r in reports[1:]}
+        assert seconds[("strict", "1dvbr")] == pytest.approx(1e-3)
+        assert seconds[("strict", "vbr")] == pytest.approx(1e-3 + 7.0)
+        assert seconds[("optimal", "1dvbr")] == pytest.approx(1e-3)
+        assert seconds[("optimal", "vbr")] == pytest.approx(1e-3 + 7.0)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (0, 0), (5, 0)])
+    def test_empty_matrix_rows_have_no_errors(self, shape):
+        A = build_csr(*shape, [])
+        both_format_methods = STANDARD_METHODS[:2] + [{"method": "optimal"},
+                                                      {"method": "optimal", "model": "blocks"}]
+        reports = run_sweep(A, "empty", both_format_methods, formats=("1dvbr", "vbr"),
+                            u_max=4, w_max=4, trials=1, clock=fake_clock(), seed=1)
+        assert len(reports) == 1 + 4 * 2
+        assert [r.error for r in reports] == [None] * len(reports)
+        for r in reports[1:]:
+            assert r.model_objective == r.memory_bits - (4 if r.format == "vbr" else 3) * 64
+
     def test_seed_env_override(self, monkeypatch):
         from blockpart.bench import resolve_seed
 
@@ -238,10 +279,54 @@ class TestCli:
         (path,) = self._write_matrices(tmp_path, count=1)
         with pytest.raises(SystemExit, match=r"blockpart partition: --alternate .*2-D cost model: "
                                              r"--model memvbr, blocks or file:PATH"):
-            cli_main(["partition", "--matrix", path, "--alternate", "3"])
-        cli_main(["partition", "--matrix", path, "--alternate", "3", "--model", "memvbr"])
+            cli_main(["partition", "--matrix", path, "--alternate", "3", "--model", "mem1d"])
+        with pytest.raises(SystemExit, match=r"blockpart convert: --format vbr .*2-D cost model"):
+            cli_main(["convert", "--matrix", path, "--format", "vbr", "--model", "mem1d",
+                      "--out", str(tmp_path / "m.vbr")])
+        cli_main(["partition", "--matrix", path, "--alternate", "3"])
         out = json.loads(capsys.readouterr().out)
         assert out["spl_rows"][-1] == 8 and out["spl_cols"][-1] == 8
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--method", "strict", "--alternate", "3"],
+        ["partition", "--method", "overlap", "--alternate", "1"],
+        ["convert", "--format", "1dvbr", "--alternate", "3", "--out", "x.1dvbr"],
+        ["convert", "--format", "vbr", "--method", "strict", "--alternate", "3", "--out", "x.vbr"],
+    ])
+    def test_alternate_rejected_before_the_read(self, tmp_path, argv):
+        # the matrix path does not exist: the flags must fail first
+        missing = str(tmp_path / "missing.mtx")
+        with pytest.raises(SystemExit, match=r"--alternate .* needs --method optimal"):
+            cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
+
+    @pytest.mark.parametrize("fmt", ["1dvbr", "vbr"])
+    @pytest.mark.parametrize("method", ["strict", "overlap:0.9", "optimal"])
+    def test_convert_bytes_match_spmv_bench_memory(self, tmp_path, capsys, method, fmt):
+        # both commands partition through the sweep's one policy; rows and
+        # columns come in equal pairs, so the vbr heuristics group columns
+        rng = np.random.default_rng(5)
+        pattern = np.argwhere(rng.random((5, 4)) < 0.5)
+        entries = [(2 * i + a, 2 * j + b, 1.0) for i, j in pattern for a in (0, 1) for b in (0, 1)]
+        path = str(tmp_path / "pairs.mtx")
+        write_matrix_market(path, build_csr(10, 8, entries))
+        method, _, rho = method.partition(":")
+        flags = ["--matrix", path, "--method", method, "--format", fmt, "--umax", "4", "--wmax", "4"]
+        flags += ["--rho", rho] if rho else []
+        out = tmp_path / "m.bin"
+        cli_main(["convert", *flags, "--out", str(out)])
+        capsys.readouterr()
+        cli_main(["spmv-bench", *flags, "--trials", "1"])
+        row = json.loads(capsys.readouterr().out.splitlines()[1])
+        assert row["error"] is None
+        assert row["memory_bits"] == 8 * out.stat().st_size
+
+    def test_summary_csv_columns(self):
+        from blockpart.cli import _summary_csv
+
+        header = _summary_csv([]).strip()
+        assert header == ("matrix_id,format,partitioner,K,L,N_index,N_value,memory_bits,"
+                          "partition_seconds,convert_seconds,multiply_seconds,critical_point,"
+                          "model_objective,error")
 
     def test_convert_writes_bytes(self, tmp_path, capsys):
         (path,) = self._write_matrices(tmp_path, count=1)
@@ -287,6 +372,14 @@ class TestCli:
         assert lines[1]["format"] == "1dvbr"
         assert lines[1]["error"] is None
         assert lines[1]["multiply_seconds"] > 0
+
+    def test_spmv_bench_vbr_default_flags(self, tmp_path, capsys):
+        # the default model is the storage model of the requested format
+        (path,) = self._write_matrices(tmp_path, count=1)
+        cli_main(["spmv-bench", "--matrix", path, "--format", "vbr", "--trials", "1"])
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert [(r["format"], r["partitioner"], r["error"]) for r in lines] == [
+            ("csr", "none", None), ("vbr", "optimal", None)]
 
     def test_gadget_command(self, tmp_path, capsys):
         out = tmp_path / "g.mtx"
