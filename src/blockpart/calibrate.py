@@ -6,8 +6,10 @@ per-block cost for each block size, plus a fixed cost per multiply.
 Calibration times synthetic block-grid matrices in four shapes per block
 size, fits the coefficients by least squares weighted to minimize
 relative error, and compresses the block-cost table to a low rank with
-an SVD. Each sample's warm-up multiply builds the container's multiply
-plan, so the samples time the steady-state multiply.
+an SVD. Each sample is built directly as a VbrMatrix from its block
+columns and values, with no CSR assembly and no conversion, and its
+warm-up multiply builds the container's multiply plan, so the samples
+time the steady-state multiply.
 """
 
 import csv
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModel
-from .formats import to_vbr
+from .formats import to_vbr, VbrMatrix  # to_vbr unused: perfbench's TRACE_TARGETS wraps it
 from .kernels import spmv_vbr
 from .sparse import ENTRY_DTYPE, build_csr, Partition
 
@@ -94,7 +96,15 @@ def time_min(fn, trials, clock=None, warmup=1, time_budget=None):
     return best
 
 
-def _grid_csr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
+def _grid_blocks(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
+    """Block columns and values of a random block grid.
+
+    Returns ``(picks, vals)``: the ``blocks_per_row`` distinct block
+    columns of each block row, ascending, as a (K, b) array, and each
+    block's u x w values, row-major, as a (K, b, u, w) array in the same
+    order. The values are drawn after the columns, block by block in
+    draw order, and then reordered with them.
+    """
     if blocks_per_row > n_block_cols:
         raise ValueError(
             f"cannot place {blocks_per_row} distinct blocks in {n_block_cols} block columns"
@@ -105,16 +115,39 @@ def _grid_csr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
     for i, top in enumerate(range(n_block_cols - blocks_per_row, n_block_cols)):
         draw = rng.integers(0, top + 1, size=n_block_rows)
         picks[:, i] = np.where((picks[:, :i] == draw[:, None]).any(axis=1), top, draw)
+    vals = rng.uniform(0.1, 1.0, picks.size * u * w).reshape(picks.shape + (u, w))
+    order = np.argsort(picks, axis=1)
+    return (np.take_along_axis(picks, order, axis=1),
+            np.take_along_axis(vals, order[:, :, None, None], axis=1))
+
+
+def _grid_csr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
+    """A random block grid as CSR with its (row, column) partition pair."""
+    picks, vals = _grid_blocks(u, w, n_block_rows, n_block_cols, blocks_per_row, rng)
     entry_rows, entry_cols = np.broadcast_arrays(
         np.arange(n_block_rows)[:, None, None, None] * u + np.arange(u)[:, None],
         picks[:, :, None, None] * w + np.arange(w))
-    entries = np.rec.fromarrays(
-        [entry_rows.ravel(), entry_cols.ravel(), rng.uniform(0.1, 1.0, entry_rows.size)],
-        dtype=ENTRY_DTYPE)
+    entries = np.rec.fromarrays([entry_rows.ravel(), entry_cols.ravel(), vals.ravel()],
+                                dtype=ENTRY_DTYPE)
     A = build_csr(n_block_rows * u, n_block_cols * w, entries)
     rows = Partition(np.arange(n_block_rows + 1) * u)
     cols = Partition(np.arange(n_block_cols + 1) * w)
     return A, rows, cols
+
+
+def _grid_vbr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
+    """The same random block grid built directly as a VbrMatrix.
+
+    Every block is dense and every block row holds ``blocks_per_row`` of
+    them, so the offsets are arithmetic and the values are the blocks
+    transposed to column-major: no CSR and no sort of the entries.
+    Equal, array for array, to ``to_vbr(*_grid_csr(...))`` on the same
+    draws.
+    """
+    picks, vals = _grid_blocks(u, w, n_block_rows, n_block_cols, blocks_per_row, rng)
+    pos = np.arange(n_block_rows + 1) * blocks_per_row
+    return VbrMatrix(np.arange(n_block_rows + 1) * u, np.arange(n_block_cols + 1) * w,
+                     pos, picks.ravel(), pos * (u * w), vals.transpose(0, 1, 3, 2).ravel())
 
 
 def _variant_shape(u, w, blocks_per_row, min_bytes, variant):
@@ -178,10 +211,9 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
         for w in range(1, w_max + 1):
             for variant in VARIANTS:
                 k, l, b = _variant_shape(u, w, blocks_per_row, min_bytes, variant)
-                A, rows, cols = _grid_csr(u, w, k, l, b, rng)
-                B = to_vbr(A, rows, cols)
-                x = rng.standard_normal(A.n)
-                y = np.zeros(A.m)
+                B = _grid_vbr(u, w, k, l, b, rng)
+                x = rng.standard_normal(B.n)
+                y = np.zeros(B.m)
                 for _ in range(warmup):
                     spmv_vbr(y, B, x)
                 batch.append((u, w, b, variant, B, x, y))

@@ -54,9 +54,15 @@ def _request(args, fmt):
     for ``fmt`` before any matrix is read, and return the sweep's spec.
     An optimal spec without a model uses the storage model of ``fmt``."""
     flag_2d = "--alternate" if args.command == "partition" else "--format vbr"
-    if getattr(args, "alternate", None) is not None and (args.method != "optimal" or fmt != "vbr"):
+    alternate = getattr(args, "alternate", None)
+    if alternate is not None and alternate < 1:
+        raise ValueError(f"--alternate counts half-steps and must be at least 1, got {alternate}")
+    if alternate is not None and (args.method != "optimal" or fmt != "vbr"):
         raise ValueError("--alternate alternates optimal row and column half-steps, so it needs "
                          "--method optimal" + ("" if flag_2d == "--alternate" else " and --format vbr"))
+    if args.model is not None and args.method != "optimal":
+        raise ValueError("--model prices the optimal method's partitions, so it needs "
+                         "--method optimal")
     if fmt == "vbr" and args.method == "optimal" and args.model == "mem1d":
         raise ValueError(f"{flag_2d} also partitions columns, so it needs a 2-D cost model: "
                          "--model memvbr, blocks or file:PATH (mem1d prices rows only)")
@@ -64,7 +70,7 @@ def _request(args, fmt):
     spec = {"method": args.method}
     if args.method == "overlap":
         spec["rho"] = args.rho
-    elif args.method == "optimal" and model is not None:
+    elif model is not None:
         spec["model"] = model
     return spec
 

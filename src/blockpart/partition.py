@@ -201,7 +201,9 @@ def overlap_partition(A, rho, u_max):
     The join test, evaluated in float64 for every (g, d), gives each
     possible leader its group's end, and the partition follows those ends
     from row 0. O(nnz log nnz + J * nnz + u_max * m) time and
-    O(nnz + u_max * m) space.
+    O(nnz + u_max * m) space; the overlap table takes the smallest
+    unsigned type that holds the longest row's length, one byte per
+    cell while no row holds more than 255 entries.
     """
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
@@ -213,13 +215,16 @@ def overlap_partition(A, rho, u_max):
     u = min(u_max, m)
     lens = np.diff(A.pos)
     col, row = np.divmod(np.sort(_pair_keys(A.idx, A.entry_rows(), A.n, m)), m)
-    shared = np.zeros(u * m, dtype=np.int64)  # shared[d * m + g] = |v_g & v_(g+d)|
+    # shared[d * m + g] = |v_g & v_(g+d)|, never more than the longest row
+    shared = np.zeros(u * m, dtype=np.min_scalar_type(int(lens.max())))
+    one = shared.dtype.type(1)
     for j in range(1, u):
         lag = row[j:] - row[:-j]
         hit = np.flatnonzero((col[j:] == col[:-j]) & (lag < u))
         if not len(hit):
             break
-        np.add.at(shared, lag[hit] * m + row[hit], 1)
+        # a 1 of the table's own type keeps np.add.at on its fast path
+        np.add.at(shared, lag[hit] * m + row[hit], one)
     shared = shared.reshape(u, m)
 
     # end[g]: the first row to fail leader g's test, else g + u_max;

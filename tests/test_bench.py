@@ -299,6 +299,23 @@ class TestCli:
         with pytest.raises(SystemExit, match=r"--alternate .* needs --method optimal"):
             cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_alternate_count_checked_before_the_read(self, tmp_path, count):
+        missing = str(tmp_path / "missing.mtx")
+        with pytest.raises(SystemExit, match=rf"--alternate .* at least 1, got {count}"):
+            cli_main(["partition", "--matrix", missing, "--alternate", count])
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--method", "strict", "--model", "memvbr"],
+        ["partition", "--method", "overlap", "--model", "blocks"],
+        ["convert", "--format", "vbr", "--method", "strict", "--model", "memvbr", "--out", "x"],
+        ["spmv-bench", "--method", "overlap", "--model", "mem1d"],
+    ])
+    def test_model_needs_optimal_before_the_read(self, tmp_path, argv):
+        missing = str(tmp_path / "missing.mtx")
+        with pytest.raises(SystemExit, match=r"--model .* needs --method optimal"):
+            cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
+
     @pytest.mark.parametrize("fmt", ["1dvbr", "vbr"])
     @pytest.mark.parametrize("method", ["strict", "overlap:0.9", "optimal"])
     def test_convert_bytes_match_spmv_bench_memory(self, tmp_path, capsys, method, fmt):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from blockpart import fit_cost_model, jacobi_svd, synth_block_matrix, time_min
 from blockpart.calibrate import (
     TimingSample,
     VARIANTS,
+    _grid_csr,
+    _grid_vbr,
     _sample_design,
     _variant_shape,
     critical_point,
@@ -72,6 +75,32 @@ class TestSynthBlockMatrix:
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):
             synth_block_matrix(0, 1)
+
+    def test_draws_are_pinned(self):
+        # sha256 of the CSR's pos, idx and val as drawn before calibration
+        # built its grids directly in VBR form
+        A, rows, cols = synth_block_matrix(2, 3, blocks_per_row=4, min_bytes=4096, seed=7)
+        digest = hashlib.sha256()
+        for arr, dtype in ((A.pos, "<i8"), (A.idx, "<i8"), (A.val, "<f8")):
+            digest.update(arr.astype(dtype).tobytes())
+        assert (A.m, A.n, A.nnz) == (44, 45, 528)
+        assert digest.hexdigest() == (
+            "068eb1180c2a2aa0b14152829bea69fcbf8e8ccde361f9372943c7b6e0e92f33")
+
+    @pytest.mark.parametrize("u, w, n_block_rows, n_block_cols, blocks_per_row", [
+        (1, 1, 6, 9, 4),
+        (2, 3, 5, 8, 3),
+        (3, 2, 4, 7, 7),   # every block column taken
+        (4, 4, 1, 3, 1),
+    ])
+    def test_direct_vbr_equals_converted_csr(self, u, w, n_block_rows, n_block_cols,
+                                             blocks_per_row):
+        shape = (u, w, n_block_rows, n_block_cols, blocks_per_row)
+        want = to_vbr(*_grid_csr(*shape, np.random.default_rng(3)))
+        got = _grid_vbr(*shape, np.random.default_rng(3))
+        for name in ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestFitCostModel:
@@ -211,6 +240,19 @@ class TestMeasurement:
         assert len(samples) == 2 * 2 * len(VARIANTS)
         have = {(s.u, s.w, s.variant) for s in samples}
         assert len(have) == len(samples)
+
+    def test_calibration_builds_no_csr(self, monkeypatch):
+        import blockpart.calibrate as calibrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration samples are built directly in VBR form")
+
+        monkeypatch.setattr(calibrate, "to_vbr", refuse)
+        monkeypatch.setattr(calibrate, "build_csr", refuse)
+        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=1, warmup=1,
+                                  clock=iter(range(0, 10**12, 10**6)).__next__)
+        assert {(s.u, s.w, s.variant) for s in samples} == {
+            (u, w, v) for u in (1, 2) for w in (1, 2) for v in VARIANTS}
 
     def test_samples_time_warm_containers_back_to_back(self, monkeypatch):
         # every container is built and warmed up (which builds its plan)

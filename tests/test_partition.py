@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +216,33 @@ class TestOverlapPartition:
         monkeypatch.setattr(sparse, "_INT64_MAX", 3 * 4 - 1)
         with pytest.raises(ValueError, match="64-bit"):
             overlap_partition(A, 0.5, 2)
+
+    def test_overlaps_beyond_one_byte(self):
+        # rows of 300 and 299 entries: the overlap table must hold 300
+        wide = list(range(300))
+        entries = [(i, j, 1.0) for i, cols in enumerate([wide, wide, wide[1:], [400, 401]])
+                   for j in cols]
+        A = build_csr(4, 402, entries)
+        assert overlap_partition(A, 1.0, 4).spl.tolist() == [0, 3, 4]
+        assert overlap_partition(A, 1.0, 4) == _overlap_walk(A, 1.0, 4)
+
+    def test_overlap_table_memory_is_bounded(self):
+        # runs of 4 rows share 6 columns; a u_max x m table of int64
+        # overlaps alone would take 8 MB here
+        m, u_max = 4000, 256
+        rows = np.repeat(np.arange(m), 6)
+        cols = ((rows // 4) * 6 + np.tile(np.arange(6), m)) % m
+        cols[::7] = (cols[::7] + 3001) % m
+        A = build_csr(m, m, np.rec.fromarrays([rows, cols, np.ones(len(rows))],
+                                               dtype=sparse.ENTRY_DTYPE))
+        tracemalloc.start()
+        try:
+            got = overlap_partition(A, 0.5, u_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.spl.tolist() == list(range(0, m + 1, 4))
+        assert peak < u_max * m * 8 / 2
 
     @PROPERTY
     @given(patterned_csr(), st.floats(0.0, 1.0, exclude_min=True))
