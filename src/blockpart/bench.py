@@ -181,13 +181,12 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 rows, cols = _partition_for(spec, A, fmt, u_max, w_max)
                 t_part = (clock() - t0) / 1e9
                 t0 = clock()
+                B = to_vbr(A, rows, cols) if fmt == "vbr" else to_1dvbr(A, rows)
+                t_conv = (clock() - t0) / 1e9
                 if fmt == "vbr":
-                    B = to_vbr(A, rows, cols)
                     memory = vbr_memory_bits(A, rows, cols, S_INDEX, S_VALUE)
                 else:
-                    B = to_1dvbr(A, rows)
                     memory = onedvbr_memory_bits(A, rows, S_INDEX, S_VALUE)
-                t_conv = (clock() - t0) / 1e9
                 y = np.zeros(A.m)
                 t0 = clock()
                 spmv_vbr(y, B, x)  # the first multiply also builds the plan

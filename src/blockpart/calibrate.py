@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModel
-from .formats import to_vbr, VbrMatrix  # to_vbr unused: perfbench's TRACE_TARGETS wraps it
+# to_vbr and build_csr go unused here: perfbench's TRACE_TARGETS looks them up in this module
+from .formats import to_vbr, VbrMatrix
 from .kernels import spmv_vbr
-from .sparse import ENTRY_DTYPE, build_csr, Partition
+from .sparse import build_csr, CsrMatrix, Partition
 
 __all__ = [
     "TimingSample",
@@ -122,14 +123,15 @@ def _grid_blocks(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
 
 
 def _grid_csr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
-    """A random block grid as CSR with its (row, column) partition pair."""
+    """A random block grid as CSR with its (row, column) partition pair,
+    laid out from the sorted picks: every row holds ``blocks_per_row * w``
+    entries in column order, so no entry sort is needed."""
     picks, vals = _grid_blocks(u, w, n_block_rows, n_block_cols, blocks_per_row, rng)
-    entry_rows, entry_cols = np.broadcast_arrays(
-        np.arange(n_block_rows)[:, None, None, None] * u + np.arange(u)[:, None],
-        picks[:, :, None, None] * w + np.arange(w))
-    entries = np.rec.fromarrays([entry_rows.ravel(), entry_cols.ravel(), vals.ravel()],
-                                dtype=ENTRY_DTYPE)
-    A = build_csr(n_block_rows * u, n_block_cols * w, entries)
+    pos = np.arange(n_block_rows * u + 1) * (blocks_per_row * w)
+    idx = np.broadcast_to(picks[:, None, :, None] * w + np.arange(w),
+                          (n_block_rows, u, blocks_per_row, w))
+    A = CsrMatrix(n_block_rows * u, n_block_cols * w, pos, idx.ravel(),
+                  vals.transpose(0, 2, 1, 3).ravel())
     rows = Partition(np.arange(n_block_rows + 1) * u)
     cols = Partition(np.arange(n_block_cols + 1) * w)
     return A, rows, cols
@@ -150,25 +152,28 @@ def _grid_vbr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
                      pos, picks.ravel(), pos * (u * w), vals.transpose(0, 1, 3, 2).ravel())
 
 
-def _variant_shape(u, w, blocks_per_row, min_bytes, variant):
-    """(block rows, block columns, blocks per row) of one measurement.
-
-    The base grid is the smallest square-ish one whose value storage
-    reaches ``min_bytes``; its column count leaves room for the doubled
-    block count. The other variants double one quantity each, so the
-    shape is recoverable from a sample's fields (see fit_cost_model).
-    """
-    k0 = max(1, math.ceil(min_bytes / (8 * u * w * blocks_per_row)))
-    l0 = max(math.ceil(k0 * u / w), 2 * blocks_per_row)
+def _grid_shape(u, w, k0, b0, variant):
+    """(block rows, block columns, blocks per row) of one measurement: the
+    base grid has ``k0`` block rows of ``b0`` blocks, square-ish with room
+    for twice the blocks, and each other variant doubles one quantity."""
+    if u < 1 or w < 1 or b0 < 1:
+        raise ValueError(f"block shape parameters must be positive: u={u}, w={w}, blocks_per_row={b0}")
+    l0 = max(math.ceil(k0 * u / w), 2 * b0)
     if variant == "base":
-        return k0, l0, blocks_per_row
+        return k0, l0, b0
     if variant == "double-blocks":
-        return k0, l0, 2 * blocks_per_row
+        return k0, l0, 2 * b0
     if variant == "double-rows":
-        return 2 * k0, l0, blocks_per_row
+        return 2 * k0, l0, b0
     if variant == "double-cols":
-        return k0, 2 * l0, blocks_per_row
+        return k0, 2 * l0, b0
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def _variant_shape(u, w, blocks_per_row, min_bytes, variant):
+    """``_grid_shape`` with the fewest base block rows holding ``min_bytes`` of values."""
+    k0 = max(1, math.ceil(min_bytes / (8 * u * w * blocks_per_row or 1)))  # _grid_shape rejects 0
+    return _grid_shape(u, w, k0, blocks_per_row, variant)
 
 
 def synth_block_matrix(u, w, blocks_per_row=8, min_bytes=256 * 1024, seed=0):
@@ -179,8 +184,6 @@ def synth_block_matrix(u, w, blocks_per_row=8, min_bytes=256 * 1024, seed=0):
     ``min_bytes``. Deterministic for a fixed seed. Returns the matrix and
     its (row, column) partition pair.
     """
-    if u < 1 or w < 1 or blocks_per_row < 1:
-        raise ValueError("block shape parameters must be positive")
     k, l, b = _variant_shape(u, w, blocks_per_row, min_bytes, "base")
     return _grid_csr(u, w, k, l, b, np.random.default_rng(seed))
 
@@ -226,17 +229,12 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
 
 
 def _sample_design(sample):
-    """(K, L, blocks) implied by a sample under the measurement design."""
-    k = sample.m_rows // sample.u
-    base_b = sample.blocks_per_row
-    k0 = k
-    if sample.variant == "double-blocks":
-        base_b //= 2
-    if sample.variant == "double-rows":
-        k0 //= 2
-    l0 = max(math.ceil(k0 * sample.u / sample.w), 2 * base_b)
-    l = 2 * l0 if sample.variant == "double-cols" else l0
-    return k, l, k * sample.blocks_per_row
+    """(K, L, blocks) of a sample under the measurement design: its base
+    block rows and blocks per row undo the variant's doubling."""
+    k0 = sample.m_rows // sample.u // (2 if sample.variant == "double-rows" else 1)
+    b0 = sample.blocks_per_row // (2 if sample.variant == "double-blocks" else 1)
+    k, l, b = _grid_shape(sample.u, sample.w, k0, b0, sample.variant)
+    return k, l, k * b
 
 
 def fit_cost_model(samples, rank):

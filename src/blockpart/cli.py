@@ -29,11 +29,11 @@ def _load_model_spec(spec):
 def _partition_args(sub, with_alternate=True):
     sub.add_argument("--matrix", required=True, help="Matrix Market file")
     sub.add_argument("--method", default="optimal", choices=["strict", "overlap", "optimal"])
-    sub.add_argument("--rho", type=float, default=0.9, help="overlap similarity threshold")
+    sub.add_argument("--rho", type=float, help="overlap similarity threshold (overlap only; default 0.9)")
     sub.add_argument("--model", help="blocks | mem1d | memvbr | file:PATH (optimal method only; "
                                      "default: the storage model of the format)")
     sub.add_argument("--umax", type=int, default=8)
-    sub.add_argument("--wmax", type=int, default=8)
+    sub.add_argument("--wmax", type=int, help="widest column part (2-D requests only; default 8)")
     if with_alternate:
         sub.add_argument("--alternate", type=int, metavar="N",
                          help="run N alternating half-steps of the optimal method on rows "
@@ -51,8 +51,9 @@ def _emit(text, path):
 
 def _request(args, fmt):
     """Check the flags of a partition, convert or spmv-bench call that asks
-    for ``fmt`` before any matrix is read, and return the sweep's spec.
-    An optimal spec without a model uses the storage model of ``fmt``."""
+    for ``fmt`` before any matrix is read, and return the sweep's spec and
+    ``w_max``. An optimal spec without a model uses the storage model of
+    ``fmt``. A flag the request would ignore is rejected."""
     flag_2d = "--alternate" if args.command == "partition" else "--format vbr"
     alternate = getattr(args, "alternate", None)
     if alternate is not None and alternate < 1:
@@ -60,6 +61,11 @@ def _request(args, fmt):
     if alternate is not None and (args.method != "optimal" or fmt != "vbr"):
         raise ValueError("--alternate alternates optimal row and column half-steps, so it needs "
                          "--method optimal" + ("" if flag_2d == "--alternate" else " and --format vbr"))
+    if args.rho is not None and args.method != "overlap":
+        raise ValueError("--rho is the overlap method's similarity threshold, so it needs "
+                         "--method overlap")
+    if args.wmax is not None and fmt != "vbr":
+        raise ValueError(f"--wmax bounds the widths of column parts, so it needs {flag_2d}")
     if args.model is not None and args.method != "optimal":
         raise ValueError("--model prices the optimal method's partitions, so it needs "
                          "--method optimal")
@@ -69,18 +75,18 @@ def _request(args, fmt):
     model = None if args.model is None else _load_model_spec(args.model)
     spec = {"method": args.method}
     if args.method == "overlap":
-        spec["rho"] = args.rho
+        spec["rho"] = 0.9 if args.rho is None else args.rho
     elif model is not None:
         spec["model"] = model
-    return spec
+    return spec, 8 if args.wmax is None else args.wmax
 
 
 def _partition(args, fmt):
     """Partition the matrix for ``fmt`` as a sweep would; returns (A, rows, cols)."""
-    spec = _request(args, fmt)
+    spec, w_max = _request(args, fmt)
     A = mmio.read_matrix_market(args.matrix)
     rounds = 3 if args.alternate is None else args.alternate
-    rows, cols = bench._partition_for(spec, A, fmt, args.umax, args.wmax, rounds)
+    rows, cols = bench._partition_for(spec, A, fmt, args.umax, w_max, rounds)
     return A, rows, cols
 
 
@@ -105,10 +111,10 @@ def _cmd_convert(args):
 
 
 def _cmd_spmv_bench(args):
-    spec = _request(args, args.format)
+    spec, w_max = _request(args, args.format)
     A = mmio.read_matrix_market(args.matrix)
     reports = run_sweep(A, args.matrix, [spec], formats=(args.format,) if args.format != "csr" else (),
-                        u_max=args.umax, w_max=args.wmax, trials=args.trials,
+                        u_max=args.umax, w_max=w_max, trials=args.trials,
                         warmup=args.warmup, time_budget=args.time_budget)
     for row in reports:
         print(row.to_json())
@@ -174,6 +180,8 @@ def _cmd_profile(args):
 
 
 def _cmd_calibrate(args):
+    if not 1 <= args.rank <= min(args.umax, args.wmax):
+        raise ValueError(f"--rank must be in 1..{min(args.umax, args.wmax)}, got {args.rank}")
     samples = calibrate.run_calibration(
         args.umax, args.wmax, blocks_per_row=args.blocks_per_row,
         min_bytes=args.min_bytes, trials=args.trials, seed=resolve_seed(),

@@ -12,7 +12,7 @@ import numpy as np
 
 from .costs import _alpha_sum, _check_sizes, evaluate, CostModel
 from .sparse import (
-    _INT64_MAX, _block_pattern, _pair_keys, Partition, transpose, trivial_partition,
+    _INT64_MAX, _pair_keys, Partition, transpose, trivial_partition,
 )
 
 __all__ = [
@@ -43,7 +43,7 @@ def optimal_partition(A, col_partition, model, u_max):
 
     A candidate part [s, s + u) pays the price of a u x w_l block once for
     every column part l it touches. The P <= nnz distinct (row, column
-    part) pairs come from the shared block pattern; pair (t, l), whose
+    part) pairs come from one sort of the entries' keys; pair (t, l), whose
     previous row holding part l is ``prev``, is the first occurrence of l
     in exactly the windows starting in (max(prev, t - u), t]. For each
     height u, ``np.bincount`` counts those bounds per row and width class
@@ -51,9 +51,9 @@ def optimal_partition(A, col_partition, model, u_max):
     the counts times each class's price and one prefix sum give every
     window cost of height u, in int64 or Python ints for an integer model
     and in float64 otherwise. A scalar backward pass then picks each
-    row's best part, the shortest among equals. Finding the pairs sorts
-    the stored entries and finding ``prev`` sorts the pairs, so with W <=
-    w_max distinct column widths the bound is
+    row's best part, the shortest among equals. Finding the pairs and
+    ``prev`` sorts the stored entries once, so with W <= w_max distinct
+    column widths the bound is
     O(nnz log nnz + u_max * (m * W + P) + R * u_max * W + n) time and
     O(u_max * m + m * W + nnz + n) space.
 
@@ -69,11 +69,15 @@ def optimal_partition(A, col_partition, model, u_max):
     _check_sizes(col_partition, model.w_max, "column", "width")
 
     m = A.m
-    t, l, _ = _block_pattern(A, trivial_partition(m), col_partition)
-    # reorder the pairs by column part, then row, so that each pair follows
-    # the previous row holding its part; _block_pattern checked m * L fits
-    key = np.sort(l * m + t)
-    l, t = key // m, key % m
+    if col_partition.size != A.n:
+        raise ValueError(f"column partition covers {col_partition.size} columns, matrix has {A.n}")
+    # the distinct (column part, row) pairs, ordered so that each pair
+    # follows the previous row holding its part
+    key = np.sort(_pair_keys(col_partition.assignments()[A.idx], A.entry_rows(),
+                             col_partition.num_parts, m))
+    fresh = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    l, t = np.divmod(key[fresh], m)
     prev = np.full(len(t), -1, dtype=np.int64)
     same = l[1:] == l[:-1]
     prev[1:][same] = t[:-1][same]

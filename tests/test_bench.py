@@ -142,6 +142,48 @@ class TestRunSweep:
                 row.partition_seconds, row.convert_seconds,
                 row.multiply_seconds, csr_row.multiply_seconds)
 
+    def test_convert_seconds_leave_out_the_storage_formula(self, monkeypatch):
+        # every clock reading advances 1 ms and each storage formula 9 s;
+        # the bits are counted after the convert clock is read
+        import blockpart.bench as bench
+
+        now = [0]
+
+        def clock():
+            now[0] += 10**6
+            return now[0]
+
+        def slow(formula):
+            def wrapped(*args):
+                now[0] += 9 * 10**9
+                return formula(*args)
+            return wrapped
+
+        monkeypatch.setattr(bench, "vbr_memory_bits", slow(bench.vbr_memory_bits))
+        monkeypatch.setattr(bench, "onedvbr_memory_bits", slow(bench.onedvbr_memory_bits))
+        fast = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
+                         formats=("1dvbr", "vbr"), trials=1, clock=fake_clock(), seed=1)
+        reports = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
+                            formats=("1dvbr", "vbr"), trials=1, clock=clock, seed=1)
+        for row, want in zip(reports[1:], fast[1:]):
+            assert row.convert_seconds == pytest.approx(1e-3)
+            assert row.memory_bits == want.memory_bits
+
+    def test_time_budget_reaches_every_timing(self, monkeypatch):
+        import blockpart.bench as bench
+
+        budgets = []
+
+        def timed(fn, trials, clock=None, warmup=1, time_budget=None):
+            budgets.append(time_budget)
+            return 1e-3
+
+        monkeypatch.setattr(bench, "time_min", timed)
+        reports = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
+                            formats=("1dvbr", "vbr"), trials=3, clock=fake_clock(), seed=1,
+                            time_budget=0.25)
+        assert budgets == [0.25] * len(reports)
+
     def test_partition_seconds_include_the_transpose(self, monkeypatch):
         # every clock reading advances 1 ms and the transpose stand-in 7 s,
         # so only a row whose timed call builds a transpose pays the 7 s
@@ -316,6 +358,29 @@ class TestCli:
         with pytest.raises(SystemExit, match=r"--model .* needs --method optimal"):
             cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["partition", "--method", "strict", "--rho", "0.5"], "--rho"),
+        (["convert", "--format", "vbr", "--rho", "0.9", "--out", "x"], "--rho"),
+        (["spmv-bench", "--format", "1dvbr", "--method", "optimal", "--rho", "0.9"], "--rho"),
+        (["partition", "--method", "overlap", "--wmax", "4"], "--wmax"),
+        (["convert", "--format", "1dvbr", "--wmax", "8", "--out", "x"], "--wmax"),
+        (["spmv-bench", "--format", "csr", "--wmax", "4"], "--wmax"),
+    ])
+    def test_ignored_flags_rejected_before_the_read(self, tmp_path, argv, flag):
+        missing = str(tmp_path / "missing.mtx")
+        with pytest.raises(SystemExit, match=rf"^blockpart {argv[0]}: {flag} .* needs"):
+            cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--method", "overlap", "--rho", "0.5"],
+        ["partition", "--alternate", "2", "--wmax", "4"],
+    ])
+    def test_applying_flags_reach_the_read(self, tmp_path, argv):
+        # convert and spmv-bench take them in test_convert_bytes_match_spmv_bench_memory
+        missing = str(tmp_path / "missing.mtx")
+        with pytest.raises(SystemExit, match="No such file"):
+            cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
+
     @pytest.mark.parametrize("fmt", ["1dvbr", "vbr"])
     @pytest.mark.parametrize("method", ["strict", "overlap:0.9", "optimal"])
     def test_convert_bytes_match_spmv_bench_memory(self, tmp_path, capsys, method, fmt):
@@ -327,7 +392,8 @@ class TestCli:
         path = str(tmp_path / "pairs.mtx")
         write_matrix_market(path, build_csr(10, 8, entries))
         method, _, rho = method.partition(":")
-        flags = ["--matrix", path, "--method", method, "--format", fmt, "--umax", "4", "--wmax", "4"]
+        flags = ["--matrix", path, "--method", method, "--format", fmt, "--umax", "4"]
+        flags += ["--wmax", "4"] if fmt == "vbr" else []
         flags += ["--rho", rho] if rho else []
         out = tmp_path / "m.bin"
         cli_main(["convert", *flags, "--out", str(out)])
@@ -417,3 +483,20 @@ class TestCli:
         model = cost_model_from_csv(model_path.read_text())
         assert model.rank == 1
         assert samples_path.read_text().startswith("u,w,m_rows")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--rank", "3"], r"--rank must be in 1\.\.2, got 3"),
+        (["--rank", "0"], r"--rank must be in 1\.\.2, got 0"),
+        (["--rank", "1", "--blocks-per-row", "0"], "block shape parameters must be positive"),
+    ], ids=["rank-above", "rank-zero", "no-blocks"])
+    def test_calibrate_flags_checked_before_the_run(self, tmp_path, monkeypatch, flags, message):
+        import blockpart.calibrate as calibrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no sample may be timed")
+
+        monkeypatch.setattr(calibrate, "time_min", refuse)
+        out = tmp_path / "model.csv"
+        with pytest.raises(SystemExit, match=rf"^blockpart calibrate: {message}"):
+            cli_main(["calibrate", "--umax", "2", "--wmax", "3", *flags, "--out", str(out)])
+        assert not out.exists()
