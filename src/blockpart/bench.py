@@ -15,14 +15,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .calibrate import critical_point, default_clock, time_min
-from .costs import (
-    model_block_count,
-    model_memory_1dvbr,
-    model_memory_vbr,
-    onedvbr_memory_bits,
-    vbr_memory_bits,
-)
-from .formats import stored_counts, to_1dvbr, to_vbr
+from .costs import model_block_count, model_memory_1dvbr, model_memory_vbr
+from .formats import serialize_1dvbr, serialize_vbr, stored_counts, to_1dvbr, to_vbr
 from .kernels import spmv_csr, spmv_vbr
 from .partition import alternating_partition, optimal_partition, overlap_partition, strict_partition
 from .sparse import csr_memory_bits, transpose, trivial_partition
@@ -110,13 +104,14 @@ def _partition_for(spec, A, fmt, u_max, w_max, rounds=3):
     """Partition ``A`` for ``fmt`` as ``spec`` asks, returning (rows, cols).
 
     1dvbr keeps the columns trivial. For vbr, strict and overlap run again
-    on the transpose and optimal alternates ``rounds`` half-steps. An
+    on the transpose and optimal alternates ``rounds`` half-steps. Every
+    method keeps parts within ``u_max`` rows and ``w_max`` columns. An
     optimal spec without a model uses the storage model of ``fmt``.
     """
     method = spec["method"]
     if method == "strict":
-        rows = strict_partition(A)
-        cols = strict_partition(transpose(A)) if fmt == "vbr" else trivial_partition(A.n)
+        rows = strict_partition(A, u_max)
+        cols = strict_partition(transpose(A), w_max) if fmt == "vbr" else trivial_partition(A.n)
     elif method == "overlap":
         rho = spec["rho"]
         rows = overlap_partition(A, rho, u_max)
@@ -143,8 +138,13 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
     of each container is timed on its own and counts as one warm-up call:
     it also builds the container's multiply plan, so its excess over
     ``multiply_seconds`` is one-time set-up and is added to
-    ``convert_seconds``.
+    ``convert_seconds``. ``memory_bits`` is 8 times the length of the
+    container's serialization, the file ``blockpart convert`` writes.
+    Format names other than 1dvbr and vbr raise before anything is timed.
     """
+    for fmt in formats:
+        if fmt not in ("1dvbr", "vbr"):
+            raise ValueError(f"unknown format {fmt!r}: the sweep's formats are 1dvbr and vbr")
     clock = clock or default_clock
     rng = np.random.default_rng(resolve_seed(seed))
     x = rng.standard_normal(A.n)
@@ -183,10 +183,7 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 t0 = clock()
                 B = to_vbr(A, rows, cols) if fmt == "vbr" else to_1dvbr(A, rows)
                 t_conv = (clock() - t0) / 1e9
-                if fmt == "vbr":
-                    memory = vbr_memory_bits(A, rows, cols, S_INDEX, S_VALUE)
-                else:
-                    memory = onedvbr_memory_bits(A, rows, S_INDEX, S_VALUE)
+                memory = 8 * len(serialize_vbr(B) if fmt == "vbr" else serialize_1dvbr(B))
                 y = np.zeros(A.m)
                 t0 = clock()
                 spmv_vbr(y, B, x)  # the first multiply also builds the plan

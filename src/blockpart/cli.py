@@ -6,7 +6,9 @@ RNG seed everywhere.
 """
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -134,28 +136,29 @@ def _cmd_sweep(args):
         else:
             raise SystemExit(f"unknown method {item!r}")
     formats = tuple(args.formats.split(","))
+    if args.wmax is not None and "vbr" not in formats:
+        raise ValueError("--wmax bounds the widths of column parts, so it needs vbr in --formats")
     all_reports = []
     for path in args.matrix:
         A = mmio.read_matrix_market(path)
         all_reports += run_sweep(A, path, specs, formats=formats, u_max=args.umax,
-                                 w_max=args.wmax, trials=args.trials, warmup=args.warmup,
+                                 w_max=8 if args.wmax is None else args.wmax,
+                                 trials=args.trials, warmup=args.warmup,
                                  time_budget=args.time_budget)
     _emit(bench.reports_to_jsonl(all_reports), args.out)
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(_summary_csv(all_reports))
 
 
 def _summary_csv(reports):
+    """The reports' fields but ``params`` as CSV; None is an empty field."""
     cols = [f.name for f in dataclasses.fields(bench.BenchReport) if f.name != "params"]
-    lines = [",".join(cols)]
-    for r in reports:
-        row = []
-        for c in cols:
-            v = getattr(r, c)
-            row.append("" if v is None else str(v))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows([getattr(r, c) for c in cols] for r in reports)
+    return out.getvalue()
 
 
 _METRIC_FIELDS = {"memory": "memory_bits", "time": "multiply_seconds",
@@ -246,7 +249,7 @@ def main(argv=None):
                    help="comma list: strict | overlap:RHO | optimal[:MODEL]")
     p.add_argument("--formats", default="1dvbr,vbr")
     p.add_argument("--umax", type=int, default=8)
-    p.add_argument("--wmax", type=int, default=8)
+    p.add_argument("--wmax", type=int, help="widest column part (needs vbr in --formats; default 8)")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--time-budget", type=float, default=None)

@@ -8,7 +8,7 @@ row is u x 1 and the value stride within the block row is constant.
 
 import numpy as np
 
-from .sparse import _INT64_MAX, _block_pattern, _frozen, Partition, trivial_partition
+from .sparse import _INT64_MAX, _block_pattern, _frozen, _offsets, Partition, trivial_partition
 
 __all__ = [
     "VbrMatrix",
@@ -99,9 +99,7 @@ def _value_starts(heights, widths):
     """
     if len(heights) and int(heights.max()) * int(widths.max()) * len(heights) > _INT64_MAX:
         raise ValueError("block values do not fit 64-bit offsets")
-    starts = np.zeros(len(heights) + 1, dtype=np.int64)
-    np.cumsum(heights * widths, out=starts[1:])
-    return starts
+    return _offsets(heights * widths)
 
 
 def _blocked_arrays(A, rows, cols):
@@ -114,8 +112,7 @@ def _blocked_arrays(A, rows, cols):
     k, l, pair = _block_pattern(A, rows, cols)
     heights = rows.widths()[k]
     starts = _value_starts(heights, cols.widths()[l])
-    pos = np.zeros(rows.num_parts + 1, dtype=np.int64)
-    np.cumsum(np.bincount(k, minlength=rows.num_parts), out=pos[1:])
+    pos = _offsets(np.bincount(k, minlength=rows.num_parts))
     at = (starts[pair] + (A.idx - cols.spl[l[pair]]) * heights[pair]
           + A.entry_rows() - rows.spl[k[pair]])
     val = np.zeros(int(starts[-1]))

@@ -33,7 +33,7 @@ kernel. Pass a dict as ``counter`` to tally multiply-adds (key
 
 import numpy as np
 
-from .sparse import _frozen
+from .sparse import _frozen, _offsets
 
 __all__ = ["spmv_csr", "spmv_vbr", "spmv_1dvbr"]
 
@@ -55,13 +55,6 @@ def spmv_csr(A, x):
     if len(nonempty):
         y[nonempty] = np.add.reduceat(A.val * x[A.idx], A.pos[nonempty])
     return y
-
-
-def _offsets(sizes):
-    """Where each of ``sizes`` starts when laid end to end, plus the total."""
-    out = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=out[1:])
-    return out
 
 
 def _build_plan(B):

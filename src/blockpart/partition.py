@@ -11,9 +11,7 @@ import math
 import numpy as np
 
 from .costs import _alpha_sum, _check_sizes, evaluate, CostModel
-from .sparse import (
-    _INT64_MAX, _pair_keys, Partition, transpose, trivial_partition,
-)
+from .sparse import _INT64_MAX, _offsets, _pair_keys, Partition, transpose, trivial_partition
 
 __all__ = [
     "optimal_partition",
@@ -179,8 +177,7 @@ def strict_partition(A, u_max=None):
     lens = np.diff(pos)
     # a row as long as the previous one reads back into it; any other row
     # reads elsewhere (negative indices wrap) and fails the length test
-    mismatches = np.zeros(A.nnz + 1, dtype=np.int64)
-    np.cumsum(A.idx != A.idx[np.arange(A.nnz) - np.repeat(lens, lens)], out=mismatches[1:])
+    mismatches = _offsets(A.idx != A.idx[np.arange(A.nnz) - np.repeat(lens, lens)])
     repeats = (lens[1:] == lens[:-1]) & (mismatches[pos[2:]] == mismatches[pos[1:-1]])
     starts = np.concatenate(([True], ~repeats))
     if u_max is not None:

@@ -192,9 +192,14 @@ def build_csr(m, n, entries):
         )
     urows, ucols, inverse = _unique_pairs(rows, cols, m, n)
     summed = np.bincount(inverse, weights=entries["val"], minlength=len(urows))
-    pos = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(urows, minlength=m), out=pos[1:])
-    return CsrMatrix(m, n, pos, ucols, summed)
+    return CsrMatrix(m, n, _offsets(np.bincount(urows, minlength=m)), ucols, summed)
+
+
+def _offsets(sizes):
+    """Where each of ``sizes`` starts when laid end to end, plus the total."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
 
 
 def _pair_keys(a, b, na, nb):
@@ -244,9 +249,8 @@ def transpose(A):
     """
     rows = A.entry_rows()
     order = np.argsort(_pair_keys(A.idx, rows, A.n, A.m))
-    pos_t = np.zeros(A.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(A.idx, minlength=A.n), out=pos_t[1:])
-    return CsrMatrix(A.n, A.m, pos_t, rows[order], A.val[order])
+    return CsrMatrix(A.n, A.m, _offsets(np.bincount(A.idx, minlength=A.n)),
+                     rows[order], A.val[order])
 
 
 def row_pattern(A, i, col_partition):

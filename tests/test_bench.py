@@ -143,7 +143,7 @@ class TestRunSweep:
                 row.multiply_seconds, csr_row.multiply_seconds)
 
     def test_convert_seconds_leave_out_the_storage_formula(self, monkeypatch):
-        # every clock reading advances 1 ms and each storage formula 9 s;
+        # every clock reading advances 1 ms and each serialization 9 s;
         # the bits are counted after the convert clock is read
         import blockpart.bench as bench
 
@@ -153,14 +153,14 @@ class TestRunSweep:
             now[0] += 10**6
             return now[0]
 
-        def slow(formula):
+        def slow(serialize):
             def wrapped(*args):
                 now[0] += 9 * 10**9
-                return formula(*args)
+                return serialize(*args)
             return wrapped
 
-        monkeypatch.setattr(bench, "vbr_memory_bits", slow(bench.vbr_memory_bits))
-        monkeypatch.setattr(bench, "onedvbr_memory_bits", slow(bench.onedvbr_memory_bits))
+        monkeypatch.setattr(bench, "serialize_vbr", slow(bench.serialize_vbr))
+        monkeypatch.setattr(bench, "serialize_1dvbr", slow(bench.serialize_1dvbr))
         fast = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
                          formats=("1dvbr", "vbr"), trials=1, clock=fake_clock(), seed=1)
         reports = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
@@ -168,6 +168,47 @@ class TestRunSweep:
         for row, want in zip(reports[1:], fast[1:]):
             assert row.convert_seconds == pytest.approx(1e-3)
             assert row.memory_bits == want.memory_bits
+
+    def test_memory_bits_are_the_serialized_bytes(self):
+        from blockpart import (
+            onedvbr_memory_bits,
+            serialize_1dvbr,
+            serialize_vbr,
+            to_1dvbr,
+            to_vbr,
+            vbr_memory_bits,
+        )
+        from blockpart.bench import _partition_for
+
+        A = random_csr(10, 9, 0.3, np.random.default_rng(2))
+        specs = [{"method": "strict"}, {"method": "overlap", "rho": 0.9}, {"method": "optimal"}]
+        reports = run_sweep(A, "rand", specs, formats=("1dvbr", "vbr"), u_max=4, w_max=4,
+                            trials=1, clock=fake_clock(), seed=3)
+        for row, (spec, fmt) in zip(reports[1:], [(s, f) for s in specs for f in ("1dvbr", "vbr")]):
+            rows, cols = _partition_for(spec, A, fmt, 4, 4)
+            if fmt == "vbr":
+                bits = vbr_memory_bits(A, rows, cols, 64, 64)
+                assert bits == 8 * len(serialize_vbr(to_vbr(A, rows, cols)))
+            else:
+                bits = onedvbr_memory_bits(A, rows, 64, 64)
+                assert bits == 8 * len(serialize_1dvbr(to_1dvbr(A, rows)))
+            assert (row.format, row.memory_bits) == (fmt, bits)
+
+    def test_unknown_format_raises_before_the_clock(self):
+        def clock():
+            raise AssertionError("nothing may be timed")
+
+        with pytest.raises(ValueError, match="unknown format 'VBR'"):
+            run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
+                      formats=("1dvbr", "VBR"), clock=clock)
+
+    @pytest.mark.parametrize("fmt", ["1dvbr", "vbr"])
+    def test_strict_rows_honour_the_height_bound(self, fmt):
+        A = build_csr(6, 3, [(i, j, 1.0) for i in range(6) for j in range(3)])
+        csr_row, row = run_sweep(A, "same", [{"method": "strict"}], formats=(fmt,),
+                                 u_max=2, w_max=2, trials=1, clock=fake_clock(), seed=1)
+        assert row.error is None
+        assert (row.K, row.L) == (3, 2 if fmt == "vbr" else 3)
 
     def test_time_budget_reaches_every_timing(self, monkeypatch):
         import blockpart.bench as bench
@@ -402,6 +443,44 @@ class TestCli:
         row = json.loads(capsys.readouterr().out.splitlines()[1])
         assert row["error"] is None
         assert row["memory_bits"] == 8 * out.stat().st_size
+
+    @pytest.mark.parametrize("method", ["strict", "overlap", "optimal"])
+    def test_partition_heights_bounded_for_every_method(self, tmp_path, capsys, method):
+        path = str(tmp_path / "same.mtx")
+        write_matrix_market(path, build_csr(6, 3, [(i, j, 1.0) for i in range(6) for j in range(3)]))
+        cli_main(["partition", "--matrix", path, "--method", method, "--umax", "2"])
+        assert json.loads(capsys.readouterr().out)["spl_rows"] == [0, 2, 4, 6]
+
+    def test_sweep_wmax_needs_vbr_before_the_read(self, tmp_path):
+        missing = str(tmp_path / "missing.mtx")
+        with pytest.raises(SystemExit, match=r"^blockpart sweep: --wmax .* needs vbr in --formats"):
+            cli_main(["sweep", "--matrix", missing, "--formats", "1dvbr", "--wmax", "4"])
+        with pytest.raises(SystemExit, match="No such file"):
+            cli_main(["sweep", "--matrix", missing, "--formats", "1dvbr,vbr", "--wmax", "4"])
+
+    def test_sweep_unknown_format_writes_no_report(self, tmp_path):
+        (path,) = self._write_matrices(tmp_path, count=1)
+        out = tmp_path / "r.jsonl"
+        with pytest.raises(SystemExit, match=r"^blockpart sweep: unknown format 'VBR'"):
+            cli_main(["sweep", "--matrix", path, "--formats", "1dvbr,VBR", "--out", str(out)])
+        assert not out.exists()
+
+    def test_summary_csv_rows_parse_to_the_header_width(self, tmp_path):
+        # the error text and the matrix path hold commas; the path is not ASCII
+        import csv
+
+        path = str(tmp_path / "m,\u00e9.mtx")
+        write_matrix_market(path, block_pair_matrix())
+        csv_path = tmp_path / "s.csv"
+        cli_main(["sweep", "--matrix", path, "--methods", "overlap:7,strict", "--formats",
+                  "1dvbr", "--trials", "1", "--out", str(tmp_path / "r.jsonl"),
+                  "--csv", str(csv_path)])
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 3
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[header.index("matrix_id")] for row in rows] == [path] * 3
+        assert rows[1][header.index("error")] == "rho must be in (0, 1], got 7.0"
 
     def test_summary_csv_columns(self):
         from blockpart.cli import _summary_csv
