@@ -151,31 +151,14 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
 
     t_csr = time_min(lambda: spmv_csr(A, x), trials, clock=clock,
                      warmup=warmup, time_budget=time_budget)
-    reports = [BenchReport(
-        matrix_id=matrix_id,
-        format="csr",
-        partitioner="none",
-        params={},
-        K=A.m,
-        L=A.n,
-        N_index=A.nnz,
-        N_value=A.nnz,
-        memory_bits=csr_memory_bits(A, S_INDEX, S_VALUE),
-        partition_seconds=0.0,
-        convert_seconds=0.0,
-        multiply_seconds=t_csr,
-        critical_point=math.inf,
-        model_objective=None,
-    )]
-
+    reports = [BenchReport(matrix_id, "csr", "none", {}, K=A.m, L=A.n, N_index=A.nnz,
+                           N_value=A.nnz, memory_bits=csr_memory_bits(A, S_INDEX, S_VALUE),
+                           partition_seconds=0.0, convert_seconds=0.0, multiply_seconds=t_csr,
+                           critical_point=math.inf)]
     for spec in partitioners:
         for fmt in formats:
-            row = BenchReport(
-                matrix_id=matrix_id,
-                format=fmt,
-                partitioner=_partitioner_id(spec),
-                params={k: v for k, v in spec.items() if k != "method" and isinstance(v, (int, float, str))},
-            )
+            label = _partitioner_id(spec)
+            params = {k: v for k, v in spec.items() if k != "method" and isinstance(v, (int, float, str))}
             try:
                 t0 = clock()
                 rows, cols = _partition_for(spec, A, fmt, u_max, w_max)
@@ -191,29 +174,27 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 t_mult = time_min(lambda: spmv_vbr(y, B, x), trials, clock=clock,
                                   warmup=max(warmup - 1, 0), time_budget=time_budget)
                 t_conv += max(t_first - t_mult, 0.0)
-                row.K = rows.num_parts
-                row.L = cols.num_parts
-                row.N_index, row.N_value = stored_counts(B)
-                row.memory_bits = memory
-                row.partition_seconds = t_part
-                row.convert_seconds = t_conv
-                row.multiply_seconds = t_mult
-                row.critical_point = critical_point(t_part, t_conv, t_mult, t_csr)
-                # the storage model's value: the bits less its fixed offset words
-                row.model_objective = memory - (4 if fmt == "vbr" else 3) * S_INDEX
+                n_index, n_value = stored_counts(B)
+                fields = dict(K=rows.num_parts, L=cols.num_parts, N_index=n_index, N_value=n_value,
+                              memory_bits=memory, partition_seconds=t_part, convert_seconds=t_conv,
+                              multiply_seconds=t_mult,
+                              critical_point=critical_point(t_part, t_conv, t_mult, t_csr),
+                              # the storage model's value: the bits less its fixed offset words
+                              model_objective=memory - (4 if fmt == "vbr" else 3) * S_INDEX)
             except (ValueError, IndexError) as exc:
-                row.error = str(exc)
-            reports.append(row)
+                fields = {"error": str(exc)}
+            reports.append(BenchReport(matrix_id, fmt, label, params, **fields))
     return reports
 
 
 def performance_profile(values, taus=None):
     """Dolan-More style profile of per-instance method quality.
 
-    ``values`` maps method -> {instance -> value}; smaller is better and
-    infinity is allowed. Every method must cover every instance. Returns
-    (taus, {method -> fractions}), where each fraction is the share of
-    instances on which the method is within a factor tau of the best.
+    ``values`` maps method -> {instance -> value}; smaller is better, and
+    values must be non-negative, infinity allowed. Every method must cover
+    every instance. Returns (taus, {method -> fractions}), where each
+    fraction is the share of instances on which the method is within a
+    factor tau of the best. ``taus`` defaults to the distinct finite ratios.
     """
     if not values:
         raise ValueError("no methods to profile")
@@ -222,31 +203,23 @@ def performance_profile(values, taus=None):
     if not instances:
         raise ValueError("no instances to profile")
     for method in methods:
-        missing = [i for i in instances if i not in values[method]]
-        extra = [i for i in values[method] if i not in instances]
-        if missing or extra:
+        if values[method].keys() != set(instances):
             raise ValueError(f"method {method!r} does not cover the instance set")
+    table = np.array([[values[m][i] for i in instances] for m in methods], dtype=np.float64)
+    if not np.all(table >= 0):
+        raise ValueError("profile values must be non-negative numbers, not NaN")
 
-    ratios = {}
-    for inst in instances:
-        best = min(values[m][inst] for m in methods)
-        for m in methods:
-            v = values[m][inst]
-            if v == best:
-                ratios[(m, inst)] = 1.0
-            elif math.isinf(v) or best == 0:
-                ratios[(m, inst)] = math.inf
-            else:
-                ratios[(m, inst)] = v / best
-
+    best = table.min(axis=0)
+    # off the best v > best >= 0, so v / |best| is inf for an infinite v or a best of +-0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = np.where(table == best, 1.0, table / np.abs(best))
     if taus is None:
-        finite = sorted({r for r in ratios.values() if math.isfinite(r)})
-        taus = finite or [1.0]
-    fractions = {
-        m: [sum(1 for i in instances if ratios[(m, i)] <= tau) / len(instances) for tau in taus]
-        for m in methods
-    }
-    return list(taus), fractions
+        taus = np.unique(ratios[np.isfinite(ratios)]).tolist() or [1.0]
+    elif np.isnan(np.asarray(taus, dtype=np.float64)).any():
+        raise ValueError("profile taus must not be NaN")
+    # the share of a method's ratios <= tau, found by one search of its sorted ratios
+    counts = [np.searchsorted(row, taus, side="right") for row in np.sort(ratios, axis=1)]
+    return list(taus), {m: (c / len(instances)).tolist() for m, c in zip(methods, counts)}
 
 
 def profile_to_csv(taus, fractions):
@@ -261,12 +234,24 @@ def reports_to_jsonl(reports):
     return "".join(r.to_json() + "\n" for r in reports)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def reports_from_jsonl(text):
+    """Parse ``reports_to_jsonl`` output; any other line raises ValueError
+    naming its line number."""
     rows = []
-    for line in text.splitlines():
-        if line.strip():
-            row = json.loads(line)
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line, parse_constant=_reject_constant)
+            if not isinstance(row, dict):
+                raise ValueError("a report must be a JSON object")
             if row.pop("critical_point_inf", False):
                 row["critical_point"] = math.inf
             rows.append(BenchReport(**row))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"report line {number}: {exc}") from exc
     return rows

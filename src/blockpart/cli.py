@@ -30,11 +30,12 @@ def _load_model_spec(spec):
 
 def _partition_args(sub, with_alternate=True):
     sub.add_argument("--matrix", required=True, help="Matrix Market file")
-    sub.add_argument("--method", default="optimal", choices=["strict", "overlap", "optimal"])
+    sub.add_argument("--method", choices=["strict", "overlap", "optimal"],
+                     help="partitioner (default optimal)")
     sub.add_argument("--rho", type=float, help="overlap similarity threshold (overlap only; default 0.9)")
     sub.add_argument("--model", help="blocks | mem1d | memvbr | file:PATH (optimal method only; "
                                      "default: the storage model of the format)")
-    sub.add_argument("--umax", type=int, default=8)
+    sub.add_argument("--umax", type=int, help="tallest row part (default 8)")
     sub.add_argument("--wmax", type=int, help="widest column part (2-D requests only; default 8)")
     if with_alternate:
         sub.add_argument("--alternate", type=int, metavar="N",
@@ -53,42 +54,48 @@ def _emit(text, path):
 
 def _request(args, fmt):
     """Check the flags of a partition, convert or spmv-bench call that asks
-    for ``fmt`` before any matrix is read, and return the sweep's spec and
-    ``w_max``. An optimal spec without a model uses the storage model of
-    ``fmt``. A flag the request would ignore is rejected."""
+    for ``fmt`` before any matrix is read, and return the sweep's spec,
+    ``u_max`` and ``w_max``. An optimal spec without a model uses the
+    storage model of ``fmt``. A flag the request would ignore is rejected."""
+    if fmt == "csr":
+        for flag in ("--method", "--rho", "--model", "--umax"):
+            if getattr(args, flag[2:]) is not None:
+                raise ValueError(f"{flag} sets up the blocked partition, so it needs "
+                                 "--format 1dvbr or vbr")
+    method = "optimal" if args.method is None else args.method
     flag_2d = "--alternate" if args.command == "partition" else "--format vbr"
     alternate = getattr(args, "alternate", None)
     if alternate is not None and alternate < 1:
         raise ValueError(f"--alternate counts half-steps and must be at least 1, got {alternate}")
-    if alternate is not None and (args.method != "optimal" or fmt != "vbr"):
+    if alternate is not None and (method != "optimal" or fmt != "vbr"):
         raise ValueError("--alternate alternates optimal row and column half-steps, so it needs "
                          "--method optimal" + ("" if flag_2d == "--alternate" else " and --format vbr"))
-    if args.rho is not None and args.method != "overlap":
+    if args.rho is not None and method != "overlap":
         raise ValueError("--rho is the overlap method's similarity threshold, so it needs "
                          "--method overlap")
     if args.wmax is not None and fmt != "vbr":
         raise ValueError(f"--wmax bounds the widths of column parts, so it needs {flag_2d}")
-    if args.model is not None and args.method != "optimal":
+    if args.model is not None and method != "optimal":
         raise ValueError("--model prices the optimal method's partitions, so it needs "
                          "--method optimal")
-    if fmt == "vbr" and args.method == "optimal" and args.model == "mem1d":
+    if fmt == "vbr" and method == "optimal" and args.model == "mem1d":
         raise ValueError(f"{flag_2d} also partitions columns, so it needs a 2-D cost model: "
                          "--model memvbr, blocks or file:PATH (mem1d prices rows only)")
     model = None if args.model is None else _load_model_spec(args.model)
-    spec = {"method": args.method}
-    if args.method == "overlap":
+    spec = {"method": method}
+    if method == "overlap":
         spec["rho"] = 0.9 if args.rho is None else args.rho
     elif model is not None:
         spec["model"] = model
-    return spec, 8 if args.wmax is None else args.wmax
+    return spec, 8 if args.umax is None else args.umax, 8 if args.wmax is None else args.wmax
 
 
 def _partition(args, fmt):
     """Partition the matrix for ``fmt`` as a sweep would; returns (A, rows, cols)."""
-    spec, w_max = _request(args, fmt)
+    spec, u_max, w_max = _request(args, fmt)
     A = mmio.read_matrix_market(args.matrix)
     rounds = 3 if args.alternate is None else args.alternate
-    rows, cols = bench._partition_for(spec, A, fmt, args.umax, w_max, rounds)
+    rows, cols = bench._partition_for(spec, A, fmt, u_max, w_max, rounds)
     return A, rows, cols
 
 
@@ -113,10 +120,10 @@ def _cmd_convert(args):
 
 
 def _cmd_spmv_bench(args):
-    spec, w_max = _request(args, args.format)
+    spec, u_max, w_max = _request(args, args.format)
     A = mmio.read_matrix_market(args.matrix)
     reports = run_sweep(A, args.matrix, [spec], formats=(args.format,) if args.format != "csr" else (),
-                        u_max=args.umax, w_max=w_max, trials=args.trials,
+                        u_max=u_max, w_max=w_max, trials=args.trials,
                         warmup=args.warmup, time_budget=args.time_budget)
     for row in reports:
         print(row.to_json())
@@ -177,7 +184,10 @@ def _cmd_profile(args):
         v = getattr(r, field)
         if v is None:
             v = math.inf
-        values.setdefault(method, {})[r.matrix_id] = v
+        kept = values.setdefault(method, {}).setdefault(r.matrix_id, v)
+        if kept != v:
+            raise ValueError(f"{method!r} on {r.matrix_id!r} has two {args.metric} values, "
+                             f"{kept!r} and {v!r}; profile one value per method and matrix")
     taus, fractions = bench.performance_profile(values)
     _emit(bench.profile_to_csv(taus, fractions), args.out)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import _block_pattern, trivial_partition
+from .sparse import _block_pattern, _check_widths, trivial_partition
 
 __all__ = [
     "CostModel",
@@ -144,6 +144,7 @@ def value_count(A, rows, cols):
 
 def vbr_memory_bits(A, rows, cols, s_index, s_value):
     """Bits used by the VBR representation of ``A`` under the partitions."""
+    _check_widths(s_index, s_value)
     n_index, n_value = _blocked_counts(A, rows, cols)
     k = rows.num_parts
     l = cols.num_parts
@@ -152,6 +153,7 @@ def vbr_memory_bits(A, rows, cols, s_index, s_value):
 
 def onedvbr_memory_bits(A, rows, s_index, s_value):
     """Bits used by the 1D-VBR representation (trivial column partition)."""
+    _check_widths(s_index, s_value)
     n_index, n_value = _blocked_counts(A, rows, trivial_partition(A.n))
     k = rows.num_parts
     return (3 * (k + 1) + n_index) * s_index + n_value * s_value
@@ -195,8 +197,7 @@ def model_memory_1dvbr(s_index, s_value, u_max):
     """
     if u_max < 1:
         raise ValueError("table sizes must be positive")
-    if s_index <= 0 or s_value <= 0:
-        raise ValueError("index and value widths must be positive")
+    _check_widths(s_index, s_value)
     return CostModel(
         alpha_row=(3 * s_index,) * u_max,
         alpha_col=(0,),
@@ -209,8 +210,7 @@ def model_memory_vbr(s_index, s_value, u_max, w_max):
     """Rank-2 model of VBR storage bits (constant offset 4*s_index)."""
     if u_max < 1 or w_max < 1:
         raise ValueError("table sizes must be positive")
-    if s_index <= 0 or s_value <= 0:
-        raise ValueError("index and value widths must be positive")
+    _check_widths(s_index, s_value)
     return CostModel(
         alpha_row=(3 * s_index,) * u_max,
         alpha_col=(s_index,) * w_max,
@@ -243,20 +243,31 @@ def cost_model_to_csv(model):
 
 
 def cost_model_from_csv(text):
+    """Parse ``cost_model_to_csv`` output: one ``alpha_row`` and one
+    ``alpha_col`` line, and ``beta_row r=i`` and ``beta_col r=i`` lines for
+    i = 1..R, each exactly once and in any order."""
     rows = {}
-    order = []
     for line in text.splitlines():
         if not line.strip():
             continue
         label, _, rest = line.partition(",")
-        rows[label.strip()] = tuple(_parse(t) for t in rest.split(","))
-        order.append(label.strip())
-    ranks = sorted(int(label.split("r=")[1]) for label in order if label.startswith("beta_row"))
-    if "alpha_row" not in rows or "alpha_col" not in rows or not ranks:
-        raise ValueError("cost model CSV must define alpha_row, alpha_col, and beta tables")
+        label = label.strip()
+        if label in rows:
+            raise ValueError(f"cost model CSV repeats {label!r}")
+        rows[label] = tuple(_parse(t) for t in rest.split(","))
+    rank = max(1, sum(label.startswith("beta_row") for label in rows))
+    expected = ["alpha_row", "alpha_col"] + [
+        f"beta_{side} r={r}" for r in range(1, rank + 1) for side in ("row", "col")]
+    missing = [label for label in expected if label not in rows]
+    unknown = sorted(rows.keys() - set(expected))
+    if missing or unknown:
+        raise ValueError("cost model CSV needs one alpha_row, alpha_col, beta_row r=i and "
+                         "beta_col r=i line for i = 1..R: " + "; ".join(
+                             [f"{label!r} is missing" for label in missing]
+                             + [f"{label!r} is unknown" for label in unknown]))
     return CostModel(
         alpha_row=rows["alpha_row"],
         alpha_col=rows["alpha_col"],
-        beta_row=tuple(rows[f"beta_row r={r}"] for r in ranks),
-        beta_col=tuple(rows[f"beta_col r={r}"] for r in ranks),
+        beta_row=tuple(rows[f"beta_row r={r}"] for r in range(1, rank + 1)),
+        beta_col=tuple(rows[f"beta_col r={r}"] for r in range(1, rank + 1)),
     )

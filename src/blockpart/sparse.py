@@ -67,11 +67,12 @@ class CsrMatrix:
             raise ValueError(f"idx/val length mismatch: {len(idx)} vs {len(val)}")
         if len(idx) and (idx.min() < 0 or idx.max() >= n):
             raise ValueError("column index out of range")
-        # strictly increasing inside each row: differences may only be
-        # negative at row boundaries
+        # strictly increasing inside each row: a step idx[j] -> idx[j + 1]
+        # may only fail to rise where j + 1 starts a row
         if len(idx) > 1:
-            drops = np.nonzero(np.diff(idx) <= 0)[0] + 1
-            if len(drops) and not np.all(np.isin(drops, pos)):
+            falls = np.diff(idx) <= 0
+            falls[pos[(pos > 0) & (pos < len(idx))] - 1] = False
+            if falls.any():
                 raise ValueError("column indices must be strictly increasing within a row")
         self.m = int(m)
         self.n = int(n)
@@ -262,9 +263,14 @@ def row_pattern(A, i, col_partition):
     return np.unique(col_partition.assignments()[A.row_cols(i)])
 
 
+def _check_widths(s_index, s_value):
+    """Reject index or value widths that are not positive bit counts."""
+    if s_index <= 0 or s_value <= 0:
+        raise ValueError(f"index and value widths must be positive, got {s_index} and {s_value}")
+
+
 def csr_memory_bits(A, s_index, s_value):
     """Bits needed to store ``A`` in CSR with the given index/value widths."""
-    if s_index <= 0 or s_value <= 0:
-        raise ValueError("index and value widths must be positive")
+    _check_widths(s_index, s_value)
     nnz = A.nnz
     return (A.m + 1) * s_index + nnz * s_index + nnz * s_value

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockpart import build_csr, run_sweep, performance_profile, spmv_vbr, write_matrix_market
-from blockpart.bench import profile_to_csv, reports_from_jsonl, reports_to_jsonl
+from blockpart.bench import BenchReport, profile_to_csv, reports_from_jsonl, reports_to_jsonl
 from blockpart.cli import main as cli_main
 
 from conftest import random_csr
@@ -31,6 +32,44 @@ STANDARD_METHODS = [
     {"method": "overlap", "rho": 0.9},
     {"method": "optimal", "model": "mem1d"},
 ]
+
+
+def dict_profile(values, taus=None):
+    """The per-cell profile the array version replaced, kept as an oracle."""
+    methods = sorted(values)
+    instances = sorted(values[methods[0]])
+    ratios = {}
+    for inst in instances:
+        best = min(values[m][inst] for m in methods)
+        for m in methods:
+            v = values[m][inst]
+            if v == best:
+                ratios[(m, inst)] = 1.0
+            elif math.isinf(v) or best == 0:
+                ratios[(m, inst)] = math.inf
+            else:
+                ratios[(m, inst)] = v / best
+    if taus is None:
+        finite = sorted({r for r in ratios.values() if math.isfinite(r)})
+        taus = finite or [1.0]
+    fractions = {
+        m: [sum(1 for i in instances if ratios[(m, i)] <= tau) / len(instances) for tau in taus]
+        for m in methods
+    }
+    return list(taus), fractions
+
+
+# a few repeated magnitudes, so ties with the best and between ratios occur
+profile_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.5, math.inf]),
+                           st.floats(min_value=0.0, max_value=1e6))
+
+
+@st.composite
+def profile_tables(draw):
+    methods = draw(st.integers(1, 4))
+    instances = draw(st.integers(1, 6))
+    return {f"m{a}": {f"i{b}": draw(profile_values) for b in range(instances)}
+            for a in range(methods)}
 
 
 class TestRunSweep:
@@ -298,6 +337,18 @@ class TestRunSweep:
         assert [r.critical_point for r in reports_from_jsonl(text)] == [
             r.critical_point for r in reports]
 
+    def test_report_lines_parse_strictly(self):
+        good = BenchReport("m", "csr", "none", {}, memory_bits=64).to_json()
+        assert reports_from_jsonl(good + "\n\n" + good) == [reports_from_jsonl(good)[0]] * 2
+        for bad, message in [
+            (good.replace("64", "NaN"), "NaN is not strict JSON"),
+            (good.replace("64", "-Infinity"), "-Infinity is not strict JSON"),
+            ("[1, 2]", "must be a JSON object"),
+            (good.replace('"K"', '"Kay"'), "unexpected keyword argument 'Kay'"),
+        ]:
+            with pytest.raises(ValueError, match=f"^report line 3: .*{message}"):
+                reports_from_jsonl(good + "\n\n" + bad + "\n" + good)
+
 
 class TestPerformanceProfile:
     def test_two_methods_one_instance(self):
@@ -338,6 +389,18 @@ class TestPerformanceProfile:
         lines = text.strip().splitlines()
         assert lines[0] == "tau,method,fraction"
         assert len(lines) == 1 + 2 * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile_tables(), st.none() | st.lists(profile_values, max_size=5))
+    def test_matches_the_per_cell_profile(self, values, taus):
+        assert performance_profile(values, taus) == dict_profile(values, taus)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_rejects_nan_and_negative_values(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            performance_profile({"a": {"i": 1.0, "j": 2.0}, "b": {"i": bad, "j": 1.0}})
+        with pytest.raises(ValueError, match="taus must not be NaN"):
+            performance_profile({"a": {"i": 1.0}}, taus=[1.0, math.nan])
 
 
 class TestCli:
@@ -406,6 +469,11 @@ class TestCli:
         (["partition", "--method", "overlap", "--wmax", "4"], "--wmax"),
         (["convert", "--format", "1dvbr", "--wmax", "8", "--out", "x"], "--wmax"),
         (["spmv-bench", "--format", "csr", "--wmax", "4"], "--wmax"),
+        (["spmv-bench", "--format", "csr", "--method", "overlap"], "--method"),
+        (["spmv-bench", "--format", "csr", "--method", "optimal"], "--method"),
+        (["spmv-bench", "--format", "csr", "--rho", "0.9"], "--rho"),
+        (["spmv-bench", "--format", "csr", "--model", "blocks"], "--model"),
+        (["spmv-bench", "--format", "csr", "--umax", "8"], "--umax"),
     ])
     def test_ignored_flags_rejected_before_the_read(self, tmp_path, argv, flag):
         missing = str(tmp_path / "missing.mtx")
@@ -523,6 +591,43 @@ class TestCli:
         for line in lines[1:]:
             tau, method, fraction = line.split(",")
             assert 0.0 <= float(fraction) <= 1.0
+
+    def _umax_reports(self, tmp_path, umax, name="r"):
+        path = str(tmp_path / "dense.mtx")
+        write_matrix_market(path, build_csr(4, 4, [(i, j, 1.0) for i in range(4) for j in range(4)]))
+        out = tmp_path / f"{name}{umax}.jsonl"
+        cli_main(["sweep", "--matrix", path, "--methods", "strict", "--formats", "1dvbr",
+                  "--umax", str(umax), "--trials", "1", "--out", str(out)])
+        return str(out)
+
+    def test_profile_rejects_two_values_in_one_cell(self, tmp_path):
+        u1, u4 = self._umax_reports(tmp_path, 1), self._umax_reports(tmp_path, 4)
+        for first, second, values in [(u1, u4, "3008 and 1664"), (u4, u1, "1664 and 3008")]:
+            with pytest.raises(SystemExit, match=rf"^blockpart profile: 'strict 1dvbr' on "
+                                                 rf"'.*dense.mtx' has two memory values, {values}"):
+                cli_main(["profile", "--reports", first, "--reports", second, "--metric", "memory"])
+
+    def test_profile_accepts_identical_repeats(self, tmp_path, capsys):
+        # two sweeps of one matrix repeat every memory_bits, the CSR baseline's too
+        first, second = self._umax_reports(tmp_path, 4, "a"), self._umax_reports(tmp_path, 4, "b")
+        cli_main(["profile", "--reports", first, "--reports", second, "--metric", "memory"])
+        assert capsys.readouterr().out.splitlines()[1:] == [  # 2368 and 1664 bits
+            "1.0,csr,0.0", "1.4230769230769231,csr,1.0",
+            "1.0,strict 1dvbr,1.0", "1.4230769230769231,strict 1dvbr,1.0"]
+
+    @pytest.mark.parametrize("line", ['{"memory_bits": NaN}', "[]", '{"speed": 1}'])
+    def test_profile_rejects_bad_report_lines(self, tmp_path, line):
+        path = tmp_path / "r.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(SystemExit, match=r"^blockpart profile: report line 1: "):
+            cli_main(["profile", "--reports", str(path), "--metric", "memory"])
+
+    def test_bad_model_file_is_a_clean_exit(self, tmp_path):
+        model = tmp_path / "model.csv"
+        model.write_text("alpha_row,1\nalpha_col,1\nbeta_row r=1,1\n")
+        with pytest.raises(SystemExit, match=r"^blockpart partition: .*'beta_col r=1' is missing"):
+            cli_main(["partition", "--matrix", str(tmp_path / "missing.mtx"),
+                      "--model", f"file:{model}"])
 
     def test_spmv_bench_command(self, tmp_path, capsys):
         (path,) = self._write_matrices(tmp_path, count=1)

@@ -7,6 +7,7 @@ from blockpart import (
     block_count,
     build_csr,
     cost_model_from_csv,
+    csr_memory_bits,
     cost_model_to_csv,
     evaluate,
     model_block_count,
@@ -120,6 +121,20 @@ class TestMemoryFormulas:
             assert onedvbr_memory_bits(A, rows, 64, 64) == 8 * len(serialize_1dvbr(to_1dvbr(A, rows)))
 
 
+class TestStorageWidths:
+    @pytest.mark.parametrize("s_index, s_value", [(-64, 64), (64, 0), (0, 0)])
+    def test_every_formula_rejects_non_positive_widths(self, s_index, s_value):
+        A = dense_2x2()
+        r = trivial_partition(2)
+        for count in (lambda: csr_memory_bits(A, s_index, s_value),
+                      lambda: vbr_memory_bits(A, r, r, s_index, s_value),
+                      lambda: onedvbr_memory_bits(A, r, s_index, s_value),
+                      lambda: model_memory_1dvbr(s_index, s_value, 2),
+                      lambda: model_memory_vbr(s_index, s_value, 2, 2)):
+            with pytest.raises(ValueError, match="widths must be positive"):
+                count()
+
+
 class TestEvaluate:
     def test_block_count_model_equivalence(self):
         rng = np.random.default_rng(6)
@@ -214,6 +229,24 @@ class TestModelTables:
         again = cost_model_from_csv(cost_model_to_csv(model))
         assert again == model
         assert not again.exact
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:3] + lines[4:], "'beta_col r=1' is missing"),
+        (lambda lines: lines + [lines[0]], "repeats 'alpha_row'"),
+        (lambda lines: [lines[0].replace("alpha_row", "alpha_col")] + lines[1:], "repeats 'alpha_col'"),
+        (lambda lines: lines[:2] + ["beta_row" + lines[2][len("beta_row r=1"):]] + lines[3:],
+         "'beta_row r=1' is missing; 'beta_row' is unknown"),
+        (lambda lines: lines[:4] + lines[6:],
+         "'beta_row r=2' is missing; 'beta_col r=2' is missing; 'beta_col r=3' is unknown; "
+         "'beta_row r=3' is unknown"),
+        (lambda lines: lines[:2], "'beta_row r=1' is missing; 'beta_col r=1' is missing"),
+        (lambda lines: lines + ["gamma,1"], "'gamma' is unknown"),
+    ])
+    def test_csv_needs_each_table_once(self, edit, message):
+        # rank 3: alpha_row, alpha_col, then beta_row and beta_col for r = 1, 2, 3
+        lines = cost_model_to_csv(planted_model(3, 2, np.random.default_rng(3))).splitlines()
+        with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+            cost_model_from_csv("\n".join(edit(lines)))
 
     def test_rejects_inconsistent_tables(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,23 @@ class TestInvariantValidation:
             CsrMatrix(1, 3, [0, 2], [2, 0], [1.0, 1.0])
 
 
+    def test_fall_across_an_empty_row_passes(self):
+        from blockpart import CsrMatrix
+
+        A = CsrMatrix(3, 3, [0, 1, 1, 3], [2, 0, 1], [1.0, 2.0, 3.0])
+        assert A.to_dense()[2].tolist() == [2.0, 3.0, 0.0]
+
+    @pytest.mark.parametrize("row", [[2, 1], [1, 1]])
+    @pytest.mark.parametrize("empty_rows", ["leading", "trailing"])
+    def test_fall_inside_a_row_next_to_empty_rows(self, row, empty_rows):
+        # the bad row is the first non-empty row or the last one
+        from blockpart import CsrMatrix
+
+        pos, idx = ([0, 0, 0, 2, 3], row + [0]) if empty_rows == "leading" else ([0, 1, 3, 3, 3], [0] + row)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CsrMatrix(4, 3, pos, idx, [1.0] * 3)
+
+
 class TestTranspose:
     def test_identity(self):
         A = build_csr(3, 3, [(i, i, 1.0) for i in range(3)])
