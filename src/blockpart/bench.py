@@ -11,12 +11,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
 from .calibrate import critical_point, default_clock, time_min
 from .costs import model_block_count, model_memory_1dvbr, model_memory_vbr
-from .formats import serialize_1dvbr, serialize_vbr, stored_counts, to_1dvbr, to_vbr
+from .formats import serialize_1dvbr, serialize_vbr, stored_counts, to_vbr
 from .kernels import spmv_csr, spmv_vbr
 from .partition import alternating_partition, optimal_partition, overlap_partition, strict_partition
 from .sparse import csr_memory_bits, transpose, trivial_partition
@@ -33,6 +34,10 @@ __all__ = [
 
 S_INDEX = 64
 S_VALUE = 64
+
+# format -> (serializer, the fixed index words its storage model leaves out);
+# 1D-VBR is VBR on the trivial column partition, so both convert with to_vbr
+_FORMATS = {"1dvbr": (serialize_1dvbr, 3), "vbr": (serialize_vbr, 4)}
 
 
 @dataclass
@@ -109,23 +114,21 @@ def _partition_for(spec, A, fmt, u_max, w_max, rounds=3):
     optimal spec without a model uses the storage model of ``fmt``.
     """
     method = spec["method"]
-    if method == "strict":
-        rows = strict_partition(A, u_max)
-        cols = strict_partition(transpose(A), w_max) if fmt == "vbr" else trivial_partition(A.n)
-    elif method == "overlap":
-        rho = spec["rho"]
-        rows = overlap_partition(A, rho, u_max)
-        cols = overlap_partition(transpose(A), rho, w_max) if fmt == "vbr" else trivial_partition(A.n)
-    elif method == "optimal":
+    if method == "optimal":
         model = _resolve_model(spec.get("model", "mem1d" if fmt == "1dvbr" else "memvbr"),
                                fmt, u_max, w_max)
         if fmt == "vbr":
-            rows, cols = alternating_partition(A, model, u_max, w_max, rounds=rounds)
-        else:
-            cols = trivial_partition(A.n)
-            rows = optimal_partition(A, cols, model, u_max)
+            return alternating_partition(A, model, u_max, w_max, rounds=rounds)
+        cols = trivial_partition(A.n)
+        return optimal_partition(A, cols, model, u_max), cols
+    if method == "strict":
+        heuristic = strict_partition
+    elif method == "overlap":
+        heuristic = partial(overlap_partition, rho=spec["rho"])
     else:
         raise ValueError(f"unknown partitioner {spec!r}")
+    rows = heuristic(A, u_max=u_max)
+    cols = heuristic(transpose(A), u_max=w_max) if fmt == "vbr" else trivial_partition(A.n)
     return rows, cols
 
 
@@ -143,7 +146,7 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
     Format names other than 1dvbr and vbr raise before anything is timed.
     """
     for fmt in formats:
-        if fmt not in ("1dvbr", "vbr"):
+        if fmt not in _FORMATS:
             raise ValueError(f"unknown format {fmt!r}: the sweep's formats are 1dvbr and vbr")
     clock = clock or default_clock
     rng = np.random.default_rng(resolve_seed(seed))
@@ -164,9 +167,10 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 rows, cols = _partition_for(spec, A, fmt, u_max, w_max)
                 t_part = (clock() - t0) / 1e9
                 t0 = clock()
-                B = to_vbr(A, rows, cols) if fmt == "vbr" else to_1dvbr(A, rows)
+                B = to_vbr(A, rows, cols)
                 t_conv = (clock() - t0) / 1e9
-                memory = 8 * len(serialize_vbr(B) if fmt == "vbr" else serialize_1dvbr(B))
+                serialize, fixed_words = _FORMATS[fmt]
+                memory = 8 * len(serialize(B))
                 y = np.zeros(A.m)
                 t0 = clock()
                 spmv_vbr(y, B, x)  # the first multiply also builds the plan
@@ -179,8 +183,7 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                               memory_bits=memory, partition_seconds=t_part, convert_seconds=t_conv,
                               multiply_seconds=t_mult,
                               critical_point=critical_point(t_part, t_conv, t_mult, t_csr),
-                              # the storage model's value: the bits less its fixed offset words
-                              model_objective=memory - (4 if fmt == "vbr" else 3) * S_INDEX)
+                              model_objective=memory - fixed_words * S_INDEX)
             except (ValueError, IndexError) as exc:
                 fields = {"error": str(exc)}
             reports.append(BenchReport(matrix_id, fmt, label, params, **fields))

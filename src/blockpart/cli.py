@@ -11,12 +11,13 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 
 from . import bench, calibrate, gadgets, mmio
 from .bench import resolve_seed, run_sweep
 from .costs import cost_model_from_csv, cost_model_to_csv
-from .formats import serialize_1dvbr, serialize_vbr, to_1dvbr, to_vbr
+from .formats import to_vbr
 
 
 def _load_model_spec(spec):
@@ -73,6 +74,8 @@ def _request(args, fmt):
     if args.rho is not None and method != "overlap":
         raise ValueError("--rho is the overlap method's similarity threshold, so it needs "
                          "--method overlap")
+    if args.rho is not None and not 0 < args.rho <= 1:
+        raise ValueError(f"--rho must be in (0, 1], got {args.rho}")
     if args.wmax is not None and fmt != "vbr":
         raise ValueError(f"--wmax bounds the widths of column parts, so it needs {flag_2d}")
     if args.model is not None and method != "optimal":
@@ -110,10 +113,8 @@ def _cmd_partition(args):
 
 def _cmd_convert(args):
     A, rows, cols = _partition(args, args.format)
-    if args.format == "vbr":
-        payload = serialize_vbr(to_vbr(A, rows, cols))
-    else:
-        payload = serialize_1dvbr(to_1dvbr(A, rows))
+    serialize, _ = bench._FORMATS[args.format]
+    payload = serialize(to_vbr(A, rows, cols))
     with open(args.out, "wb") as fh:
         fh.write(payload)
     print(f"wrote {len(payload)} bytes to {args.out}")
@@ -135,7 +136,11 @@ def _cmd_sweep(args):
         if item == "strict":
             specs.append({"method": "strict"})
         elif item.startswith("overlap:"):
-            specs.append({"method": "overlap", "rho": float(item.split(":", 1)[1])})
+            rho = float(item.split(":", 1)[1])
+            if not math.isfinite(rho):
+                # a finite RHO outside (0, 1] becomes an error row; NaN or inf would not be JSON
+                raise ValueError(f"--methods item {item!r}: RHO must be a finite number")
+            specs.append({"method": "overlap", "rho": rho})
         elif item.startswith("optimal:"):
             specs.append({"method": "optimal", "model": _load_model_spec(item.split(":", 1)[1])})
         elif item == "optimal":
@@ -208,6 +213,25 @@ def _cmd_calibrate(args):
     print(f"fitted rank-{args.rank} model over u<={args.umax}, w<={args.wmax} -> {args.out}")
 
 
+_GRAPH_FORM = "expected N;a-b,c-d,... with whole numbers, such as '4;0-1,0-2,0-3,1-2'"
+
+
+def _parse_graph(text):
+    """(vertex count, edge list) of a ``--graph`` value."""
+    head, sep, edge_text = text.partition(";")
+    if not sep:
+        raise ValueError(f"--graph {text!r} has no ';' after the vertex count; {_GRAPH_FORM}")
+    if not re.fullmatch(r"\s*\d+\s*", head):
+        raise ValueError(f"--graph vertex count {head!r} is not a whole number; {_GRAPH_FORM}")
+    edges = []
+    for token in edge_text.split(","):
+        ends = re.fullmatch(r"\s*(\d+)\s*-\s*(\d+)\s*", token)
+        if ends is None:
+            raise ValueError(f"--graph edge {token!r} is not a-b; {_GRAPH_FORM}")
+        edges.append((int(ends[1]), int(ends[2])))
+    return int(head), edges
+
+
 def _cmd_gadget(args):
     if args.kind in ("b1", "b2"):
         A = gadgets.build_gadget(args.kind.upper(), gadgets.GadgetParams(args.s))
@@ -216,12 +240,7 @@ def _cmd_gadget(args):
     elif args.kind == "count":
         A = gadgets.build_count_gadget("B1", args.umax, args.wmax)
     elif args.kind == "reduction":
-        n_vertices, edge_text = args.graph.split(";")
-        edges = []
-        for token in edge_text.split(","):
-            a, b = token.split("-")
-            edges.append((int(a), int(b)))
-        A = gadgets.build_reduction_matrix(int(n_vertices), edges, gadgets.GadgetParams(args.s))
+        A = gadgets.build_reduction_matrix(*_parse_graph(args.graph), gadgets.GadgetParams(args.s))
     else:
         raise SystemExit(f"unknown gadget kind {args.kind!r}")
     mmio.write_matrix_market(args.out, A, comment=f"gadget {args.kind}")

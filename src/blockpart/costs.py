@@ -13,7 +13,7 @@ measured (fitted) costs are floats.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,11 +152,9 @@ def vbr_memory_bits(A, rows, cols, s_index, s_value):
 
 
 def onedvbr_memory_bits(A, rows, s_index, s_value):
-    """Bits used by the 1D-VBR representation (trivial column partition)."""
-    _check_widths(s_index, s_value)
-    n_index, n_value = _blocked_counts(A, rows, trivial_partition(A.n))
-    k = rows.num_parts
-    return (3 * (k + 1) + n_index) * s_index + n_value * s_value
+    """Bits used by the 1D-VBR representation: VBR's on the trivial column
+    partition, less the n + 1 column splits 1D-VBR does not store."""
+    return vbr_memory_bits(A, rows, trivial_partition(A.n), s_index, s_value) - (A.n + 1) * s_index
 
 
 def evaluate(model, A, rows, cols):
@@ -188,22 +186,13 @@ def model_block_count(u_max, w_max):
 
 
 def model_memory_1dvbr(s_index, s_value, u_max):
-    """Rank-2 model of 1D-VBR storage bits.
+    """Rank-2 model of 1D-VBR storage bits: the VBR model on width-1
+    column parts, which 1D-VBR does not store, so they cost nothing.
 
-    Each row part pays 3*s_index (its share of the three offset arrays),
-    each block s_index, and each stored entry s_value. The value differs
-    from the true bit count by the partition-independent constant
-    3*s_index, so minimizers coincide.
+    The value differs from the true bit count by the partition-independent
+    constant 3*s_index, so minimizers coincide.
     """
-    if u_max < 1:
-        raise ValueError("table sizes must be positive")
-    _check_widths(s_index, s_value)
-    return CostModel(
-        alpha_row=(3 * s_index,) * u_max,
-        alpha_col=(0,),
-        beta_row=((1,) * u_max, tuple(u * s_value for u in range(1, u_max + 1))),
-        beta_col=((s_index,), (1,)),
-    )
+    return replace(model_memory_vbr(s_index, s_value, u_max, 1), alpha_col=(0,))
 
 
 def model_memory_vbr(s_index, s_value, u_max, w_max):

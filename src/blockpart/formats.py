@@ -149,9 +149,7 @@ def vbr_get(B, i, j):
     return float(B.val[p + (j - B.spl_cols[l]) * u + (i - B.spl_rows[k])])
 
 
-def onedvbr_get(B, i, j):
-    """Entry (i, j) of a 1D-VBR matrix; 0.0 when no block covers it."""
-    return vbr_get(B, i, j)
+onedvbr_get = vbr_get
 
 
 def stored_counts(B):
@@ -174,5 +172,13 @@ def serialize_vbr(B):
 
 
 def serialize_1dvbr(B):
-    """Raw little-endian bytes: spl_rows, pos, idx, ofs, val."""
+    """Raw little-endian bytes: spl_rows, pos, idx, ofs, val.
+
+    The column splits are left out, so ``B`` must have the trivial column
+    partition; split points rise strictly from 0 to n, so n + 1 of them
+    are exactly the trivial ones.
+    """
+    if len(B.spl_cols) != B.n + 1:
+        raise ValueError(f"1D-VBR stores no column splits, but the {len(B.spl_cols) - 1} "
+                         f"column parts of this {B.m}x{B.n} matrix are not its {B.n} columns")
     return _raw([B.spl_rows, B.pos, B.idx, B.ofs, B.val])

@@ -208,6 +208,29 @@ class TestRunSweep:
             assert row.convert_seconds == pytest.approx(1e-3)
             assert row.memory_bits == want.memory_bits
 
+    def test_serializers_run_after_the_convert_clock(self, monkeypatch):
+        # every clock reading advances 1 ms and each serialization 9 s
+        import blockpart.bench as bench
+
+        now = [0]
+
+        def clock():
+            now[0] += 10**6
+            return now[0]
+
+        def slow(serialize):
+            def wrapped(B):
+                now[0] += 9 * 10**9
+                return serialize(B)
+            return wrapped
+
+        for fmt, (serialize, fixed_words) in list(bench._FORMATS.items()):
+            monkeypatch.setitem(bench._FORMATS, fmt, (slow(serialize), fixed_words))
+        for row in run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
+                             formats=("1dvbr", "vbr"), trials=1, clock=clock, seed=1)[1:]:
+            assert row.error is None
+            assert row.convert_seconds == pytest.approx(1e-3)
+
     def test_memory_bits_are_the_serialized_bytes(self):
         from blockpart import (
             onedvbr_memory_bits,
@@ -526,6 +549,27 @@ class TestCli:
         with pytest.raises(SystemExit, match="No such file"):
             cli_main(["sweep", "--matrix", missing, "--formats", "1dvbr,vbr", "--wmax", "4"])
 
+    @pytest.mark.parametrize("item", ["overlap:nan", "overlap:inf", "overlap:-inf"])
+    def test_sweep_non_finite_rho_rejected_before_the_read(self, tmp_path, item):
+        # a NaN or infinite threshold would reach the report and break its strict JSON
+        missing = str(tmp_path / "missing.mtx")
+        with pytest.raises(SystemExit, match=rf"^blockpart sweep: --methods item '{item}': "
+                                             "RHO must be a finite number"):
+            cli_main(["sweep", "--matrix", missing, "--methods", f"strict,{item}"])
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--method", "overlap", "--rho", "2"],
+        ["partition", "--method", "overlap", "--rho", "0"],
+        ["partition", "--method", "overlap", "--rho", "nan"],
+        ["convert", "--format", "vbr", "--method", "overlap", "--rho", "-0.5", "--out", "x"],
+        ["spmv-bench", "--method", "overlap", "--rho", "inf"],
+    ])
+    def test_rho_range_checked_before_the_read(self, tmp_path, argv):
+        missing = str(tmp_path / "missing.mtx")
+        with pytest.raises(SystemExit, match=rf"^blockpart {argv[0]}: --rho must be in \(0, 1\], "
+                                             rf"got {float(argv[argv.index('--rho') + 1])}$"):
+            cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
+
     def test_sweep_unknown_format_writes_no_report(self, tmp_path):
         (path,) = self._write_matrices(tmp_path, count=1)
         out = tmp_path / "r.jsonl"
@@ -655,6 +699,35 @@ class TestCli:
 
         A = read_matrix_market(out)
         assert (A.m, A.n) == (209, 209)
+
+    def test_gadget_reduction_reads_the_graph(self, tmp_path, capsys):
+        from blockpart import read_matrix_market
+        from blockpart.gadgets import GadgetParams
+
+        out = tmp_path / "r.mtx"
+        cli_main(["gadget", "--kind", "reduction", "--graph", "4;0-1,0-2,0-3,1-2",
+                  "--out", str(out)])
+        spaced = tmp_path / "spaced.mtx"
+        cli_main(["gadget", "--kind", "reduction", "--graph", " 4 ; 0-1, 0 - 2,0-3 ,1-2",
+                  "--out", str(spaced)])
+        A = read_matrix_market(out)
+        assert A == read_matrix_market(spaced)
+        mu = GadgetParams(1.0).mu  # one gadget tile per (vertex, edge)
+        assert (A.m, A.n) == (4 * mu, 4 * mu)
+
+    @pytest.mark.parametrize("graph, message", [
+        ("4", r"--graph '4' has no ';' after the vertex count"),
+        ("x;0-1", r"--graph vertex count 'x' is not a whole number"),
+        ("2;0-1,0-x", r"--graph edge '0-x' is not a-b"),
+        ("3;0-1,", r"--graph edge '' is not a-b"),
+        ("3;0-1-2", r"--graph edge '0-1-2' is not a-b"),
+    ])
+    def test_gadget_graph_errors_name_the_token(self, tmp_path, graph, message):
+        out = tmp_path / "r.mtx"
+        with pytest.raises(SystemExit, match=rf"^blockpart gadget: {message}; expected "
+                                             r"N;a-b,c-d,\.\.\. "):
+            cli_main(["gadget", "--kind", "reduction", "--graph", graph, "--out", str(out)])
+        assert not out.exists()
 
     def test_calibrate_command(self, tmp_path, capsys):
         model_path = tmp_path / "model.csv"

@@ -6,6 +6,7 @@ from blockpart import (
     block_count,
     build_csr,
     onedvbr_get,
+    serialize_1dvbr,
     stored_counts,
     strict_partition,
     to_1dvbr,
@@ -90,6 +91,21 @@ class TestTo1dVbr:
             assert fast.val.tolist() == general.val.tolist()
             assert fast.pos.tolist() == general.pos.tolist()
             assert fast.ofs.tolist() == general.ofs.tolist()
+
+
+class TestSerialize1dVbr:
+    def test_trivial_columns_through_to_vbr_give_the_1dvbr_bytes(self):
+        A = random_csr(7, 6, 0.4, np.random.default_rng(3))
+        rows = Partition([0, 3, 4, 7])
+        assert serialize_1dvbr(to_vbr(A, rows, trivial_partition(6))) == serialize_1dvbr(
+            to_1dvbr(A, rows))
+
+    def test_refuses_grouped_columns(self):
+        # idx would hold column-part indices that a reader takes as columns
+        halves = Partition([0, 2, 4])
+        B = to_vbr(identity(4), halves, halves)
+        with pytest.raises(ValueError, match=r"2 column parts of this 4x4 matrix are not its 4"):
+            serialize_1dvbr(B)
 
 
 class TestGetters:
