@@ -6,10 +6,11 @@ per-block cost for each block size, plus a fixed cost per multiply.
 Calibration times synthetic block-grid matrices in four shapes per block
 size, fits the coefficients by least squares weighted to minimize
 relative error, and compresses the block-cost table to a low rank with
-an SVD. Each sample is built directly as a VbrMatrix from its block
+an SVD. Each sample is drawn directly as a VbrMatrix from its block
 columns and values, with no CSR assembly and no conversion, and its
 warm-up multiply builds the container's multiply plan, so the samples
-time the steady-state multiply.
+time the steady-state multiply. ``synth_block_matrix`` draws the same
+grid and reads its CSR off that container.
 """
 
 import csv
@@ -97,14 +98,14 @@ def time_min(fn, trials, clock=None, warmup=1, time_budget=None):
     return best
 
 
-def _grid_blocks(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
-    """Block columns and values of a random block grid.
+def _grid_vbr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
+    """A random block grid built directly as a VbrMatrix.
 
-    Returns ``(picks, vals)``: the ``blocks_per_row`` distinct block
-    columns of each block row, ascending, as a (K, b) array, and each
-    block's u x w values, row-major, as a (K, b, u, w) array in the same
-    order. The values are drawn after the columns, block by block in
-    draw order, and then reordered with them.
+    Every block row holds ``blocks_per_row`` dense u x w blocks at distinct
+    block columns, ascending. The values are drawn after the columns, block
+    by block in draw order and row-major within a block, and then reordered
+    with them. The offsets are arithmetic and the values are the blocks
+    transposed to column-major: no CSR and no sort of the entries.
     """
     if blocks_per_row > n_block_cols:
         raise ValueError(
@@ -118,38 +119,11 @@ def _grid_blocks(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
         picks[:, i] = np.where((picks[:, :i] == draw[:, None]).any(axis=1), top, draw)
     vals = rng.uniform(0.1, 1.0, picks.size * u * w).reshape(picks.shape + (u, w))
     order = np.argsort(picks, axis=1)
-    return (np.take_along_axis(picks, order, axis=1),
-            np.take_along_axis(vals, order[:, :, None, None], axis=1))
-
-
-def _grid_csr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
-    """A random block grid as CSR with its (row, column) partition pair,
-    laid out from the sorted picks: every row holds ``blocks_per_row * w``
-    entries in column order, so no entry sort is needed."""
-    picks, vals = _grid_blocks(u, w, n_block_rows, n_block_cols, blocks_per_row, rng)
-    pos = np.arange(n_block_rows * u + 1) * (blocks_per_row * w)
-    idx = np.broadcast_to(picks[:, None, :, None] * w + np.arange(w),
-                          (n_block_rows, u, blocks_per_row, w))
-    A = CsrMatrix(n_block_rows * u, n_block_cols * w, pos, idx.ravel(),
-                  vals.transpose(0, 2, 1, 3).ravel())
-    rows = Partition(np.arange(n_block_rows + 1) * u)
-    cols = Partition(np.arange(n_block_cols + 1) * w)
-    return A, rows, cols
-
-
-def _grid_vbr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
-    """The same random block grid built directly as a VbrMatrix.
-
-    Every block is dense and every block row holds ``blocks_per_row`` of
-    them, so the offsets are arithmetic and the values are the blocks
-    transposed to column-major: no CSR and no sort of the entries.
-    Equal, array for array, to ``to_vbr(*_grid_csr(...))`` on the same
-    draws.
-    """
-    picks, vals = _grid_blocks(u, w, n_block_rows, n_block_cols, blocks_per_row, rng)
+    vals = np.take_along_axis(vals, order[:, :, None, None], axis=1)
     pos = np.arange(n_block_rows + 1) * blocks_per_row
     return VbrMatrix(np.arange(n_block_rows + 1) * u, np.arange(n_block_cols + 1) * w,
-                     pos, picks.ravel(), pos * (u * w), vals.transpose(0, 1, 3, 2).ravel())
+                     pos, np.take_along_axis(picks, order, axis=1).ravel(), pos * (u * w),
+                     vals.transpose(0, 1, 3, 2).ravel())
 
 
 def _grid_shape(u, w, k0, b0, variant):
@@ -185,7 +159,12 @@ def synth_block_matrix(u, w, blocks_per_row=8, min_bytes=256 * 1024, seed=0):
     its (row, column) partition pair.
     """
     k, l, b = _variant_shape(u, w, blocks_per_row, min_bytes, "base")
-    return _grid_csr(u, w, k, l, b, np.random.default_rng(seed))
+    B = _grid_vbr(u, w, k, l, b, np.random.default_rng(seed))
+    # read off the container: every row holds b * w entries in column order
+    idx = np.broadcast_to(B.idx.reshape(k, 1, b, 1) * w + np.arange(w), (k, u, b, w))
+    A = CsrMatrix(B.m, B.n, np.arange(B.m + 1) * (b * w), idx.ravel(),
+                  B.val.reshape(k, b, w, u).transpose(0, 3, 1, 2).ravel())
+    return A, Partition(B.spl_rows), Partition(B.spl_cols)
 
 
 def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,

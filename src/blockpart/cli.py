@@ -20,13 +20,13 @@ from .costs import cost_model_from_csv, cost_model_to_csv
 from .formats import to_vbr
 
 
-def _load_model_spec(spec):
+def _load_model_spec(spec, flag="--model"):
     if spec.startswith("file:"):
         with open(spec[5:], "r", encoding="ascii") as fh:
             return cost_model_from_csv(fh.read())
     if spec in ("blocks", "mem1d", "memvbr"):
         return spec
-    raise SystemExit(f"unknown --model {spec!r}")
+    raise ValueError(f"{flag} {spec!r} is not blocks, mem1d, memvbr or file:PATH")
 
 
 def _partition_args(sub, with_alternate=True):
@@ -66,8 +66,6 @@ def _request(args, fmt):
     method = "optimal" if args.method is None else args.method
     flag_2d = "--alternate" if args.command == "partition" else "--format vbr"
     alternate = getattr(args, "alternate", None)
-    if alternate is not None and alternate < 1:
-        raise ValueError(f"--alternate counts half-steps and must be at least 1, got {alternate}")
     if alternate is not None and (method != "optimal" or fmt != "vbr"):
         raise ValueError("--alternate alternates optimal row and column half-steps, so it needs "
                          "--method optimal" + ("" if flag_2d == "--alternate" else " and --format vbr"))
@@ -136,17 +134,21 @@ def _cmd_sweep(args):
         if item == "strict":
             specs.append({"method": "strict"})
         elif item.startswith("overlap:"):
-            rho = float(item.split(":", 1)[1])
+            try:
+                rho = float(item.split(":", 1)[1])
+            except ValueError:
+                rho = math.nan
             if not math.isfinite(rho):
                 # a finite RHO outside (0, 1] becomes an error row; NaN or inf would not be JSON
                 raise ValueError(f"--methods item {item!r}: RHO must be a finite number")
             specs.append({"method": "overlap", "rho": rho})
         elif item.startswith("optimal:"):
-            specs.append({"method": "optimal", "model": _load_model_spec(item.split(":", 1)[1])})
+            model = _load_model_spec(item.split(":", 1)[1], f"--methods item {item!r}: MODEL")
+            specs.append({"method": "optimal", "model": model})
         elif item == "optimal":
             specs.append({"method": "optimal"})  # memory model matching each format
         else:
-            raise SystemExit(f"unknown method {item!r}")
+            raise ValueError(f"--methods item {item!r} is not strict, overlap:RHO or optimal[:MODEL]")
     formats = tuple(args.formats.split(","))
     if args.wmax is not None and "vbr" not in formats:
         raise ValueError("--wmax bounds the widths of column parts, so it needs vbr in --formats")
@@ -317,6 +319,10 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        for flag in ("umax", "wmax", "trials", "alternate"):
+            count = getattr(args, flag, None)
+            if count is not None and count < 1:
+                raise ValueError(f"--{flag} must be at least 1, got {count}")
         args.func(args)
     except (ValueError, OSError) as exc:
         raise SystemExit(f"blockpart {args.command}: {exc}") from exc

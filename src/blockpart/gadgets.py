@@ -42,6 +42,8 @@ class GadgetParams:
     s: float
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"index weight must be finite, got {self.s}")
         if self.s < 1:
             raise ValueError(f"index weight must be at least 1, got {self.s}")
 

@@ -181,33 +181,6 @@ class TestRunSweep:
                 row.partition_seconds, row.convert_seconds,
                 row.multiply_seconds, csr_row.multiply_seconds)
 
-    def test_convert_seconds_leave_out_the_storage_formula(self, monkeypatch):
-        # every clock reading advances 1 ms and each serialization 9 s;
-        # the bits are counted after the convert clock is read
-        import blockpart.bench as bench
-
-        now = [0]
-
-        def clock():
-            now[0] += 10**6
-            return now[0]
-
-        def slow(serialize):
-            def wrapped(*args):
-                now[0] += 9 * 10**9
-                return serialize(*args)
-            return wrapped
-
-        monkeypatch.setattr(bench, "serialize_vbr", slow(bench.serialize_vbr))
-        monkeypatch.setattr(bench, "serialize_1dvbr", slow(bench.serialize_1dvbr))
-        fast = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
-                         formats=("1dvbr", "vbr"), trials=1, clock=fake_clock(), seed=1)
-        reports = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
-                            formats=("1dvbr", "vbr"), trials=1, clock=clock, seed=1)
-        for row, want in zip(reports[1:], fast[1:]):
-            assert row.convert_seconds == pytest.approx(1e-3)
-            assert row.memory_bits == want.memory_bits
-
     def test_serializers_run_after_the_convert_clock(self, monkeypatch):
         # every clock reading advances 1 ms and each serialization 9 s
         import blockpart.bench as bench
@@ -570,6 +543,46 @@ class TestCli:
                                              rf"got {float(argv[argv.index('--rho') + 1])}$"):
             cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--methods", "strict,overlap:abc"],
+         r"--methods item 'overlap:abc': RHO must be a finite number"),
+        (["sweep", "--methods", "overlap:"], r"--methods item 'overlap:': RHO must be a finite number"),
+        (["sweep", "--methods", "strict:x"],
+         r"--methods item 'strict:x' is not strict, overlap:RHO or optimal\[:MODEL\]"),
+        (["sweep", "--methods", ",strict"],
+         r"--methods item '' is not strict, overlap:RHO or optimal\[:MODEL\]"),
+        (["sweep", "--methods", "optimal:"],
+         r"--methods item 'optimal:': MODEL '' is not blocks, mem1d, memvbr or file:PATH"),
+        (["sweep", "--methods", "optimal:foo"],
+         r"--methods item 'optimal:foo': MODEL 'foo' is not blocks, mem1d, memvbr or file:PATH"),
+        (["partition", "--model", "foo"], r"--model 'foo' is not blocks, mem1d, memvbr or file:PATH"),
+        (["convert", "--format", "vbr", "--model", "", "--out", "x"],
+         r"--model '' is not blocks, mem1d, memvbr or file:PATH"),
+    ], ids=["overlap-abc", "overlap-empty", "strict-x", "empty-item", "optimal-empty",
+            "optimal-foo", "partition-model", "convert-empty-model"])
+    def test_bad_method_and_model_names_rejected_before_the_read(self, tmp_path, argv, message):
+        missing = str(tmp_path / "missing.mtx")
+        with pytest.raises(SystemExit, match=rf"^blockpart {argv[0]}: {message}$"):
+            cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["partition", "--umax", "0"], "--umax"),
+        (["partition", "--alternate", "2", "--wmax", "-1"], "--wmax"),
+        (["convert", "--format", "vbr", "--wmax", "0", "--out", "x"], "--wmax"),
+        (["convert", "--format", "1dvbr", "--umax", "0", "--out", "x"], "--umax"),
+        (["spmv-bench", "--umax", "0"], "--umax"),
+        (["spmv-bench", "--trials", "0"], "--trials"),
+        (["sweep", "--umax", "0"], "--umax"),
+        (["sweep", "--wmax", "0"], "--wmax"),
+        (["sweep", "--trials", "-3"], "--trials"),
+    ])
+    def test_counts_below_one_rejected_before_the_read(self, tmp_path, argv, flag):
+        missing = str(tmp_path / "missing.mtx")
+        count = argv[argv.index(flag) + 1]
+        with pytest.raises(SystemExit, match=rf"^blockpart {argv[0]}: {flag} must be at least 1, "
+                                             rf"got {count}$"):
+            cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
+
     def test_sweep_unknown_format_writes_no_report(self, tmp_path):
         (path,) = self._write_matrices(tmp_path, count=1)
         out = tmp_path / "r.jsonl"
@@ -729,6 +742,15 @@ class TestCli:
             cli_main(["gadget", "--kind", "reduction", "--graph", graph, "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["b1", "reduction"])
+    @pytest.mark.parametrize("s", ["inf", "nan"])
+    def test_gadget_non_finite_weight_rejected(self, tmp_path, kind, s):
+        out = tmp_path / "g.mtx"
+        with pytest.raises(SystemExit, match=rf"^blockpart gadget: index weight must be finite, "
+                                             rf"got {s}$"):
+            cli_main(["gadget", "--kind", kind, "--s", s, "--out", str(out)])
+        assert not out.exists()
+
     def test_calibrate_command(self, tmp_path, capsys):
         model_path = tmp_path / "model.csv"
         samples_path = tmp_path / "samples.csv"
@@ -745,7 +767,10 @@ class TestCli:
         (["--rank", "3"], r"--rank must be in 1\.\.2, got 3"),
         (["--rank", "0"], r"--rank must be in 1\.\.2, got 0"),
         (["--rank", "1", "--blocks-per-row", "0"], "block shape parameters must be positive"),
-    ], ids=["rank-above", "rank-zero", "no-blocks"])
+        (["--rank", "1", "--umax", "0"], "--umax must be at least 1, got 0"),
+        (["--rank", "1", "--wmax", "0"], "--wmax must be at least 1, got 0"),
+        (["--rank", "1", "--trials", "0"], "--trials must be at least 1, got 0"),
+    ], ids=["rank-above", "rank-zero", "no-blocks", "umax-zero", "wmax-zero", "trials-zero"])
     def test_calibrate_flags_checked_before_the_run(self, tmp_path, monkeypatch, flags, message):
         import blockpart.calibrate as calibrate
 

@@ -8,7 +8,6 @@ from blockpart import fit_cost_model, jacobi_svd, synth_block_matrix, time_min
 from blockpart.calibrate import (
     TimingSample,
     VARIANTS,
-    _grid_csr,
     _grid_vbr,
     _sample_design,
     _variant_shape,
@@ -87,20 +86,28 @@ class TestSynthBlockMatrix:
         assert digest.hexdigest() == (
             "068eb1180c2a2aa0b14152829bea69fcbf8e8ccde361f9372943c7b6e0e92f33")
 
-    @pytest.mark.parametrize("u, w, n_block_rows, n_block_cols, blocks_per_row", [
-        (1, 1, 6, 9, 4),
-        (2, 3, 5, 8, 3),
-        (3, 2, 4, 7, 7),   # every block column taken
-        (4, 4, 1, 3, 1),
+    @pytest.mark.parametrize("u, w, n_block_rows, blocks_per_row", [
+        (1, 1, 6, 4),
+        (3, 2, 4, 7),      # u != w
+        (4, 4, 1, 1),      # one block row
+        (2, 3, 5, 3),      # w > u
     ])
-    def test_direct_vbr_equals_converted_csr(self, u, w, n_block_rows, n_block_cols,
-                                             blocks_per_row):
-        shape = (u, w, n_block_rows, n_block_cols, blocks_per_row)
-        want = to_vbr(*_grid_csr(*shape, np.random.default_rng(3)))
-        got = _grid_vbr(*shape, np.random.default_rng(3))
+    def test_direct_vbr_equals_converted_csr(self, u, w, n_block_rows, blocks_per_row):
+        # min_bytes that gives exactly n_block_rows base block rows
+        min_bytes = 8 * u * w * blocks_per_row * n_block_rows
+        shape = _variant_shape(u, w, blocks_per_row, min_bytes, "base")
+        assert shape[0] == n_block_rows
+        want = _grid_vbr(u, w, *shape, np.random.default_rng(3))
+        got = to_vbr(*synth_block_matrix(u, w, blocks_per_row, min_bytes, seed=3))
         for name in ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_grid_vbr_can_take_every_block_column(self):
+        # as many blocks as block columns: the draws take each column once
+        B = _grid_vbr(3, 2, 4, 7, 7, np.random.default_rng(3))
+        assert B.idx.reshape(4, 7).tolist() == [list(range(7))] * 4
+        assert len(B.val) == 4 * 7 * 3 * 2
 
 
 class TestFitCostModel:

@@ -44,6 +44,11 @@ class TestGadgetParams:
         with pytest.raises(ValueError):
             GadgetParams(0.5)
 
+    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_weight(self, s):
+        with pytest.raises(ValueError, match=r"^index weight must be finite, got "):
+            GadgetParams(s)
+
 
 class TestBuildGadget:
     def test_row_zero_population(self):
