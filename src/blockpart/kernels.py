@@ -6,19 +6,40 @@ the first multiply of a container builds and caches on it (containers
 are immutable): the first multiply pays for the plan and every later one
 reuses it. VBR stores each block row's blocks one after another, column
 by column, so block row k of height u with c stored columns is already a
-dense u x c matrix. The plan groups the non-empty block rows by (u, c
-rounded up to a multiple of ``_PAD``) and holds, per group of G block
-rows, their values copied once into a read-only (G, u, c_pad) array, the
-x index of every stored column as (G, c_pad) and the y rows as (G, u).
-Pad columns hold 0.0 and read a zero slot appended to a copy of x, so
-they add exactly +0.0 whatever x holds. Padding to 4 rather than to the
-exact count trades a little fill for fewer groups, each of which costs
-one Python-level call per multiply. Building the plan loops in Python
-only over the groups. On the 20000-row rowruns benchmark matrix (225,464
-stored values in 10 groups) the plan holds 2.7 MB, one padded copy of
-the values plus int64 x indices and y rows, and builds in about 6 ms,
-the time of some 18 of its 0.34 ms multiplies (min of 20 and 200 runs,
-2 vCPUs).
+dense u x c matrix. The plan groups the non-empty block rows by height u
+and a padded column count c_pad, and holds, per group of G block rows,
+their values copied once into a read-only (G, u, c_pad) array, the x
+index of every column as (G, c_pad) and the y rows as (G, u). Pad
+columns hold 0.0 and read a zero slot appended to a copy of x, so they
+add exactly +0.0 whatever x holds.
+
+Each group costs one Python-level call per multiply and each pad column
+one more x gather and u multiply-adds, so each height's padded counts
+are chosen by the paper's own 1-D problem on a few dozen points:
+``_pad_classes`` splits the height's sorted distinct stored counts into
+contiguous classes, pads every block row of a class to the class's
+largest count c, and minimises the sum over classes of ``_GROUP + c *
+(block rows in the class)``.
+Heights with a single count skip the DP, so a calibration grid, whose
+block rows all store the same number of columns, is one group with no
+pad. On the seed-1234 benchmark containers this replaced padding every
+count to a multiple of 4 as follows (groups, padded / stored values,
+change of the multiply in interleaved medians, 2 vCPUs):
+
+    blocks-2d, VBR                  39, 1.07 -> 12, 1.21    -23 to -33 %
+    scatter-heuristic, both kernels  1, 1.20 ->  1, 1.00     -8 to -16 %
+    calibrate-fit, VBR               1, 1.11 ->  1, 1.00     -4 to -6 %
+    rowruns-1d, 1D-VBR              10, 1.11 -> 10, 1.08    within noise
+
+Writing every group's products into one buffer and adding that to y
+with a single ``y[rows] +=`` moved the multiply by -2.4 to +2.1 % on the
+same containers, which is noise, so each group adds into its own rows.
+Building the plan loops in Python only over the groups and over the
+distinct counts of heights that have several. On the 20000-row rowruns
+benchmark matrix (225,891 stored values in 10 groups) the plan holds
+2.65 MB, one padded copy of the values plus int64 x indices and y rows,
+and builds in about 3-5 ms, the time of some 10 of its 0.34 ms
+multiplies (min of 20 and 200 runs, 2 vCPUs).
 
 A multiply loops in Python only over the groups: one gather of x and one
 batched product per group, added straight into that group's rows of y.
@@ -31,13 +52,49 @@ kernel. Pass a dict as ``counter`` to tally multiply-adds (key
 ``"madds"``); it counts the stored values, ``len(B.val)``, not the pad.
 """
 
+import itertools
+
 import numpy as np
 
 from .sparse import _frozen, _offsets
 
 __all__ = ["spmv_csr", "spmv_vbr", "spmv_1dvbr"]
 
-_PAD = 4  # a plan group's stored column count is a multiple of this
+# What one plan group costs per multiply, in padded block-row columns; the
+# class DP trades groups against pad by it. Timing one group's step (x
+# gather, einsum, y update) for 1-1000 block rows of 4-48 columns on a
+# 2-vCPU Xeon gave 4-10 us per group and 1.3-1.4, 2.4-2.6 and 4.0-5.1 ns
+# per padded column at u = 1, 3 and 6: ratios of 1,900-4,300, lower for
+# taller blocks. Another 2-vCPU measurement gave 5 us and 3.4-4.4 ns at
+# every u, about 1,250. On the seed-1234 benchmark containers values from
+# 600 to 5,000 gave multiplies equal within noise (blocks-2d 23-33 % faster
+# than with a pad to 4 at each); this one keeps rowruns-1d at 10 groups and
+# takes blocks-2d from 39 groups to 12.
+_GROUP = 1250
+
+
+def _pad_classes(counts, sizes):
+    """Padded column count for each of one height's stored column counts.
+
+    ``counts`` are the distinct counts in ascending order and ``sizes``
+    the number of block rows storing each. A class is a contiguous run
+    i..j of counts padded to ``counts[j]`` and costs ``_GROUP +
+    counts[j] * (sizes[i] + ... + sizes[j])``; an O(k^2) DP over the k
+    counts returns a classing of least total cost, the larger class on
+    ties.
+    """
+    prefix = [0, *itertools.accumulate(sizes)]
+    best, start = [0], [0]
+    for j, c in enumerate(counts, start=1):
+        cost, i = min((best[i] + c * (prefix[j] - prefix[i]), i) for i in range(j))
+        best.append(cost + _GROUP)
+        start.append(i)
+    padded, j = list(counts), len(counts)
+    while j:
+        i = start[j]
+        padded[i:j] = [counts[j - 1]] * (j - i)
+        j = i
+    return padded
 
 
 def spmv_csr(A, x):
@@ -57,20 +114,38 @@ def spmv_csr(A, x):
     return y
 
 
+def _starts(*keys):
+    """Indices at which any of the equal-length ``keys`` changes value, 0 first."""
+    change = np.zeros(len(keys[0]), dtype=bool)
+    change[:1] = True
+    for key in keys:
+        change[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(change)
+
+
 def _build_plan(B):
     """Blocked-ELL groups of B as ((values, x columns, y rows), ...).
 
-    Groups go in ascending (u, c_pad), block rows in storage order within
-    a group.
+    Groups go in ascending (u, c_pad), block rows by stored column count and
+    then in storage order within a group.
     """
     heights = np.diff(B.spl_rows)
     widths = np.diff(B.spl_cols)[B.idx]
     first = _offsets(widths)  # stored columns before each block
     stored = np.diff(first[B.pos])  # stored columns of each block row
-    padded = -(-stored // _PAD) * _PAD
     kept = np.flatnonzero(stored)
-    order = kept[np.lexsort((padded[kept], heights[kept]))]
-    u, c = heights[order], padded[order]
+    order = kept[np.lexsort((stored[kept], heights[kept]))]
+    u, c = heights[order], stored[order]
+    runs = _starts(u, c)  # runs of block rows of equal height and stored count
+    first_runs = _starts(u[runs])  # the first run of each height
+    if len(first_runs) < len(runs):  # some height has several counts: pad them by class
+        sizes = np.diff(runs, append=len(order)).tolist()
+        counts = c[runs].tolist()
+        for a, b in zip(first_runs.tolist(), [*first_runs[1:].tolist(), len(runs)]):
+            if b - a > 1:
+                counts[a:b] = _pad_classes(counts[a:b], sizes[a:b])
+        c = np.repeat(counts, sizes)
+        runs = _starts(u, c)  # now runs of equal height and padded count
     at_val, at_col = _offsets(u * c), _offsets(c)
     # block row order[g] fills by_column[at_val[g]:at_val[g + 1]], column by
     # column as in val, and cols[at_col[g]:at_col[g + 1]], pad slots last
@@ -84,7 +159,7 @@ def _build_plan(B):
     cols[column + np.repeat(shift, stored)] = (
         column + np.repeat(B.spl_cols[B.idx] - first[:-1], widths))
     cols = _frozen(cols, np.int64)
-    lo = np.flatnonzero(np.diff(u, prepend=0) | np.diff(c, prepend=0)).tolist()
+    lo = runs.tolist()
     groups = []
     for a, b in zip(lo, [*lo[1:], len(order)]):
         g, gu, gc = b - a, int(u[a]), int(c[a])

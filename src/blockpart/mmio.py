@@ -15,6 +15,10 @@ all), the whole file is read again as text and passed to
 ``parse_matrix_market``. That path converts the entry lines with one
 ``np.loadtxt`` call as well, and only when it fails walks them one by
 one to name the first bad entry as ``file:line``.
+
+A size line declaring m rows allocates the CSR row pointers ``pos``,
+8 * (m + 1) bytes, however few entries follow: 16 GiB for m = 2^31.
+That is the format's cost; the reader sets no bound of its own.
 """
 
 import io

@@ -314,6 +314,26 @@ class TestMeasurement:
         assert plan_missing == [True] * len(samples) + [False] * (2 * len(samples))
         assert all(s.seconds == pytest.approx(1e-3) for s in samples)
 
+    def test_timed_containers_multiply_without_pad(self, monkeypatch):
+        # every block row of a grid stores the same columns, so each timed
+        # plan is one group whose values are exactly the stored ones: the
+        # samples time the values the model prices
+        import blockpart.calibrate as calibrate
+
+        timed = []
+
+        def kernel(y, B, x, counter=None):
+            timed.append(B)
+            return spmv_vbr(y, B, x, counter)
+
+        monkeypatch.setattr(calibrate, "spmv_vbr", kernel)
+        samples = run_calibration(3, 3, blocks_per_row=3, min_bytes=2048, trials=1,
+                                  clock=iter(range(0, 10**12, 10**6)).__next__)
+        assert len({id(B) for B in timed}) == len(samples) == 36
+        for B in timed:
+            (values, _, _), = B._plan
+            assert values.size == len(B.val)
+
     def test_batch_is_timed_once_it_holds_the_byte_limit(self, monkeypatch):
         import blockpart.calibrate as calibrate
 

@@ -6,7 +6,9 @@ The references walk the dense matrix entry by entry, so they share no code
 with the vectorized counters, converters, ``evaluate`` or the DP.
 """
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -267,15 +269,18 @@ class TestMultiplyPlan:
                         array[(0,) * array.ndim] = 1
 
     @PROPERTY
-    @given(blocked_inputs())
-    def test_plan_layout(self, case):
-        # each group: (G, u, c_pad) values, (G, c_pad) x columns, (G, u) y rows;
-        # a block row's stored columns in order, then fewer than _PAD pad slots
-        # that hold 0.0 and read the zero slot x[n]
+    @given(blocked_inputs(), st.sampled_from([0, 3, kernels._GROUP]))
+    def test_plan_layout(self, case, group):
+        # each group: (G, u, c) values, (G, c) x columns, (G, u) y rows; a block
+        # row's stored columns in order, then pad slots up to c that hold 0.0
+        # and read the zero slot x[n]; c is the group's largest stored count,
+        # and one height's groups hold disjoint, ascending ranges of counts.
+        # A small group cost splits heights these small matrices would merge.
         A, rows, cols = case
         dense = np.hstack([A.to_dense(), np.zeros((A.m, 1))])
         for B, part in zip(blocked_pair(A, rows, cols), (cols, trivial_partition(A.n))):
-            spmv_vbr(np.zeros(A.m), B, np.zeros(A.n))
+            with mock.patch.object(kernels, "_GROUP", group):
+                spmv_vbr(np.zeros(A.m), B, np.zeros(A.n))
             blocks = ref_blocks(A, rows, part)
             want_rows, got_rows = [], []
             for k in range(rows.num_parts):
@@ -283,18 +288,24 @@ class TestMultiplyPlan:
                     want_rows.extend(range(rows.spl[k], rows.spl[k + 1]))
             shapes = [values.shape[1:] for values, _, _ in B._plan]
             assert shapes == sorted(set(shapes))
+            ranges = {}  # height -> (fewest, most) stored columns of each group, in plan order
             for values, x_cols, y_rows in B._plan:
                 g, u, c = values.shape
-                assert c % kernels._PAD == 0 and x_cols.shape == (g, c) and y_rows.shape == (g, u)
+                assert x_cols.shape == (g, c) and y_rows.shape == (g, u)
                 assert np.array_equal(values, dense[y_rows[:, :, None], x_cols[:, None, :]])
+                counts = []
                 for r, xc in zip(y_rows, x_cols):
                     k = rows.inverse(int(r[0]))
                     assert r.tolist() == list(range(rows.spl[k], rows.spl[k + 1]))
                     stored = [j for l in range(part.num_parts) if (k, l) in blocks
                               for j in range(part.spl[l], part.spl[l + 1])]
-                    assert c - kernels._PAD < len(stored) <= c
                     assert xc.tolist() == stored + [A.n] * (c - len(stored))
+                    counts.append(len(stored))
+                assert max(counts) == c
+                ranges.setdefault(u, []).append((min(counts), c))
                 got_rows.extend(y_rows.ravel().tolist())
+            for spans in ranges.values():
+                assert all(most < fewest for (_, most), (fewest, _) in zip(spans, spans[1:]))
             # one y row per row of a non-empty block row, none per product
             assert sorted(got_rows) == want_rows
 
@@ -302,12 +313,13 @@ class TestMultiplyPlan:
         (0, 0, [], [0], []),
         (0, 3, [], [0], []),
         (3, 0, [], [0, 1, 3], []),
-        # block rows storing 5, 0, 1 and 4 columns: 5 y rows against 19 products
+        # block rows of heights 2, 1, 1 and 2 storing 5, 0, 1 and 4 columns: the
+        # two of height 2 share one group padded to 5, which costs _GROUP + 5 * 2
+        # against 2 * _GROUP + 4 + 5 for two groups; 5 y rows, 21 products
         (6, 6, [(0, 0, 1.0), (0, 2, 2.0), (0, 4, 3.0), (1, 1, 4.0), (1, 3, 5.0), (3, 5, 6.0),
                 (4, 0, 7.0), (4, 1, 8.0), (5, 2, 9.0), (5, 3, 10.0)], [0, 2, 3, 4, 6],
-         [((1, 1, 4), [[3]], [[5, 6, 6, 6]]),
-          ((1, 2, 4), [[4, 5]], [[0, 1, 2, 3]]),
-          ((1, 2, 8), [[0, 1]], [[0, 1, 2, 3, 4, 6, 6, 6]])]),
+         [((1, 1, 1), [[3]], [[5]]),
+          ((2, 2, 5), [[4, 5], [0, 1]], [[0, 1, 2, 3, 6], [0, 1, 2, 3, 4]])]),
     ])
     def test_plan_groups(self, m, n, entries, spl, shapes):
         A = build_csr(m, n, entries)
@@ -315,6 +327,35 @@ class TestMultiplyPlan:
         x = np.arange(1.0, n + 1.0)
         assert np.array_equal(spmv_vbr(np.zeros(m), B, x), spmv_csr(A, x))
         assert [(v.shape, r.tolist(), c.tolist()) for v, c, r in B._plan] == shapes
+
+    @PROPERTY
+    @given(st.lists(st.integers(1, 3000), min_size=1, max_size=8, unique=True), st.data())
+    def test_pad_classes_are_optimal(self, counts, data):
+        # the DP's classing costs the least of all 2^(k-1) contiguous ones,
+        # and never more than padding each count to a multiple of 4
+        counts.sort()
+        sizes = data.draw(st.lists(st.integers(1, 400), min_size=len(counts),
+                                   max_size=len(counts)))
+
+        def cost(padded):  # a class is the counts padded to one value
+            rows = {}
+            for p, size in zip(padded, sizes):
+                rows[p] = rows.get(p, 0) + size
+            return sum(kernels._GROUP + p * size for p, size in rows.items())
+
+        got = kernels._pad_classes(counts, sizes)
+        assert set(got) <= set(counts) and got == sorted(got)
+        assert all(c <= p for c, p in zip(counts, got))
+        classings = []
+        for cuts in itertools.product((False, True), repeat=len(counts) - 1):
+            padded, start = [], 0
+            for j, cut in enumerate([*cuts, True]):
+                if cut:  # counts[start..j] form a class
+                    padded += [counts[j]] * (j + 1 - start)
+                    start = j + 1
+            classings.append(cost(padded))
+        assert cost(got) == min(classings)
+        assert cost(got) <= cost([-(-c // 4) * 4 for c in counts])
 
     @PROPERTY
     @given(st.data())

@@ -268,3 +268,55 @@ class TestReadPaths:
         if defect is None:
             assert isinstance(got, CsrMatrix)
             assert not calls or count == 0
+
+
+# what a mutation may put in place of a token: header words, numbers up to a
+# declared size whose row pointers (8 * (m + 1) bytes) stay under 1 MB, and
+# tokens no field accepts
+_TOKENS = st.one_of(
+    st.integers(-2, 100_000).map(str),
+    st.floats(width=64).map(repr),
+    st.sampled_from(["%%MatrixMarket", "%", "matrix", "coordinate", "array", "real",
+                     "integer", "pattern", "complex", "general", "symmetric",
+                     "skew-symmetric", "nan", "-inf", "1e400", "0x1", "1_0", "+1", "1.",
+                     "9" * 20, "é", "\r", "\f", "\x00"]))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A file from ``matrix_market_texts`` whose header, size line and
+    entry lines take one to three random edits: a token replaced, dropped
+    or added, or a line dropped or repeated."""
+    lines = draw(matrix_market_texts())[0].split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split(" ")
+        edit = draw(st.sampled_from(["replace", "drop", "add", "drop line", "repeat line"]))
+        if edit == "drop line":
+            del lines[k]
+            continue
+        if edit == "repeat line":
+            lines.insert(k, lines[k])
+            continue
+        at = draw(st.integers(0, len(tokens) - (edit != "add")))
+        if edit == "drop":
+            del tokens[at]
+        else:
+            tokens[at:at + (edit == "replace")] = [draw(_TOKENS)]
+        lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestMutatedFiles:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(mutated_texts())
+    def test_every_outcome_is_a_matrix_or_a_value_error(self, text):
+        # _outcome lets any exception but a ValueError through, failing the
+        # test; both read paths give the same matrix or the same ValueError
+        _outcome(parse_matrix_market, text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.mtx"
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(read_matrix_market, path) == _outcome(_read_as_text, path)
