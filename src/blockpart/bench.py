@@ -241,15 +241,22 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is past the float range")
+    return value
+
+
 def reports_from_jsonl(text):
-    """Parse ``reports_to_jsonl`` output; any other line raises ValueError
-    naming its line number."""
+    """Parse ``reports_to_jsonl`` output; any other line, a number past the
+    float range included, raises ValueError naming its line number."""
     rows = []
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            row = json.loads(line, parse_constant=_reject_constant)
+            row = json.loads(line, parse_constant=_reject_constant, parse_float=_finite_float)
             if not isinstance(row, dict):
                 raise ValueError("a report must be a JSON object")
             if row.pop("critical_point_inf", False):

@@ -63,8 +63,8 @@ class TimingSample:
     variant: str
 
     def __post_init__(self):
-        if self.seconds <= 0:
-            raise ValueError("measured time must be positive")
+        if not 0 < self.seconds < math.inf:
+            raise ValueError(f"measured time must be positive and finite, got {self.seconds!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -316,15 +316,28 @@ def samples_to_csv(samples):
 
 
 def samples_from_csv(text):
+    """Parse ``samples_to_csv`` output: a header naming the six fields in
+    any order, then one row per sample. A missing field, a row of the wrong
+    width or a bad value raises ValueError naming its line."""
     reader = csv.DictReader(io.StringIO(text))
-    return [
-        TimingSample(
-            u=int(row["u"]),
-            w=int(row["w"]),
-            m_rows=int(row["m_rows"]),
-            blocks_per_row=int(row["blocks_per_row"]),
-            seconds=float(row["seconds"]),
-            variant=row["variant"],
-        )
-        for row in reader
-    ]
+    samples = []
+    try:
+        # empty text has no header and no samples
+        missing = [f for f in _SAMPLE_FIELDS if f not in (reader.fieldnames or _SAMPLE_FIELDS)]
+        if missing:
+            raise ValueError(f"the header lacks {', '.join(missing)}")
+        for row in reader:
+            # DictReader files surplus fields under None and fills short rows with None
+            if None in row or None in row.values():
+                raise ValueError(f"expected {len(reader.fieldnames)} fields")
+            samples.append(TimingSample(
+                u=int(row["u"]),
+                w=int(row["w"]),
+                m_rows=int(row["m_rows"]),
+                blocks_per_row=int(row["blocks_per_row"]),
+                seconds=float(row["seconds"]),
+                variant=row["variant"],
+            ))
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"samples CSV line {reader.line_num}: {exc}") from exc
+    return samples

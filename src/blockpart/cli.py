@@ -310,8 +310,10 @@ def main(argv=None):
     p = sub.add_parser("gadget", help="emit a hardness gadget as Matrix Market")
     p.add_argument("--kind", required=True, choices=["b1", "b2", "mini", "count", "reduction"])
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--umax", type=int, default=2)
-    p.add_argument("--wmax", type=int, default=2)
+    p.add_argument("--umax", type=int, default=2, help="count: block height cap")
+    p.add_argument("--wmax", type=int, default=2,
+                   help="count: block width cap; the gadget has about (umax+1)(wmax+1) "
+                        "entries, and building and writing it peaks near 180 bytes each")
     p.add_argument("--graph", default="2;0-1",
                    help="reduction input, e.g. '4;0-1,0-2,0-3,1-2'")
     p.add_argument("--out", required=True)

@@ -226,7 +226,13 @@ def build_count_gadget(kind, u_max, w_max):
     A (2*u_max + 1) x (2*w_max + 1) matrix whose top-left
     (u_max + 1) x (w_max + 1) region is dense except for two opposite
     corners: B1 clears the upper-right and lower-left, B2 the upper-left
-    and lower-right.
+    and lower-right. Its cost grows with u_max * w_max: the region is a
+    dense boolean mask of (u_max + 1)(w_max + 1) bytes, and nearly every
+    cell becomes an entry, which the returned CSR stores in 16 bytes.
+    Building it peaks near 100 bytes per entry, and writing it as Matrix
+    Market near 180 (tracemalloc, 10^6 entries), so u_max = w_max =
+    100,000 asks for about 1 TB. That is the gadget's size; no bound of
+    its own is set.
     """
     if u_max < 2 or w_max < 2:
         raise ValueError("count gadget needs u_max >= 2 and w_max >= 2")

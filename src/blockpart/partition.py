@@ -43,17 +43,33 @@ def optimal_partition(A, col_partition, model, u_max):
     every column part l it touches. The P <= nnz distinct (row, column
     part) pairs come from one sort of the entries' keys; pair (t, l), whose
     previous row holding part l is ``prev``, is the first occurrence of l
-    in exactly the windows starting in (max(prev, t - u), t]. For each
-    height u, ``np.bincount`` counts those bounds per row and width class
-    (the end bound t + 1 is the same for every u, so it is counted once);
-    the counts times each class's price and one prefix sum give every
-    window cost of height u, in int64 or Python ints for an integer model
-    and in float64 otherwise. A scalar backward pass then picks each
-    row's best part, the shortest among equals. Finding the pairs and
-    ``prev`` sorts the stored entries once, so with W <= w_max distinct
+    in the window [s, s + u) exactly when 0 <= t - s < min(u, t - prev).
+    With U = min(u_max, m), one ``np.bincount`` of each pair's (g =
+    min(t - prev, U), t, width class) and a reverse cumulative sum over g
+    give G[d, t], the pairs at row t that count in a window starting d
+    rows up. The pairs of [s, s + u) are those of [s, s + u - 1) plus
+    G[u - 1, s + u - 1], so a cumulative sum over d of the skewed view
+    G[d, s + d] and one product with each height's class prices give every
+    window cost in one (U, m) table: int64 or Python ints for an integer
+    model, float64 otherwise.
+
+    The backward pass best[i] = min over u of cost(i, u) + best[i + u] is
+    linear in the min-plus semiring, so it runs on chunks of L =
+    max(ceil(sqrt(m)), U) rows joined by U x U min-plus products (Maleki,
+    Musuvathi and Mytkowicz, "Parallelizing Dynamic Programming Through
+    Rank Convergence", PPoPP 2014). (A) All chunks at once, in L steps:
+    each chunk's map from the best of the U rows below it to the best of
+    its first U rows. (B) The chunk edges from the bottom up, one product
+    each. (C) All chunks at once, in L steps: each row's best and its first
+    argmin, the shortest part among equals. That is O(sqrt(m) + U) numpy
+    calls. Integer sums are exact: int64 is used only when every path sum,
+    plus twice the "no part" sentinel, fits in it. With W <= w_max distinct
     column widths the bound is
-    O(nnz log nnz + u_max * (m * W + P) + R * u_max * W + n) time and
-    O(u_max * m + m * W + nnz + n) space.
+    O(nnz log nnz + m * U * (U + W) + R * U * W + n) time and
+    O(m * U * W + nnz + n) space. The m * U^2 min-plus terms are numpy's,
+    where a scalar pass takes m * U Python steps, so past U of about 150
+    the scalar pass would be faster (on the 20000-row rowruns matrix, 4.2
+    against 1.5 s at u_max 256).
 
     The per-column-part alpha term is a constant under a fixed column
     partition, so it is ignored here; ``evaluate`` includes it. The
@@ -69,6 +85,8 @@ def optimal_partition(A, col_partition, model, u_max):
     m = A.m
     if col_partition.size != A.n:
         raise ValueError(f"column partition covers {col_partition.size} columns, matrix has {A.n}")
+    if m == 0:
+        return _Optimum([0], 0)
     # the distinct (column part, row) pairs, ordered so that each pair
     # follows the previous row holding its part
     key = np.sort(_pair_keys(col_partition.assignments()[A.idx], A.entry_rows(),
@@ -80,48 +98,89 @@ def optimal_partition(A, col_partition, model, u_max):
     same = l[1:] == l[:-1]
     prev[1:][same] = t[:-1][same]
 
+    U = min(u_max, m)
     widths, width_class = np.unique(col_partition.widths(), return_inverse=True)
     nw = len(widths)
-    heights = range(1, min(u_max, m) + 1)
-    prices = [[model._price(u, w) for w in widths.tolist()] for u in heights]
-    dtype = np.float64
+    alpha = model.alpha_row[:U]
+    prices = [[model._price(u, w) for w in widths.tolist()] for u in range(1, U + 1)]
     if model.exact:
-        bound = max(map(abs, model.alpha_row))
+        # every price and every path sum lies in [-bound, bound]; a sum that
+        # takes the sentinel ``none`` once or twice stays in (bound, 3 * none)
+        bound = m * max(map(abs, alpha))
         bound += max(len(t), 1) * max((abs(p) for row in prices for p in row), default=0)
-        dtype = np.int64 if bound <= _INT64_MAX else object
-    # one bincount cell per (bound row, width class)
-    end_key = (t + 1) * nw + width_class[l]
-    ends = np.bincount(end_key, minlength=(m + 1) * nw).reshape(m + 1, nw)
-    gap = (t - prev) * nw
-    start_key = np.empty_like(end_key)
-    window_cost = []
-    for u in heights:
-        np.subtract(end_key, np.minimum(gap, u * nw, out=start_key), out=start_key)
-        starts = np.bincount(start_key, minlength=(m + 1) * nw).reshape(m + 1, nw)
-        np.subtract(starts, ends, out=starts)
-        diff = starts @ np.array(prices[u - 1], dtype=dtype)
-        np.cumsum(diff, out=diff)
-        diff += model.alpha_row[u - 1]
-        window_cost.append(diff[:m - u + 1].tolist())
+        none, finite = 2 * bound + 1, bound + 1
+        dtype = np.int64 if 3 * none <= _INT64_MAX else object
+    else:
+        none = finite = math.inf
+        dtype = np.float64
 
-    best = [0] * (m + 1)
-    next_split = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        best_i = math.inf
-        end = i
-        for cost in window_cost[:m - i]:
-            end += 1
-            total = cost[i] + best[end]
-            if total < best_i:
-                best_i = total
-                next_split[i] = end
-        if not next_split[i]:
-            raise ValueError(f"no part starting at row {i} has a finite cost")
-        best[i] = best_i
+    # G[d, t, c]: pairs at row t, width class c, whose part was last seen
+    # more than d rows up, by a reverse cumulative sum over g of one
+    # histogram; rows past m are empty, and U spare cells at the end let
+    # the view whose row d starts d cells later read G[d, s + d]
+    g = np.minimum(t - prev, U)
+    span = m + U
+    G = np.bincount(((g - 1) * span + t) * nw + width_class[l], minlength=U * (span + 1) * nw)
+    hist = G[:U * span * nw].reshape(U, span, nw)
+    for d in range(U - 2, -1, -1):
+        hist[d] += hist[d + 1]
+    # counts[u - 1, s, c]: the pairs in class c of the window [s, s + u)
+    counts = G.reshape(U, span + 1, nw)[:, :m].copy()
+    for u in range(1, U):
+        counts[u] += counts[u - 1]
+
+    # chunks of L >= U rows keep the U x U maps of all chunks in O(m * U)
+    L = max(math.isqrt(m - 1) + 1, U)
+    C = -(-m // L)
+    pad = C * L - m
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cost[i, u - 1, c]: the window of height u from row i of chunk c;
+        # the pad rows above row 0 that fill the top chunk cost nothing,
+        # and nothing depends on them
+        cost = np.zeros((U, C * L), dtype=dtype)
+        window = cost[:, pad:]
+        np.matmul(counts, np.array(prices, dtype=dtype)[:, :, None], out=window[:, :, None])
+        window += np.array(alpha, dtype=dtype)[:, None]
+        cost = np.ascontiguousarray(cost.reshape(U, C, L).transpose(2, 0, 1))
+
+        # (A) far[i, c, j]: the cheapest path from row i of chunk c to row j
+        # below its end; the U rows below are reached at no cost
+        below = np.full((U, U), none, dtype=dtype)
+        np.fill_diagonal(below, 0)
+        far = np.empty((L + U, C, U), dtype=dtype)
+        far[L:] = below[:, None]
+        paths = np.empty((U, C, U), dtype=dtype)
+        for i in range(L - 1, -1, -1):
+            np.add(cost[i, :, :, None], far[i + 1:i + U + 1], out=paths)
+            np.min(paths, axis=0, out=far[i])
+
+        # (B) the best of the U rows below each chunk, from the bottom up,
+        # starting from row m (cost 0) and the rows past it (none): a window
+        # that runs past row m ends at one of those, so it is never taken
+        best = np.empty((L + U, C), dtype=dtype)
+        edge = below[0]
+        for c in range(C - 1, -1, -1):
+            best[L:, c] = edge
+            edge = (far[:U, c] + edge).min(axis=1)
+
+        # (C) each row's best and first argmin, all chunks at once
+        step = np.empty((L, C), dtype=np.int64)
+        total = np.empty((U, C), dtype=dtype)
+        chunks = np.arange(C)
+        for i in range(L - 1, -1, -1):
+            np.add(cost[i], best[i + 1:i + U + 1], out=total)
+            step[i] = k = total.argmin(axis=0)
+            best[i] = total[k, chunks]
+
+    best = best[:L].T.reshape(-1)[pad:]
+    stuck = np.flatnonzero(~(best < finite))
+    if len(stuck):
+        raise ValueError(f"no part starting at row {stuck[-1]} has a finite cost")
+    step = step.T.reshape(-1)[pad:].tolist()
     splits = [0]
     while splits[-1] != m:
-        splits.append(next_split[splits[-1]])
-    return _Optimum(splits, best[0])
+        splits.append(splits[-1] + step[splits[-1]] + 1)
+    return _Optimum(splits, best[:1].tolist()[0])  # a Python int or float
 
 
 def brute_force_partition(A, col_partition, model, u_max):

@@ -33,11 +33,12 @@ def random_csr(m, n, density, rng, value_range=(-1.0, 1.0)):
 
 
 @st.composite
-def patterned_csr(draw, max_rows=30, max_cols=10):
-    """A CSR matrix of up to ``max_rows`` rows whose rows are often empty
-    or copies of the row above, so that runs of equal patterns form. Each
-    stored value is distinct and nonzero."""
-    m = draw(st.integers(0, max_rows))
+def patterned_csr(draw, max_rows=30, max_cols=10, m=None):
+    """A CSR matrix of ``m`` rows, or up to ``max_rows``, whose rows are
+    often empty or copies of the row above, so that runs of equal patterns
+    form. Each stored value is distinct and nonzero."""
+    if m is None:
+        m = draw(st.integers(0, max_rows))
     n = draw(st.integers(1, max_cols))
     rows = []
     for _ in range(m):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import blockpart.partition as partition
 import blockpart.sparse as sparse
 from blockpart import (
+    CostModel,
     Partition,
     alternating_partition,
     brute_force_partition,
@@ -96,6 +98,64 @@ class TestOptimalPartition:
         A = build_csr(5, 5, [])
         got = optimal_partition(A, trivial_partition(5), model_block_count(3, 1), 3)
         assert got.is_trivial()
+
+    def test_path_sums_past_int64_stay_exact(self):
+        # every window costs under 2**62 and fits int64, but the best path
+        # sums to 2**63 + 44: the pass must take exact integers, not wrap
+        A = identity(7)
+        model = CostModel(alpha_row=(2**61, 2**61 + 3), alpha_col=(0,),
+                          beta_row=((1, 1),), beta_col=((5,),))
+        got = optimal_partition(A, trivial_partition(7), model, 2)
+        assert got.spl.tolist() == [0, 1, 3, 5, 7]  # equal totals: the shorter part first
+        assert type(got.cost) is int and got.cost == 2**63 + 44
+        assert (got.spl.tolist(), got.cost) == _scalar_dp(A, trivial_partition(7), model, 2)
+
+    @PROPERTY
+    @given(st.data())
+    def test_matches_scalar_pass(self, data):
+        """Same splits and the same exact cost as the scalar pass on integer
+        models, int64 and Python-int alike; an optimum within 1e-12 of its
+        cost on float models. Row counts sit on and around the chunk
+        edges: below u_max = sqrt(m) a chunk holds L = ceil(sqrt(m)) rows,
+        so m = k*k fills k chunks, m = k*k - 1 pads the top one by a row
+        and m = k*k + 1 by k - 1 rows; u_max = 1 and u_max >= m are drawn
+        too."""
+        m = data.draw(st.sampled_from([0, 1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 30]))
+        A = data.draw(patterned_csr(max_cols=8, m=m))
+        cuts = data.draw(st.sets(st.integers(1, A.n - 1))) if A.n > 1 else set()
+        cols = Partition([0, *sorted(cuts), A.n])
+        w_max = int(cols.widths().max())
+        u_max = data.draw(st.sampled_from([1, 2, 3, 7, max(m, 1), m + 2]))
+        kind = data.draw(st.sampled_from(["int", "int", "float"]))
+        if kind == "int":
+            # entries up to 2**20 keep every sum in int64; up to 2**31 they
+            # often, and up to 2**40 always, take Python ints
+            top = 2 ** data.draw(st.sampled_from([5, 20, 31, 40]))
+            entry = st.integers(-top, top)
+        else:
+            entry = st.floats(-10.0, 10.0, allow_nan=False)
+        rank = data.draw(st.integers(1, 2))
+
+        def table(size):
+            return tuple(data.draw(st.lists(entry, min_size=size, max_size=size)))
+
+        model = CostModel(alpha_row=table(u_max), alpha_col=table(w_max),
+                          beta_row=tuple(table(u_max) for _ in range(rank)),
+                          beta_col=tuple(table(w_max) for _ in range(rank)))
+        got = optimal_partition(A, cols, model, u_max)
+        splits, cost = _scalar_dp(A, cols, model, u_max)
+        if model.exact:
+            assert got.spl.tolist() == splits
+            assert type(got.cost) is type(cost) and got.cost == cost
+        else:
+            want = evaluate(model, A, Partition(splits), cols)
+            scale = evaluate(CostModel(alpha_row=tuple(map(abs, model.alpha_row)),
+                                       alpha_col=tuple(map(abs, model.alpha_col)),
+                                       beta_row=tuple(tuple(map(abs, t)) for t in model.beta_row),
+                                       beta_col=tuple(tuple(map(abs, t)) for t in model.beta_col)),
+                             A, Partition(splits), cols)
+            assert abs(evaluate(model, A, got, cols) - want) <= 1e-12 * max(scale, 1)
+            assert abs(got.cost - cost) <= 1e-12 * max(scale, 1)
 
 
 class TestBruteForce:
@@ -397,3 +457,54 @@ def _overlap_walk(A, rho, u_max):
                 stamp[idx[p]] = i
     splits.append(A.m)
     return Partition(splits)
+
+
+def _scalar_dp(A, col_partition, model, u_max):
+    """Reference optimal partition, returned as (splits, cost): the window
+    costs of each height from one ``np.bincount`` of the window bounds,
+    then a backward pass over the rows in Python numbers that keeps, per
+    row, the shortest part of least total."""
+    m = A.m
+    key = np.sort(sparse._pair_keys(col_partition.assignments()[A.idx], A.entry_rows(),
+                                    col_partition.num_parts, m))
+    fresh = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    l, t = np.divmod(key[fresh], max(m, 1))
+    prev = np.full(len(t), -1, dtype=np.int64)
+    same = l[1:] == l[:-1]
+    prev[1:][same] = t[:-1][same]
+    widths, width_class = np.unique(col_partition.widths(), return_inverse=True)
+    nw = len(widths)
+    heights = range(1, min(u_max, m) + 1)
+    prices = [[model._price(u, w) for w in widths.tolist()] for u in heights]
+    dtype = np.float64
+    if model.exact:
+        # a window's cost, but no sum of several, is bounded here: the
+        # pass below adds Python numbers
+        bound = max(map(abs, model.alpha_row))
+        bound += max(len(t), 1) * max((abs(p) for row in prices for p in row), default=0)
+        dtype = np.int64 if bound <= sparse._INT64_MAX else object
+    # pair (t, l) is new to the windows starting in (max(prev, t - u), t]
+    end_key = (t + 1) * nw + width_class[l]
+    ends = np.bincount(end_key, minlength=(m + 1) * nw).reshape(m + 1, nw)
+    window_cost = []
+    for u in heights:
+        start_key = end_key - np.minimum(t - prev, u) * nw
+        starts = np.bincount(start_key, minlength=(m + 1) * nw).reshape(m + 1, nw) - ends
+        diff = np.cumsum(starts @ np.array(prices[u - 1], dtype=dtype))
+        window_cost.append((diff[:m - u + 1] + model.alpha_row[u - 1]).tolist())
+    best = [0] * (m + 1)
+    next_split = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        best_i = math.inf
+        for u, cost in enumerate(window_cost[:m - i], 1):
+            total = cost[i] + best[i + u]
+            if total < best_i:
+                best_i, next_split[i] = total, i + u
+        if not next_split[i]:
+            raise ValueError(f"no part starting at row {i} has a finite cost")
+        best[i] = best_i
+    splits = [0]
+    while splits[-1] != m:
+        splits.append(next_split[splits[-1]])
+    return splits, best[0]
