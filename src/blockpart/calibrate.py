@@ -102,28 +102,33 @@ def _grid_vbr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
     """A random block grid built directly as a VbrMatrix.
 
     Every block row holds ``blocks_per_row`` dense u x w blocks at distinct
-    block columns, ascending. The values are drawn after the columns, block
-    by block in draw order and row-major within a block, and then reordered
-    with them. The offsets are arithmetic and the values are the blocks
-    transposed to column-major: no CSR and no sort of the entries.
+    block columns, ascending. The block columns of all block rows come
+    from one broadcast draw, and the values are drawn after them, block by
+    block in draw order and row-major within a block. One gather of whole
+    blocks from the values' transposed view then puts them in column order
+    and column-major: the offsets are arithmetic, with no CSR and no sort
+    of the entries.
     """
     if blocks_per_row > n_block_cols:
         raise ValueError(
             f"cannot place {blocks_per_row} distinct blocks in {n_block_cols} block columns"
         )
+    k, b = n_block_rows, blocks_per_row
     # Floyd's sampling, all block rows at once: the i-th draw picks from
-    # [0, top] and takes top itself when the draw is already taken
-    picks = np.empty((n_block_rows, blocks_per_row), dtype=np.int64)
-    for i, top in enumerate(range(n_block_cols - blocks_per_row, n_block_cols)):
-        draw = rng.integers(0, top + 1, size=n_block_rows)
-        picks[:, i] = np.where((picks[:, :i] == draw[:, None]).any(axis=1), top, draw)
-    vals = rng.uniform(0.1, 1.0, picks.size * u * w).reshape(picks.shape + (u, w))
+    # [0, top] and takes top itself when the draw is already taken. Row i
+    # of the broadcast draw is the stream of one size-k draw from [0, top].
+    tops = np.arange(n_block_cols - b, n_block_cols)
+    picks = rng.integers(0, tops[:, None] + 1, size=(b, k))
+    for i, top in enumerate(tops.tolist()):
+        picks[i, (picks[:i] == picks[i]).any(axis=0)] = top
+    picks = picks.T
+    vals = rng.uniform(0.1, 1.0, picks.size * u * w).reshape(k * b, u, w)
     order = np.argsort(picks, axis=1)
-    vals = np.take_along_axis(vals, order[:, :, None, None], axis=1)
-    pos = np.arange(n_block_rows + 1) * blocks_per_row
-    return VbrMatrix(np.arange(n_block_rows + 1) * u, np.arange(n_block_cols + 1) * w,
+    blocks = (order + np.arange(0, k * b, b)[:, None]).ravel()
+    pos = np.arange(k + 1) * b
+    return VbrMatrix(np.arange(k + 1) * u, np.arange(n_block_cols + 1) * w,
                      pos, np.take_along_axis(picks, order, axis=1).ravel(), pos * (u * w),
-                     vals.transpose(0, 1, 3, 2).ravel())
+                     np.take(vals.transpose(0, 2, 1), blocks, axis=0).ravel())
 
 
 def _grid_shape(u, w, k0, b0, variant):

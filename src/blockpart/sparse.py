@@ -177,8 +177,10 @@ def build_csr(m, n, entries):
     ``entries`` is a 1-D record array of ``ENTRY_DTYPE``, used as is, or
     any iterable of triples (tuples, lists, a generator), converted in
     one ``np.fromiter`` call. Entries are sorted row-major; duplicate
-    coordinates are summed in input order. Out-of-range coordinates are
-    rejected, naming the offending entry.
+    coordinates are summed in input order. Entries already in that order
+    without duplicates, as ``write_matrix_market`` writes them, skip the
+    sort: one pass over their keys finds them. Out-of-range coordinates
+    are rejected, naming the offending entry.
     """
     if not (isinstance(entries, np.ndarray) and entries.dtype == ENTRY_DTYPE):
         entries = np.fromiter(map(tuple, entries), ENTRY_DTYPE)
@@ -191,6 +193,13 @@ def build_csr(m, n, entries):
         raise ValueError(
             f"entry {b} at (row, col)=({rows[b]}, {cols[b]}) is outside a {m}x{n} matrix"
         )
+    keys = _pair_keys(rows, cols, m, n)
+    if (keys[1:] > keys[:-1]).all():
+        # in CSR order already: adding 0.0 reads -0.0 as +0.0 and quiets a
+        # signalling NaN, as the sum below does, and as silently
+        with np.errstate(invalid="ignore"):
+            val = entries["val"] + 0.0
+        return CsrMatrix(m, n, _offsets(np.bincount(rows, minlength=m)), cols, val)
     urows, ucols, inverse = _unique_pairs(rows, cols, m, n)
     summed = np.bincount(inverse, weights=entries["val"], minlength=len(urows))
     return CsrMatrix(m, n, _offsets(np.bincount(urows, minlength=m)), ucols, summed)

@@ -1,13 +1,21 @@
+import contextlib
+import csv
+import io
 import json
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from blockpart import build_csr, run_sweep, performance_profile, spmv_vbr, write_matrix_market
-from blockpart.bench import BenchReport, profile_to_csv, reports_from_jsonl, reports_to_jsonl
-from blockpart.cli import main as cli_main
+from blockpart import (build_csr, cost_model_from_csv, performance_profile, read_matrix_market,
+                       run_sweep, spmv_vbr, write_matrix_market)
+from blockpart.bench import (BenchReport, _reject_constant, profile_to_csv, reports_from_jsonl,
+                             reports_to_jsonl)
+from blockpart.calibrate import samples_from_csv
+from blockpart.cli import _summary_csv, main as cli_main
 
 from conftest import random_csr
 
@@ -782,3 +790,147 @@ class TestCli:
         with pytest.raises(SystemExit, match=rf"^blockpart calibrate: {message}"):
             cli_main(["calibrate", "--umax", "2", "--wmax", "3", *flags, "--out", str(out)])
         assert not out.exists()
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The files the CLI fuzz reads: a 4x5 matrix, an empty one, a cost
+    model, a sweep's reports and a file that is none of these."""
+    root = tmp_path_factory.mktemp("fuzz")
+    matrix, empty = str(root / "a.mtx"), str(root / "empty.mtx")
+    write_matrix_market(matrix, random_csr(4, 5, 0.5, np.random.default_rng(18)))
+    write_matrix_market(empty, build_csr(3, 4, []))
+    model = root / "model.csv"
+    model.write_text("alpha_row,1,2\nalpha_col,1,2\nbeta_row r=1,1,2\nbeta_col r=1,1,1\n")
+    reports = str(root / "reports.jsonl")
+    cli_main(["sweep", "--matrix", matrix, "--matrix", empty, "--methods", "strict,optimal",
+              "--trials", "1", "--out", reports])
+    junk = root / "junk.txt"
+    junk.write_text("not, a {file\n")
+    return {"matrix": [matrix, empty, str(junk), str(root / "missing.mtx")],
+            "model": [f"file:{model}", f"file:{junk}", "blocks", "mem1d", "memvbr", "dense"],
+            "reports": [reports, str(junk)]}
+
+
+def _read_back(path):
+    """Read a file the CLI wrote through the reader of its kind."""
+    name = path.name
+    if name == "blocked.bin":  # the blocked formats have no reader: whole 64-bit words
+        assert path.stat().st_size % 8 == 0
+        return
+    text = path.read_bytes().decode("utf-8" if name == "summary.csv" else "ascii")
+    if name == "partition.json":
+        assert set(_strict_json(text)) <= {"spl_rows", "spl_cols"}
+    elif name == "reports.jsonl":
+        for line in text.splitlines():
+            _strict_json(line)
+        reports_from_jsonl(text)
+    elif name == "summary.csv":
+        header, *rows = csv.reader(text.splitlines())
+        assert header == _summary_csv([]).strip().split(",")
+        assert all(len(row) == len(header) for row in rows)
+    elif name == "profile.csv":
+        header, *rows = csv.reader(text.splitlines())
+        assert header == ["tau", "method", "fraction"]
+        assert all(len(row) == 3 and 0.0 <= float(row[2]) <= 1.0 for row in rows)
+    elif name == "gadget.mtx":
+        read_matrix_market(path)
+    elif name == "model.csv":
+        cost_model_from_csv(text)
+    else:
+        assert name == "samples.csv"
+        samples_from_csv(text)
+
+
+class TestCliFuzz:
+    """Random flag combinations over every command: each ends in success
+    or in one ``blockpart <command>:`` message, and every file or JSON
+    line it writes reads back. Counts stay at 16 or below, and calibrate
+    at u, w <= 2 and 4096 bytes, so no run is large."""
+
+    @staticmethod
+    def _argv(draw, command, inputs, out):
+        def maybe(flag, strategy):  # the flag one time in four
+            return [flag, str(draw(strategy))] if draw(st.integers(0, 3)) == 0 else []
+
+        counts = st.integers(1, 16) | st.sampled_from([0, -1])
+        # the two matrices more often than the junk file and the missing path
+        matrix = st.sampled_from(inputs["matrix"][:2]) | st.sampled_from(inputs["matrix"])
+        if command in ("partition", "convert", "spmv-bench"):
+            argv = ["--matrix", draw(matrix)]
+            argv += maybe("--method", st.sampled_from(["strict", "overlap", "optimal"]))
+            argv += maybe("--rho", st.sampled_from([0.5, 0.9, 1.0, 0.0, 1.5, math.nan]))
+            argv += maybe("--model", st.sampled_from(inputs["model"]))
+            argv += maybe("--umax", counts) + maybe("--wmax", counts)
+            if command == "spmv-bench":
+                argv += maybe("--format", st.sampled_from(["csr", "vbr", "1dvbr"]))
+                argv += maybe("--trials", counts) + maybe("--warmup", st.integers(0, 2))
+            else:
+                argv += maybe("--alternate", counts)
+            if command == "convert":
+                argv += ["--format", draw(st.sampled_from(["vbr", "1dvbr"])),
+                         "--out", str(out / "blocked.bin")]
+            elif command == "partition":
+                argv += maybe("--out", st.just(out / "partition.json"))
+        elif command == "sweep":
+            argv = [arg for path in draw(st.lists(matrix, min_size=1, max_size=2))
+                    for arg in ("--matrix", path)]
+            methods = ["strict", "overlap:0.9", "overlap:2", "overlap:nan", "optimal",
+                       "optimal:blocks", "optimal:mem1d", f"optimal:{inputs['model'][0]}", "fast"]
+            argv += maybe("--methods", st.lists(st.sampled_from(methods), min_size=1,
+                                                max_size=3).map(",".join))
+            argv += maybe("--formats", st.lists(st.sampled_from(["1dvbr", "vbr", "1dvbr", "csr"]),
+                                                min_size=1, max_size=2).map(",".join))
+            argv += maybe("--umax", counts) + maybe("--wmax", counts)
+            argv += ["--trials", str(draw(st.integers(1, 3) | st.just(0)))]
+            argv += maybe("--out", st.just(out / "reports.jsonl"))
+            argv += maybe("--csv", st.just(out / "summary.csv"))
+        elif command == "profile":
+            argv = [arg for path in draw(st.lists(st.sampled_from(inputs["reports"]),
+                                                  min_size=1, max_size=2))
+                    for arg in ("--reports", path)]
+            argv += ["--metric", draw(st.sampled_from(["memory", "time", "critical"]))]
+            argv += maybe("--out", st.just(out / "profile.csv"))
+        elif command == "gadget":
+            argv = ["--kind", draw(st.sampled_from(["b1", "b2", "mini", "count", "reduction"])),
+                    "--out", str(out / "gadget.mtx")]
+            argv += maybe("--s", st.sampled_from([1.0, 0.5, 0.0, -1.0, math.inf]))
+            argv += maybe("--umax", counts) + maybe("--wmax", counts)
+            argv += maybe("--graph", st.sampled_from(["2;0-1", "4;0-1,0-2,0-3,1-2", "3;0-3",
+                                                      "3;", "x;0-1", "2;0-0"]))
+        else:
+            argv = ["--out", str(out / "model.csv")]
+            small = st.sampled_from([1, 2, 1, 2, 0])
+            argv += ["--umax", str(draw(small)), "--wmax", str(draw(small)),
+                     "--rank", str(draw(small))]
+            argv += ["--min-bytes", str(draw(st.sampled_from([-8, 0, 8, 512, 4096])))]
+            argv += maybe("--blocks-per-row", st.integers(0, 4))
+            argv += ["--trials", str(draw(small))]
+            argv += maybe("--samples-out", st.just(out / "samples.csv"))
+        return [command, *argv]
+
+    @pytest.mark.parametrize("command", ["partition", "convert", "spmv-bench", "sweep",
+                                         "profile", "gadget", "calibrate"])
+    @settings(derandomize=True, deadline=None, max_examples=14)  # 98 runs in all
+    @given(data=st.data())
+    def test_every_outcome_is_success_or_a_named_error(self, fuzz_inputs, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp)
+            argv = self._argv(data.draw, command, fuzz_inputs, out)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                try:
+                    assert cli_main(argv) == 0
+                    event(f"{command}: success")
+                except SystemExit as exc:
+                    assert str(exc.code).startswith(f"blockpart {command}: "), exc.code
+                    event(f"{command}: error")
+            for line in stdout.getvalue().splitlines():
+                if line.startswith(("{", "[")):
+                    _strict_json(line)
+            for path in out.iterdir():
+                _read_back(path)

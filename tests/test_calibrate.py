@@ -334,6 +334,30 @@ class TestMeasurement:
             (values, _, _), = B._plan
             assert values.size == len(B.val)
 
+    def test_every_timed_container_is_pinned(self, monkeypatch):
+        # sha256 of the arrays of all 36 containers a calibration times, in
+        # the order it builds them: four variants, two blocks-per-row values.
+        # It was recorded with one draw call per Floyd column, so it also pins
+        # that the broadcast draw gives the same stream.
+        import blockpart.calibrate as calibrate
+
+        timed = {}
+
+        def kernel(y, B, x, counter=None):
+            timed.setdefault(id(B), B)
+            return spmv_vbr(y, B, x, counter)
+
+        monkeypatch.setattr(calibrate, "spmv_vbr", kernel)
+        run_calibration(3, 3, blocks_per_row=3, min_bytes=2048, trials=1, seed=11,
+                        clock=iter(range(0, 10**12, 10**6)).__next__)
+        digest = hashlib.sha256()
+        for B in timed.values():
+            for name in ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val"):
+                digest.update(getattr(B, name).astype("<i8" if name != "val" else "<f8").tobytes())
+        assert (len(timed), sum(len(B.val) for B in timed.values())) == (36, 14220)
+        assert digest.hexdigest() == (
+            "66619ab63d4967c5a97e3197c7af2522d680421c4578d4f1c25540e8282a280b")
+
     def test_batch_is_timed_once_it_holds_the_byte_limit(self, monkeypatch):
         import blockpart.calibrate as calibrate
 

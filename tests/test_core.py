@@ -42,6 +42,8 @@ from blockpart import (
     vbr_get,
     vbr_memory_bits,
 )
+from blockpart.calibrate import VARIANTS, _grid_shape, _grid_vbr
+from blockpart.sparse import _frozen, _offsets
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 VALUES = [0.0, 1.0, -2.5, 0.125, 7.0]
@@ -66,6 +68,31 @@ def blocked_inputs(draw, min_dim=0, max_dim=7):
     values = draw(st.lists(st.sampled_from(VALUES), min_size=len(cells), max_size=len(cells)))
     A = build_csr(m, n, [(i, j, v) for (i, j), v in zip(sorted(cells), values)])
     return A, draw(partitions(m)), draw(partitions(n))
+
+
+@st.composite
+def near_uniform_vbr(draw):
+    """A VBR container whose block rows mostly share one height and one
+    stored block count, with some of another height, another count or
+    no block; the column parts are often all of one width."""
+    n_parts = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        widths = [draw(st.integers(1, 3))] * n_parts
+    else:
+        widths = draw(st.lists(st.integers(1, 3), min_size=n_parts, max_size=n_parts))
+    u, b = draw(st.integers(1, 3)), draw(st.integers(1, n_parts))
+    heights, blocks = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["same", "same", "same", "height", "count", "empty"]))
+        heights.append(draw(st.integers(1, 3)) if kind == "height" else u)
+        count = {"count": draw(st.integers(0, n_parts)), "empty": 0}.get(kind, b)
+        blocks.append(sorted(draw(st.sets(st.integers(0, n_parts - 1),
+                                          min_size=count, max_size=count))))
+    values = [h * sum(widths[l] for l in row) for h, row in zip(heights, blocks)]
+    ofs = _offsets(values)
+    return VbrMatrix(_offsets(heights), _offsets(widths), _offsets([len(r) for r in blocks]),
+                     [l for row in blocks for l in row], ofs,
+                     np.arange(1.0, ofs[-1] + 1.0))
 
 
 @st.composite
@@ -308,6 +335,32 @@ class TestMultiplyPlan:
                 assert all(most < fewest for (_, most), (fewest, _) in zip(spans, spans[1:]))
             # one y row per row of a non-empty block row, none per product
             assert sorted(got_rows) == want_rows
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_plan_matches_the_scattering_build(self, data):
+        # the plan lays a container's block rows out in place when they are
+        # already where it puts them, and scatters them otherwise; both must
+        # give the groups of the build that always scatters, bit for bit
+        kind = data.draw(st.sampled_from(["drawn", "grid", "near-uniform"]))
+        if kind == "drawn":
+            A, rows, cols = data.draw(blocked_inputs())
+            containers = blocked_pair(A, rows, cols)
+        elif kind == "grid":
+            u, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+            shape = _grid_shape(u, w, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)),
+                                data.draw(st.sampled_from(VARIANTS)))
+            containers = [_grid_vbr(u, w, *shape, np.random.default_rng(
+                data.draw(st.integers(0, 2**32 - 1))))]
+        else:
+            containers = [data.draw(near_uniform_vbr())]
+        for B in containers:
+            got, want = kernels._build_plan(B), _scattering_plan(B)
+            assert len(got) == len(want)
+            for got_group, want_group in zip(got, want):
+                for a, b in zip(got_group, want_group):
+                    assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
+                    assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("m, n, entries, spl, shapes", [
         (0, 0, [], [0], []),
@@ -552,3 +605,46 @@ class TestPairKeyOverflow:
         A = build_csr(1, 2**62, [(0, 7, 1.0)])
         assert A.pos.tolist() == [0, 1]
         assert A.idx.tolist() == [7]
+
+
+def _scattering_plan(B):
+    """Reference multiply plan of ``B``: ``kernels._build_plan`` as it was
+    before it laid block rows out in place, scattering every block row's
+    values and x columns into their group slots whether they move or not."""
+    heights = np.diff(B.spl_rows)
+    widths = np.diff(B.spl_cols)[B.idx]
+    first = _offsets(widths)
+    stored = np.diff(first[B.pos])
+    kept = np.flatnonzero(stored)
+    order = kept[np.lexsort((stored[kept], heights[kept]))]
+    u, c = heights[order], stored[order]
+    runs = kernels._starts(u, c)
+    first_runs = kernels._starts(u[runs])
+    if len(first_runs) < len(runs):
+        sizes = np.diff(runs, append=len(order)).tolist()
+        counts = c[runs].tolist()
+        for a, b in zip(first_runs.tolist(), [*first_runs[1:].tolist(), len(runs)]):
+            if b - a > 1:
+                counts[a:b] = kernels._pad_classes(counts[a:b], sizes[a:b])
+        c = np.repeat(counts, sizes)
+        runs = kernels._starts(u, c)
+    at_val, at_col = _offsets(u * c), _offsets(c)
+    shift = np.zeros(len(heights), dtype=np.int64)
+    shift[order] = at_val[:-1] - B.ofs[order]
+    by_column = np.zeros(int(at_val[-1]))
+    by_column[np.arange(len(B.val)) + np.repeat(shift, np.diff(B.ofs))] = B.val
+    shift[order] = at_col[:-1] - first[B.pos[order]]
+    column = np.arange(first[-1])
+    cols = np.full(int(at_col[-1]), B.n, dtype=np.int64)
+    cols[column + np.repeat(shift, stored)] = (
+        column + np.repeat(B.spl_cols[B.idx] - first[:-1], widths))
+    cols = _frozen(cols, np.int64)
+    lo = runs.tolist()
+    groups = []
+    for a, b in zip(lo, [*lo[1:], len(order)]):
+        g, gu, gc = b - a, int(u[a]), int(c[a])
+        values = by_column[at_val[a]:at_val[b]].reshape(g, gc, gu).transpose(0, 2, 1).copy()
+        groups.append((_frozen(values, np.float64),
+                       cols[at_col[a]:at_col[b]].reshape(g, gc),
+                       _frozen(B.spl_rows[order[a:b], None] + np.arange(gu), np.int64)))
+    return tuple(groups)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import blockpart.sparse as sparse
 from blockpart import (
@@ -46,6 +46,42 @@ class TestBuildCsr:
     def test_explicit_zero_counts(self):
         A = build_csr(1, 2, [(0, 0, 0.0), (0, 1, 1.0)])
         assert A.nnz == 2
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_sorted_input_matches_the_sorting_path(self, data):
+        # entries in CSR order skip the sort; whatever the order, the
+        # arrays must be byte for byte those of the sorting path, which
+        # reads -0.0 as +0.0 and keeps the bits of a NaN
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        cells = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                                   min_size=1, max_size=20))
+        order = data.draw(st.sampled_from(["sorted", "sorted", "duplicated", "shuffled"]))
+        if order == "sorted":
+            cells = sorted(set(cells))
+        elif order == "duplicated":
+            cells = sorted(cells)
+        values = data.draw(st.lists(st.sampled_from(ODD_VALUES) | st.floats(-10.0, 10.0),
+                                    min_size=len(cells), max_size=len(cells)))
+        entries = np.array([(i, j, v) for (i, j), v in zip(cells, values)],
+                           dtype=sparse.ENTRY_DTYPE)
+        A = build_csr(m, n, entries)
+        for got, want in zip((A.pos, A.idx, A.val), _sorting_build(m, n, entries)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# +-0.0, infinities and NaNs of either sign, quiet and signalling, with payloads
+ODD_VALUES = [0.0, -0.0, np.inf, -np.inf, *np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001],
+    dtype=np.uint64).view(np.float64).tolist()]
+
+
+def _sorting_build(m, n, entries):
+    """(pos, idx, val) as ``build_csr`` makes them from unsorted entries:
+    one sort of the distinct pair keys, duplicates summed by ``np.bincount``."""
+    urows, ucols, inverse = sparse._unique_pairs(entries["row"], entries["col"], m, n)
+    summed = np.bincount(inverse, weights=entries["val"], minlength=len(urows))
+    return sparse._offsets(np.bincount(urows, minlength=m)), ucols, summed
 
 
 class TestInvariantValidation:
