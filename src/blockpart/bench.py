@@ -132,6 +132,12 @@ def _partition_for(spec, A, fmt, u_max, w_max, rounds=3):
     return rows, cols
 
 
+def _check_formats(formats):
+    for fmt in formats:
+        if fmt not in _FORMATS:
+            raise ValueError(f"unknown format {fmt!r}: the sweep's formats are 1dvbr and vbr")
+
+
 def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_max=8,
               trials=3, warmup=1, clock=None, seed=None, time_budget=None):
     """Benchmark every (partitioner, format) combination on one matrix.
@@ -145,9 +151,7 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
     container's serialization, the file ``blockpart convert`` writes.
     Format names other than 1dvbr and vbr raise before anything is timed.
     """
-    for fmt in formats:
-        if fmt not in _FORMATS:
-            raise ValueError(f"unknown format {fmt!r}: the sweep's formats are 1dvbr and vbr")
+    _check_formats(formats)
     clock = clock or default_clock
     rng = np.random.default_rng(resolve_seed(seed))
     x = rng.standard_normal(A.n)

@@ -63,6 +63,9 @@ class TimingSample:
     variant: str
 
     def __post_init__(self):
+        for field in ("u", "w", "m_rows", "blocks_per_row"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
         if not 0 < self.seconds < math.inf:
             raise ValueError(f"measured time must be positive and finite, got {self.seconds!r}")
         if self.variant not in VARIANTS:

@@ -20,22 +20,43 @@ from .costs import cost_model_from_csv, cost_model_to_csv
 from .formats import to_vbr
 
 
-def _load_model_spec(spec, flag="--model"):
-    if spec.startswith("file:"):
-        with open(spec[5:], "r", encoding="ascii") as fh:
-            return cost_model_from_csv(fh.read())
-    if spec in ("blocks", "mem1d", "memvbr"):
-        return spec
-    raise ValueError(f"{flag} {spec!r} is not blocks, mem1d, memvbr or file:PATH")
+def _parse_spec(text, flag):
+    """The sweep spec ``text`` names in the grammar strict | overlap[:RHO] |
+    optimal[:MODEL], MODEL being blocks, mem1d, memvbr or file:PATH. Bare
+    overlap means overlap:0.9, and bare optimal the storage model of each
+    format. Errors start with ``flag`` and the quoted text."""
+    label = f"{flag} {text!r}"
+    method, sep, arg = text.partition(":")
+    if method == "strict" and not sep:
+        return {"method": "strict"}
+    if method == "overlap":
+        try:
+            rho = float(arg) if sep else 0.9
+        except ValueError:
+            rho = math.nan
+        if not 0 < rho <= 1:  # NaN fails too
+            raise ValueError(f"{label}: RHO must be a number in (0, 1]")
+        return {"method": "overlap", "rho": rho}
+    if method == "optimal":
+        if not sep:
+            return {"method": "optimal"}
+        if arg in ("blocks", "mem1d", "memvbr"):
+            return {"method": "optimal", "model": arg}
+        if not arg.startswith("file:"):
+            raise ValueError(f"{label}: MODEL {arg!r} is not blocks, mem1d, memvbr or file:PATH")
+        try:
+            with open(arg[5:], "r", encoding="ascii") as fh:
+                return {"method": "optimal", "model": cost_model_from_csv(fh.read())}
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{label}: {exc}") from exc
+    raise ValueError(f"{label} is not strict, overlap[:RHO] or optimal[:MODEL]")
 
 
 def _partition_args(sub, with_alternate=True):
     sub.add_argument("--matrix", required=True, help="Matrix Market file")
-    sub.add_argument("--method", choices=["strict", "overlap", "optimal"],
-                     help="partitioner (default optimal)")
-    sub.add_argument("--rho", type=float, help="overlap similarity threshold (overlap only; default 0.9)")
-    sub.add_argument("--model", help="blocks | mem1d | memvbr | file:PATH (optimal method only; "
-                                     "default: the storage model of the format)")
+    sub.add_argument("--method", help="partitioner: strict | overlap[:RHO] | optimal[:MODEL], "
+                                      "MODEL blocks | mem1d | memvbr | file:PATH (default "
+                                      "optimal, the storage model of the format; RHO 0.9)")
     sub.add_argument("--umax", type=int, help="tallest row part (default 8)")
     sub.add_argument("--wmax", type=int, help="widest column part (2-D requests only; default 8)")
     if with_alternate:
@@ -56,38 +77,24 @@ def _emit(text, path):
 def _request(args, fmt):
     """Check the flags of a partition, convert or spmv-bench call that asks
     for ``fmt`` before any matrix is read, and return the sweep's spec,
-    ``u_max`` and ``w_max``. An optimal spec without a model uses the
-    storage model of ``fmt``. A flag the request would ignore is rejected."""
+    ``u_max`` and ``w_max``. A flag the request would ignore is rejected."""
     if fmt == "csr":
-        for flag in ("--method", "--rho", "--model", "--umax"):
+        for flag in ("--method", "--umax"):
             if getattr(args, flag[2:]) is not None:
                 raise ValueError(f"{flag} sets up the blocked partition, so it needs "
                                  "--format 1dvbr or vbr")
-    method = "optimal" if args.method is None else args.method
+    spec = _parse_spec("optimal" if args.method is None else args.method, "--method")
     flag_2d = "--alternate" if args.command == "partition" else "--format vbr"
     alternate = getattr(args, "alternate", None)
-    if alternate is not None and (method != "optimal" or fmt != "vbr"):
+    if alternate is not None and (spec["method"] != "optimal" or fmt != "vbr"):
         raise ValueError("--alternate alternates optimal row and column half-steps, so it needs "
                          "--method optimal" + ("" if flag_2d == "--alternate" else " and --format vbr"))
-    if args.rho is not None and method != "overlap":
-        raise ValueError("--rho is the overlap method's similarity threshold, so it needs "
-                         "--method overlap")
-    if args.rho is not None and not 0 < args.rho <= 1:
-        raise ValueError(f"--rho must be in (0, 1], got {args.rho}")
     if args.wmax is not None and fmt != "vbr":
         raise ValueError(f"--wmax bounds the widths of column parts, so it needs {flag_2d}")
-    if args.model is not None and method != "optimal":
-        raise ValueError("--model prices the optimal method's partitions, so it needs "
-                         "--method optimal")
-    if fmt == "vbr" and method == "optimal" and args.model == "mem1d":
-        raise ValueError(f"{flag_2d} also partitions columns, so it needs a 2-D cost model: "
-                         "--model memvbr, blocks or file:PATH (mem1d prices rows only)")
-    model = None if args.model is None else _load_model_spec(args.model)
-    spec = {"method": method}
-    if method == "overlap":
-        spec["rho"] = 0.9 if args.rho is None else args.rho
-    elif model is not None:
-        spec["model"] = model
+    if fmt == "vbr" and spec.get("model") == "mem1d":
+        raise ValueError(f"--method 'optimal:mem1d' prices rows only, but {flag_2d} also "
+                         "partitions columns: use optimal:memvbr, optimal:blocks or "
+                         "optimal:file:PATH")
     return spec, 8 if args.umax is None else args.umax, 8 if args.wmax is None else args.wmax
 
 
@@ -129,27 +136,9 @@ def _cmd_spmv_bench(args):
 
 
 def _cmd_sweep(args):
-    specs = []
-    for item in args.methods.split(","):
-        if item == "strict":
-            specs.append({"method": "strict"})
-        elif item.startswith("overlap:"):
-            try:
-                rho = float(item.split(":", 1)[1])
-            except ValueError:
-                rho = math.nan
-            if not math.isfinite(rho):
-                # a finite RHO outside (0, 1] becomes an error row; NaN or inf would not be JSON
-                raise ValueError(f"--methods item {item!r}: RHO must be a finite number")
-            specs.append({"method": "overlap", "rho": rho})
-        elif item.startswith("optimal:"):
-            model = _load_model_spec(item.split(":", 1)[1], f"--methods item {item!r}: MODEL")
-            specs.append({"method": "optimal", "model": model})
-        elif item == "optimal":
-            specs.append({"method": "optimal"})  # memory model matching each format
-        else:
-            raise ValueError(f"--methods item {item!r} is not strict, overlap:RHO or optimal[:MODEL]")
+    specs = [_parse_spec(item, "--methods item") for item in args.methods.split(",")]
     formats = tuple(args.formats.split(","))
+    bench._check_formats(formats)
     if args.wmax is not None and "vbr" not in formats:
         raise ValueError("--wmax bounds the widths of column parts, so it needs vbr in --formats")
     all_reports = []
@@ -277,7 +266,7 @@ def main(argv=None):
     p.add_argument("--matrix", required=True, action="append",
                    help="Matrix Market file (repeatable)")
     p.add_argument("--methods", default="strict,overlap:0.9,optimal",
-                   help="comma list: strict | overlap:RHO | optimal[:MODEL]")
+                   help="comma list of partitioners, each as --method takes it")
     p.add_argument("--formats", default="1dvbr,vbr")
     p.add_argument("--umax", type=int, default=8)
     p.add_argument("--wmax", type=int, help="widest column part (needs vbr in --formats; default 8)")

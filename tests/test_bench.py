@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -420,26 +421,30 @@ class TestCli:
 
     def test_partition_command(self, tmp_path, capsys):
         (path,) = self._write_matrices(tmp_path, count=1)
-        cli_main(["partition", "--matrix", path, "--method", "optimal",
-                  "--model", "mem1d", "--umax", "4"])
+        cli_main(["partition", "--matrix", path, "--method", "optimal:mem1d", "--umax", "4"])
         out = json.loads(capsys.readouterr().out)
         assert out["spl_rows"][0] == 0 and out["spl_rows"][-1] == 8
 
     def test_alternate_needs_2d_model(self, tmp_path, capsys):
         (path,) = self._write_matrices(tmp_path, count=1)
-        with pytest.raises(SystemExit, match=r"blockpart partition: --alternate .*2-D cost model: "
-                                             r"--model memvbr, blocks or file:PATH"):
-            cli_main(["partition", "--matrix", path, "--alternate", "3", "--model", "mem1d"])
-        with pytest.raises(SystemExit, match=r"blockpart convert: --format vbr .*2-D cost model"):
-            cli_main(["convert", "--matrix", path, "--format", "vbr", "--model", "mem1d",
-                      "--out", str(tmp_path / "m.vbr")])
+        missing = str(tmp_path / "missing.mtx")
+        prices = r"--method 'optimal:mem1d' prices rows only, but "
+        with pytest.raises(SystemExit, match=rf"^blockpart partition: {prices}--alternate also "
+                                             r"partitions columns: use optimal:memvbr, "
+                                             r"optimal:blocks or optimal:file:PATH$"):
+            cli_main(["partition", "--matrix", missing, "--alternate", "3",
+                      "--method", "optimal:mem1d"])
+        with pytest.raises(SystemExit, match=rf"^blockpart convert: {prices}--format vbr also "
+                                             r"partitions columns"):
+            cli_main(["convert", "--matrix", missing, "--format", "vbr",
+                      "--method", "optimal:mem1d", "--out", str(tmp_path / "m.vbr")])
         cli_main(["partition", "--matrix", path, "--alternate", "3"])
         out = json.loads(capsys.readouterr().out)
         assert out["spl_rows"][-1] == 8 and out["spl_cols"][-1] == 8
 
     @pytest.mark.parametrize("argv", [
         ["partition", "--method", "strict", "--alternate", "3"],
-        ["partition", "--method", "overlap", "--alternate", "1"],
+        ["partition", "--method", "overlap:0.5", "--alternate", "1"],
         ["convert", "--format", "1dvbr", "--alternate", "3", "--out", "x.1dvbr"],
         ["convert", "--format", "vbr", "--method", "strict", "--alternate", "3", "--out", "x.vbr"],
     ])
@@ -455,28 +460,17 @@ class TestCli:
         with pytest.raises(SystemExit, match=rf"--alternate .* at least 1, got {count}"):
             cli_main(["partition", "--matrix", missing, "--alternate", count])
 
-    @pytest.mark.parametrize("argv", [
-        ["partition", "--method", "strict", "--model", "memvbr"],
-        ["partition", "--method", "overlap", "--model", "blocks"],
-        ["convert", "--format", "vbr", "--method", "strict", "--model", "memvbr", "--out", "x"],
-        ["spmv-bench", "--method", "overlap", "--model", "mem1d"],
-    ])
-    def test_model_needs_optimal_before_the_read(self, tmp_path, argv):
-        missing = str(tmp_path / "missing.mtx")
-        with pytest.raises(SystemExit, match=r"--model .* needs --method optimal"):
-            cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
-
     @pytest.mark.parametrize("argv, flag", [
-        (["partition", "--method", "strict", "--rho", "0.5"], "--rho"),
-        (["convert", "--format", "vbr", "--rho", "0.9", "--out", "x"], "--rho"),
-        (["spmv-bench", "--format", "1dvbr", "--method", "optimal", "--rho", "0.9"], "--rho"),
+        (["spmv-bench", "--format", "1dvbr", "--method", "overlap:0.5", "--wmax", "4"], "--wmax"),
+        (["partition", "--method", "optimal:memvbr", "--wmax", "4"], "--wmax"),  # rows only
+        (["spmv-bench", "--format", "csr", "--method", "optimal:file:missing.csv"], "--method"),
         (["partition", "--method", "overlap", "--wmax", "4"], "--wmax"),
         (["convert", "--format", "1dvbr", "--wmax", "8", "--out", "x"], "--wmax"),
         (["spmv-bench", "--format", "csr", "--wmax", "4"], "--wmax"),
         (["spmv-bench", "--format", "csr", "--method", "overlap"], "--method"),
         (["spmv-bench", "--format", "csr", "--method", "optimal"], "--method"),
-        (["spmv-bench", "--format", "csr", "--rho", "0.9"], "--rho"),
-        (["spmv-bench", "--format", "csr", "--model", "blocks"], "--model"),
+        (["spmv-bench", "--format", "csr", "--method", "overlap:0.9"], "--method"),
+        (["spmv-bench", "--format", "csr", "--method", "optimal:blocks"], "--method"),
         (["spmv-bench", "--format", "csr", "--umax", "8"], "--umax"),
     ])
     def test_ignored_flags_rejected_before_the_read(self, tmp_path, argv, flag):
@@ -485,7 +479,7 @@ class TestCli:
             cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
 
     @pytest.mark.parametrize("argv", [
-        ["partition", "--method", "overlap", "--rho", "0.5"],
+        ["partition", "--method", "overlap:0.5"],
         ["partition", "--alternate", "2", "--wmax", "4"],
     ])
     def test_applying_flags_reach_the_read(self, tmp_path, argv):
@@ -497,24 +491,28 @@ class TestCli:
     @pytest.mark.parametrize("fmt", ["1dvbr", "vbr"])
     @pytest.mark.parametrize("method", ["strict", "overlap:0.9", "optimal"])
     def test_convert_bytes_match_spmv_bench_memory(self, tmp_path, capsys, method, fmt):
-        # both commands partition through the sweep's one policy; rows and
-        # columns come in equal pairs, so the vbr heuristics group columns
+        # all three commands partition through the sweep's one policy; rows
+        # and columns come in equal pairs, so the vbr heuristics group columns
         rng = np.random.default_rng(5)
         pattern = np.argwhere(rng.random((5, 4)) < 0.5)
         entries = [(2 * i + a, 2 * j + b, 1.0) for i, j in pattern for a in (0, 1) for b in (0, 1)]
         path = str(tmp_path / "pairs.mtx")
         write_matrix_market(path, build_csr(10, 8, entries))
-        method, _, rho = method.partition(":")
-        flags = ["--matrix", path, "--method", method, "--format", fmt, "--umax", "4"]
-        flags += ["--wmax", "4"] if fmt == "vbr" else []
-        flags += ["--rho", rho] if rho else []
+        sizes = ["--umax", "4"] + (["--wmax", "4"] if fmt == "vbr" else [])
         out = tmp_path / "m.bin"
-        cli_main(["convert", *flags, "--out", str(out)])
+        cli_main(["convert", "--matrix", path, "--method", method, "--format", fmt, *sizes,
+                  "--out", str(out)])
         capsys.readouterr()
-        cli_main(["spmv-bench", *flags, "--trials", "1"])
+        cli_main(["spmv-bench", "--matrix", path, "--method", method, "--format", fmt, *sizes,
+                  "--trials", "1"])
         row = json.loads(capsys.readouterr().out.splitlines()[1])
-        assert row["error"] is None
-        assert row["memory_bits"] == 8 * out.stat().st_size
+        cli_main(["sweep", "--matrix", path, "--methods", method, "--formats", fmt, *sizes,
+                  "--trials", "1"])
+        swept = json.loads(capsys.readouterr().out.splitlines()[1])
+        assert row["error"] is None and swept["error"] is None
+        assert row["memory_bits"] == swept["memory_bits"] == 8 * out.stat().st_size
+        assert (row["partitioner"], row["K"], row["L"]) == (swept["partitioner"], swept["K"],
+                                                            swept["L"])
 
     @pytest.mark.parametrize("method", ["strict", "overlap", "optimal"])
     def test_partition_heights_bounded_for_every_method(self, tmp_path, capsys, method):
@@ -530,42 +528,81 @@ class TestCli:
         with pytest.raises(SystemExit, match="No such file"):
             cli_main(["sweep", "--matrix", missing, "--formats", "1dvbr,vbr", "--wmax", "4"])
 
-    @pytest.mark.parametrize("item", ["overlap:nan", "overlap:inf", "overlap:-inf"])
+    @pytest.mark.parametrize("item", ["overlap:nan", "overlap:inf", "overlap:-inf", "overlap:7"])
     def test_sweep_non_finite_rho_rejected_before_the_read(self, tmp_path, item):
-        # a NaN or infinite threshold would reach the report and break its strict JSON
+        # a NaN or infinite threshold would reach the report and break its strict JSON,
+        # and one outside (0, 1] would only fail once the matrix is read
         missing = str(tmp_path / "missing.mtx")
         with pytest.raises(SystemExit, match=rf"^blockpart sweep: --methods item '{item}': "
-                                             "RHO must be a finite number"):
+                                             r"RHO must be a number in \(0, 1\]$"):
             cli_main(["sweep", "--matrix", missing, "--methods", f"strict,{item}"])
 
+    _RHO = "{label}: RHO must be a number in (0, 1]"
+    _FORM = "{label} is not strict, overlap[:RHO] or optimal[:MODEL]"
+    _MODEL_CSV = "alpha_row,1,2\nalpha_col,1,2\nbeta_row r=1,1,2\nbeta_col r=1,1,1\n"
+
+    @pytest.mark.parametrize("flag", ["--method", "--methods item"])
+    @pytest.mark.parametrize("text, expected", [
+        ("strict", {"method": "strict"}),
+        ("overlap", {"method": "overlap", "rho": 0.9}),
+        ("overlap:0.5", {"method": "overlap", "rho": 0.5}),
+        ("optimal", {"method": "optimal"}),
+        ("optimal:blocks", {"method": "optimal", "model": "blocks"}),
+        ("optimal:file:PATH", {"method": "optimal", "model": cost_model_from_csv(_MODEL_CSV)}),
+        ("overlap:", _RHO),
+        ("overlap:abc", _RHO),
+        ("overlap:nan", _RHO),
+        ("overlap:2", _RHO),
+        ("strict:x", _FORM),
+        ("", _FORM),
+        ("optimal:", "{label}: MODEL '' is not blocks, mem1d, memvbr or file:PATH"),
+        ("optimal:foo", "{label}: MODEL 'foo' is not blocks, mem1d, memvbr or file:PATH"),
+        ("fast", _FORM),
+    ])
+    def test_partitioner_spec_grammar(self, tmp_path, flag, text, expected):
+        from blockpart.cli import _parse_spec
+
+        model = tmp_path / "model.csv"
+        model.write_text(self._MODEL_CSV)
+        text = text.replace("PATH", str(model))
+        if isinstance(expected, dict):
+            assert _parse_spec(text, flag) == expected
+        else:
+            with pytest.raises(ValueError) as info:
+                _parse_spec(text, flag)
+            assert str(info.value) == expected.format(label=f"{flag} {text!r}")
+
     @pytest.mark.parametrize("argv", [
-        ["partition", "--method", "overlap", "--rho", "2"],
-        ["partition", "--method", "overlap", "--rho", "0"],
-        ["partition", "--method", "overlap", "--rho", "nan"],
-        ["convert", "--format", "vbr", "--method", "overlap", "--rho", "-0.5", "--out", "x"],
-        ["spmv-bench", "--method", "overlap", "--rho", "inf"],
+        ["partition", "--method", "overlap:2"],
+        ["partition", "--method", "overlap:0"],
+        ["partition", "--method", "overlap:nan"],
+        ["convert", "--format", "vbr", "--method", "overlap:-0.5", "--out", "x"],
+        ["spmv-bench", "--method", "overlap:inf"],
     ])
     def test_rho_range_checked_before_the_read(self, tmp_path, argv):
         missing = str(tmp_path / "missing.mtx")
-        with pytest.raises(SystemExit, match=rf"^blockpart {argv[0]}: --rho must be in \(0, 1\], "
-                                             rf"got {float(argv[argv.index('--rho') + 1])}$"):
+        text = re.escape(argv[argv.index("--method") + 1])
+        with pytest.raises(SystemExit, match=rf"^blockpart {argv[0]}: --method '{text}': "
+                                             r"RHO must be a number in \(0, 1\]$"):
             cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--methods", "strict,overlap:abc"],
-         r"--methods item 'overlap:abc': RHO must be a finite number"),
-        (["sweep", "--methods", "overlap:"], r"--methods item 'overlap:': RHO must be a finite number"),
+         r"--methods item 'overlap:abc': RHO must be a number in \(0, 1\]"),
+        (["sweep", "--methods", "overlap:"],
+         r"--methods item 'overlap:': RHO must be a number in \(0, 1\]"),
         (["sweep", "--methods", "strict:x"],
-         r"--methods item 'strict:x' is not strict, overlap:RHO or optimal\[:MODEL\]"),
+         r"--methods item 'strict:x' is not strict, overlap\[:RHO\] or optimal\[:MODEL\]"),
         (["sweep", "--methods", ",strict"],
-         r"--methods item '' is not strict, overlap:RHO or optimal\[:MODEL\]"),
+         r"--methods item '' is not strict, overlap\[:RHO\] or optimal\[:MODEL\]"),
         (["sweep", "--methods", "optimal:"],
          r"--methods item 'optimal:': MODEL '' is not blocks, mem1d, memvbr or file:PATH"),
         (["sweep", "--methods", "optimal:foo"],
          r"--methods item 'optimal:foo': MODEL 'foo' is not blocks, mem1d, memvbr or file:PATH"),
-        (["partition", "--model", "foo"], r"--model 'foo' is not blocks, mem1d, memvbr or file:PATH"),
-        (["convert", "--format", "vbr", "--model", "", "--out", "x"],
-         r"--model '' is not blocks, mem1d, memvbr or file:PATH"),
+        (["partition", "--method", "optimal:foo"],
+         r"--method 'optimal:foo': MODEL 'foo' is not blocks, mem1d, memvbr or file:PATH"),
+        (["convert", "--format", "vbr", "--method", "optimal:", "--out", "x"],
+         r"--method 'optimal:': MODEL '' is not blocks, mem1d, memvbr or file:PATH"),
     ], ids=["overlap-abc", "overlap-empty", "strict-x", "empty-item", "optimal-empty",
             "optimal-foo", "partition-model", "convert-empty-model"])
     def test_bad_method_and_model_names_rejected_before_the_read(self, tmp_path, argv, message):
@@ -594,26 +631,33 @@ class TestCli:
     def test_sweep_unknown_format_writes_no_report(self, tmp_path):
         (path,) = self._write_matrices(tmp_path, count=1)
         out = tmp_path / "r.jsonl"
-        with pytest.raises(SystemExit, match=r"^blockpart sweep: unknown format 'VBR'"):
-            cli_main(["sweep", "--matrix", path, "--formats", "1dvbr,VBR", "--out", str(out)])
+        # the format is checked before the matrix is read, so a missing one shows no read error
+        for matrix in (path, str(tmp_path / "missing.mtx")):
+            with pytest.raises(SystemExit, match=r"^blockpart sweep: unknown format 'VBR'"):
+                cli_main(["sweep", "--matrix", matrix, "--formats", "1dvbr,VBR", "--out", str(out)])
         assert not out.exists()
 
     def test_summary_csv_rows_parse_to_the_header_width(self, tmp_path):
-        # the error text and the matrix path hold commas; the path is not ASCII
-        import csv
-
+        # the matrix path holds a comma and is not ASCII; the error of an
+        # out-of-range threshold, which only run_sweep itself still takes, holds a comma
         path = str(tmp_path / "m,\u00e9.mtx")
         write_matrix_market(path, block_pair_matrix())
         csv_path = tmp_path / "s.csv"
-        cli_main(["sweep", "--matrix", path, "--methods", "overlap:7,strict", "--formats",
-                  "1dvbr", "--trials", "1", "--out", str(tmp_path / "r.jsonl"),
+        cli_main(["sweep", "--matrix", path, "--methods", "optimal:mem1d,strict", "--formats",
+                  "vbr", "--trials", "1", "--out", str(tmp_path / "r.jsonl"),
                   "--csv", str(csv_path)])
         with open(csv_path, encoding="utf-8", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert len(rows) == 3
         assert all(len(row) == len(header) for row in rows)
         assert [row[header.index("matrix_id")] for row in rows] == [path] * 3
-        assert rows[1][header.index("error")] == "rho must be in (0, 1], got 7.0"
+        assert rows[1][header.index("error")] == "model mem1d only applies to the 1dvbr format"
+        reports = run_sweep(block_pair_matrix(), path, [{"method": "overlap", "rho": 7}],
+                            formats=("1dvbr",), trials=1, clock=fake_clock())
+        header, *rows = csv.reader(_summary_csv(reports).splitlines())
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert rows[1][header.index("matrix_id")] == path
+        assert rows[1][header.index("error")] == "rho must be in (0, 1], got 7"
 
     def test_summary_csv_columns(self):
         from blockpart.cli import _summary_csv
@@ -690,14 +734,15 @@ class TestCli:
     def test_bad_model_file_is_a_clean_exit(self, tmp_path):
         model = tmp_path / "model.csv"
         model.write_text("alpha_row,1\nalpha_col,1\nbeta_row r=1,1\n")
-        with pytest.raises(SystemExit, match=r"^blockpart partition: .*'beta_col r=1' is missing"):
+        with pytest.raises(SystemExit, match=r"^blockpart partition: --method 'optimal:file:.*': "
+                                             r".*'beta_col r=1' is missing"):
             cli_main(["partition", "--matrix", str(tmp_path / "missing.mtx"),
-                      "--model", f"file:{model}"])
+                      "--method", f"optimal:file:{model}"])
 
     def test_spmv_bench_command(self, tmp_path, capsys):
         (path,) = self._write_matrices(tmp_path, count=1)
         cli_main(["spmv-bench", "--matrix", path, "--format", "1dvbr",
-                  "--method", "optimal", "--model", "mem1d", "--umax", "4",
+                  "--method", "optimal:mem1d", "--umax", "4",
                   "--trials", "2", "--warmup", "1"])
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert lines[0]["format"] == "csr"
@@ -798,8 +843,9 @@ def _strict_json(text):
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """The files the CLI fuzz reads: a 4x5 matrix, an empty one, a cost
-    model, a sweep's reports and a file that is none of these."""
+    """The inputs the CLI fuzz draws: a 4x5 matrix, an empty one, partitioner
+    specs, valid or not, two of them naming a cost model file, a sweep's
+    reports and a file that is none of these."""
     root = tmp_path_factory.mktemp("fuzz")
     matrix, empty = str(root / "a.mtx"), str(root / "empty.mtx")
     write_matrix_market(matrix, random_csr(4, 5, 0.5, np.random.default_rng(18)))
@@ -811,9 +857,12 @@ def fuzz_inputs(tmp_path_factory):
               "--trials", "1", "--out", reports])
     junk = root / "junk.txt"
     junk.write_text("not, a {file\n")
+    methods = ["strict", "overlap", "overlap:0.5", "overlap:1", "optimal", "optimal:blocks",
+               "optimal:mem1d", "optimal:memvbr", f"optimal:file:{model}",
+               "overlap:2", "overlap:nan", "overlap:", f"optimal:file:{junk}", "optimal:dense",
+               "strict:x", "", "fast"]
     return {"matrix": [matrix, empty, str(junk), str(root / "missing.mtx")],
-            "model": [f"file:{model}", f"file:{junk}", "blocks", "mem1d", "memvbr", "dense"],
-            "reports": [reports, str(junk)]}
+            "methods": methods, "reports": [reports, str(junk)]}
 
 
 def _read_back(path):
@@ -860,11 +909,11 @@ class TestCliFuzz:
         counts = st.integers(1, 16) | st.sampled_from([0, -1])
         # the two matrices more often than the junk file and the missing path
         matrix = st.sampled_from(inputs["matrix"][:2]) | st.sampled_from(inputs["matrix"])
+        # the nine valid specs more often than the invalid ones
+        method = st.sampled_from(inputs["methods"][:9]) | st.sampled_from(inputs["methods"])
         if command in ("partition", "convert", "spmv-bench"):
             argv = ["--matrix", draw(matrix)]
-            argv += maybe("--method", st.sampled_from(["strict", "overlap", "optimal"]))
-            argv += maybe("--rho", st.sampled_from([0.5, 0.9, 1.0, 0.0, 1.5, math.nan]))
-            argv += maybe("--model", st.sampled_from(inputs["model"]))
+            argv += maybe("--method", method)
             argv += maybe("--umax", counts) + maybe("--wmax", counts)
             if command == "spmv-bench":
                 argv += maybe("--format", st.sampled_from(["csr", "vbr", "1dvbr"]))
@@ -879,10 +928,7 @@ class TestCliFuzz:
         elif command == "sweep":
             argv = [arg for path in draw(st.lists(matrix, min_size=1, max_size=2))
                     for arg in ("--matrix", path)]
-            methods = ["strict", "overlap:0.9", "overlap:2", "overlap:nan", "optimal",
-                       "optimal:blocks", "optimal:mem1d", f"optimal:{inputs['model'][0]}", "fast"]
-            argv += maybe("--methods", st.lists(st.sampled_from(methods), min_size=1,
-                                                max_size=3).map(",".join))
+            argv += maybe("--methods", st.lists(method, min_size=1, max_size=3).map(",".join))
             argv += maybe("--formats", st.lists(st.sampled_from(["1dvbr", "vbr", "1dvbr", "csr"]),
                                                 min_size=1, max_size=2).map(",".join))
             argv += maybe("--umax", counts) + maybe("--wmax", counts)

@@ -129,6 +129,19 @@ class TestReaderRegressions:
         with pytest.raises(ValueError, match="positive and finite"):
             samples_from_csv(self.HEADER + f"1,1,1,1,base,{seconds}\n")
 
+    @pytest.mark.parametrize("row, field", [
+        ("0,1,4,8,base,1e-05", "u"),  # fit_cost_model raised ZeroDivisionError
+        ("1,0,4,8,base,1e-05", "w"),
+        ("1,1,0,8,base,1e-05", "m_rows"),  # was fitted as a grid of no rows
+        ("1,1,4,-1,base,1e-05", "blocks_per_row"),
+    ])
+    def test_samples_counts_must_be_positive(self, row, field):
+        u, w, m_rows, blocks_per_row, variant, seconds = row.split(",")
+        with pytest.raises(ValueError, match=rf"^{field} must be at least 1, got "):
+            TimingSample(int(u), int(w), int(m_rows), int(blocks_per_row), float(seconds), variant)
+        with pytest.raises(ValueError, match=rf"line 2: {field} must be at least 1, got "):
+            samples_from_csv(self.HEADER + row + "\n")
+
     def test_report_number_past_the_float_range(self):
         # json reads 1e400 as inf, which to_json then cannot write
         line = '{"matrix_id": "a", "format": "vbr", "partitioner": "strict", "params": {}, '
