@@ -165,7 +165,11 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
     for spec in partitioners:
         for fmt in formats:
             label = _partitioner_id(spec)
-            params = {k: v for k, v in spec.items() if k != "method" and isinstance(v, (int, float, str))}
+            # a NaN or infinite rho fails in the partitioner, and its row must
+            # still be strict JSON: such a number is kept as its repr
+            params = {k: v if not isinstance(v, float) or math.isfinite(v) else repr(v)
+                      for k, v in spec.items()
+                      if k != "method" and isinstance(v, (int, float, str))}
             try:
                 t0 = clock()
                 rows, cols = _partition_for(spec, A, fmt, u_max, w_max)

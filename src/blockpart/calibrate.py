@@ -70,6 +70,15 @@ class TimingSample:
             raise ValueError(f"measured time must be positive and finite, got {self.seconds!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        # the design behind _sample_design: m_rows is u times the block rows,
+        # which double-rows doubles, and double-blocks doubles blocks_per_row
+        per_base_row = self.u * (2 if self.variant == "double-rows" else 1)
+        if self.m_rows % per_base_row:
+            raise ValueError(f"m_rows {self.m_rows} of a {self.variant} sample is not "
+                             f"a multiple of {per_base_row}")
+        if self.variant == "double-blocks" and self.blocks_per_row % 2:
+            raise ValueError(f"blocks_per_row {self.blocks_per_row} of a double-blocks "
+                             "sample is odd")
 
 
 def default_clock():
@@ -217,7 +226,8 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
 
 def _sample_design(sample):
     """(K, L, blocks) of a sample under the measurement design: its base
-    block rows and blocks per row undo the variant's doubling."""
+    block rows and blocks per row undo the variant's doubling, which
+    ``TimingSample`` checks divides them exactly."""
     k0 = sample.m_rows // sample.u // (2 if sample.variant == "double-rows" else 1)
     b0 = sample.blocks_per_row // (2 if sample.variant == "double-blocks" else 1)
     k, l, b = _grid_shape(sample.u, sample.w, k0, b0, sample.variant)

@@ -8,7 +8,7 @@ row is u x 1 and the value stride within the block row is constant.
 
 import numpy as np
 
-from .sparse import _INT64_MAX, _block_pattern, _frozen, _offsets, Partition, trivial_partition
+from .sparse import _block_pattern, _first_fall, _frozen, _offsets, Partition, trivial_partition
 
 __all__ = [
     "VbrMatrix",
@@ -54,14 +54,13 @@ class VbrMatrix:
             raise ValueError("pos must start at 0 and be non-decreasing")
         if len(self.idx) and (self.idx.min() < 0 or self.idx.max() >= n_parts):
             raise ValueError(f"block column index outside [0, {n_parts})")
-        block_row = np.repeat(np.arange(k), np.diff(self.pos))
-        falls = np.nonzero((np.diff(self.idx) <= 0) & (block_row[1:] == block_row[:-1]))[0]
-        if len(falls):
-            raise ValueError(
-                f"block column indices not increasing in block row {block_row[falls[0]]}"
-            )
-        starts = _value_starts(np.diff(self.spl_rows)[block_row], np.diff(self.spl_cols)[self.idx])
-        wrong = np.nonzero(starts[self.pos] != self.ofs)[0]
+        q = _first_fall(self.pos, self.idx)
+        if q is not None:
+            raise ValueError("block column indices not increasing in block row "
+                             f"{int(np.searchsorted(self.pos, q, side='right')) - 1}")
+        # each block row's values: its height times the columns it stores
+        stored = _offsets(np.diff(self.spl_cols)[self.idx])[self.pos]
+        wrong = np.nonzero(_value_starts(np.diff(self.spl_rows), np.diff(stored)) != self.ofs)[0]
         if len(wrong):
             raise ValueError(f"block row {max(int(wrong[0]) - 1, 0)} disagrees with its pattern")
 
@@ -95,9 +94,11 @@ class OneDVbrMatrix(VbrMatrix):
 def _value_starts(heights, widths):
     """Offset of each block's values, plus the total, for blocks of the given shapes.
 
-    A sum that could leave int64 is rejected rather than left to wrap.
+    A total past 2**62 is rejected rather than left to wrap. Summed in
+    float64, a total of non-negative products is off by far less than a
+    factor of 2, so below that no int64 product or partial sum overflows.
     """
-    if len(heights) and int(heights.max()) * int(widths.max()) * len(heights) > _INT64_MAX:
+    if float(np.dot(heights.astype(np.float64), widths.astype(np.float64))) > 2.0 ** 62:
         raise ValueError("block values do not fit 64-bit offsets")
     return _offsets(heights * widths)
 
@@ -113,8 +114,10 @@ def _blocked_arrays(A, rows, cols):
     heights = rows.widths()[k]
     starts = _value_starts(heights, cols.widths()[l])
     pos = _offsets(np.bincount(k, minlength=rows.num_parts))
-    at = (starts[pair] + (A.idx - cols.spl[l[pair]]) * heights[pair]
-          + A.entry_rows() - rows.spl[k[pair]])
+    # entry (i, j) of block (k, l) sits at starts + (j - spl_cols[l]) * height
+    # + i - spl_rows[k], which is one base per block plus j * height + i
+    base = starts[:-1] - cols.spl[l] * heights - rows.spl[k]
+    at = base[pair] + A.idx * heights[pair] + A.entry_rows()
     val = np.zeros(int(starts[-1]))
     val[at] = A.val
     return pos, l, starts[pos], val

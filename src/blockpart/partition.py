@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .costs import _alpha_sum, _check_sizes, evaluate, CostModel
-from .sparse import _INT64_MAX, _offsets, _pair_keys, Partition, transpose, trivial_partition
+from .sparse import _INT64_MAX, _offsets, _stable_order, Partition, transpose, trivial_partition
 
 __all__ = [
     "optimal_partition",
@@ -40,12 +40,15 @@ def optimal_partition(A, col_partition, model, u_max):
     """Row partition minimizing ``model`` under a fixed column partition.
 
     A candidate part [s, s + u) pays the price of a u x w_l block once for
-    every column part l it touches. The P <= nnz distinct (row, column
-    part) pairs come from one sort of the entries' keys; pair (t, l), whose
-    previous row holding part l is ``prev``, is the first occurrence of l
-    in the window [s, s + u) exactly when 0 <= t - s < min(u, t - prev).
-    With U = min(u_max, m), one ``np.bincount`` of each pair's (g =
-    min(t - prev, U), t, width class) and a reverse cumulative sum over g
+    every column part l it touches. Pair (t, l), whose previous row
+    holding part l is ``prev``, is the first occurrence of l in the window
+    [s, s + u) exactly when 0 <= t - s < min(u, t - prev). In CSR order
+    the P <= nnz distinct (row, column part) pairs are adjacent entries,
+    and one stable radix sort by part (``sparse._stable_order``) lists
+    them by part, rows ascending within each; with U = min(u_max, m), the
+    step between consecutive keys l * (m + U) + t, clipped to U, is then
+    g = min(t - prev, U). One ``np.bincount`` of each pair's (g, t, width
+    class) and a reverse cumulative sum over g
     give G[d, t], the pairs at row t that count in a window starting d
     rows up. The pairs of [s, s + u) are those of [s, s + u - 1) plus
     G[u - 1, s + u - 1], so a cumulative sum over d of the skewed view
@@ -64,8 +67,8 @@ def optimal_partition(A, col_partition, model, u_max):
     argmin, the shortest part among equals. That is O(sqrt(m) + U) numpy
     calls. Integer sums are exact: int64 is used only when every path sum,
     plus twice the "no part" sentinel, fits in it. With W <= w_max distinct
-    column widths the bound is
-    O(nnz log nnz + m * U * (U + W) + R * U * W + n) time and
+    column widths and D = ceil(log2(n) / 16) radix digits the bound is
+    O(nnz * D + m * U * (U + W) + R * U * W + n) time and
     O(m * U * W + nnz + n) space. The m * U^2 min-plus terms are numpy's,
     where a scalar pass takes m * U Python steps, so past U of about 150
     the scalar pass would be faster (on the 20000-row rowruns matrix, 4.2
@@ -87,18 +90,30 @@ def optimal_partition(A, col_partition, model, u_max):
         raise ValueError(f"column partition covers {col_partition.size} columns, matrix has {A.n}")
     if m == 0:
         return _Optimum([0], 0)
-    # the distinct (column part, row) pairs, ordered so that each pair
-    # follows the previous row holding its part
-    key = np.sort(_pair_keys(col_partition.assignments()[A.idx], A.entry_rows(),
-                             col_partition.num_parts, m))
-    fresh = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    l, t = np.divmod(key[fresh], m)
-    prev = np.full(len(t), -1, dtype=np.int64)
-    same = l[1:] == l[:-1]
-    prev[1:][same] = t[:-1][same]
-
+    # the distinct (row t, column part l) pairs: in CSR order a row's
+    # repeated parts are adjacent, and no part repeats under the trivial
+    # partition. Sorted by part, rows ascending within each part, their
+    # keys l * (m + U) + t step by g = min(t - prev, U) once clipped to U,
+    # prev being the previous row holding part l. At a part's first row the
+    # step exceeds U, so g is U where prev = -1 would give min(t + 1, U):
+    # the two differ only for windows that would start above row 0.
     U = min(u_max, m)
+    span = m + U
+    t = A.entry_rows()
+    if col_partition.is_trivial():
+        l = A.idx
+    else:
+        l = col_partition.assignments()[A.idx]
+        fresh = np.ones(len(l) + 1, dtype=bool)
+        np.not_equal(l[1:], l[:-1], out=fresh[1:-1])
+        fresh[A.pos] = True  # a row's first entry
+        # gathering at the kept indices beats a boolean mask several times over
+        keep = np.flatnonzero(fresh[:-1])
+        l, t = l[keep], t[keep]
+    order = _stable_order(l, col_partition.num_parts)
+    l, t = l[order], t[order]
+    g = np.minimum(np.diff(l * span + t, prepend=-U), U)
+
     widths, width_class = np.unique(col_partition.widths(), return_inverse=True)
     nw = len(widths)
     alpha = model.alpha_row[:U]
@@ -118,9 +133,10 @@ def optimal_partition(A, col_partition, model, u_max):
     # more than d rows up, by a reverse cumulative sum over g of one
     # histogram; rows past m are empty, and U spare cells at the end let
     # the view whose row d starts d cells later read G[d, s + d]
-    g = np.minimum(t - prev, U)
-    span = m + U
-    G = np.bincount(((g - 1) * span + t) * nw + width_class[l], minlength=U * (span + 1) * nw)
+    cell = (g - 1) * span + t
+    if nw > 1:
+        cell = cell * nw + width_class[l]
+    G = np.bincount(cell, minlength=U * (span + 1) * nw)
     hist = G[:U * span * nw].reshape(U, span, nw)
     for d in range(U - 2, -1, -1):
         hist[d] += hist[d + 1]
@@ -254,13 +270,15 @@ def overlap_partition(A, rho, u_max):
     is empty or ``|v_g & v_i'| >= max(rho * min(|v_g|, |v_i'|), 1)``, g
     being the group's first row. Only the lags d = i' - g < u_max matter,
     so every overlap |v_g & v_(g+d)| is counted up front: with the stored
-    entries sorted by one (column, row) key, two entries j places apart
+    entries in column-major order, rows ascending within each column, from
+    one stable radix sort by column (``sparse._stable_order``, D =
+    ceil(log2(n) / 16) digits) of the CSR order, two entries j places apart
     in the same column with rows d < u_max apart add one to it, through
     one ``np.add.at`` per j. No such pair j places apart means none
     further apart, so the passes stop there, after J < u_max of them.
     The join test, evaluated in float64 for every (g, d), gives each
     possible leader its group's end, and the partition follows those ends
-    from row 0. O(nnz log nnz + J * nnz + u_max * m) time and
+    from row 0. O(nnz * D + J * nnz + u_max * m) time and
     O(nnz + u_max * m) space; the overlap table takes the smallest
     unsigned type that holds the longest row's length, one byte per
     cell while no row holds more than 255 entries.
@@ -274,7 +292,8 @@ def overlap_partition(A, rho, u_max):
         return Partition([0])
     u = min(u_max, m)
     lens = np.diff(A.pos)
-    col, row = np.divmod(np.sort(_pair_keys(A.idx, A.entry_rows(), A.n, m)), m)
+    order = _stable_order(A.idx, A.n)
+    col, row = A.idx[order], A.entry_rows()[order]
     # shared[d * m + g] = |v_g & v_(g+d)|, never more than the longest row
     shared = np.zeros(u * m, dtype=np.min_scalar_type(int(lens.max())))
     one = shared.dtype.type(1)

@@ -67,13 +67,8 @@ class CsrMatrix:
             raise ValueError(f"idx/val length mismatch: {len(idx)} vs {len(val)}")
         if len(idx) and (idx.min() < 0 or idx.max() >= n):
             raise ValueError("column index out of range")
-        # strictly increasing inside each row: a step idx[j] -> idx[j + 1]
-        # may only fail to rise where j + 1 starts a row
-        if len(idx) > 1:
-            falls = np.diff(idx) <= 0
-            falls[pos[(pos > 0) & (pos < len(idx))] - 1] = False
-            if falls.any():
-                raise ValueError("column indices must be strictly increasing within a row")
+        if _first_fall(pos, idx) is not None:
+            raise ValueError("column indices must be strictly increasing within a row")
         self.m = int(m)
         self.n = int(n)
         self.pos = pos
@@ -164,6 +159,19 @@ class Partition:
         return f"Partition({self.spl.tolist()})"
 
 
+def _first_fall(pos, idx):
+    """Where ``idx`` first fails to rise strictly inside one of the
+    segments ``idx[pos[k]:pos[k + 1]]``: the index j + 1 of the first such
+    step idx[j] -> idx[j + 1], or None. A step may only fall where j + 1
+    starts a segment; ``pos`` must be non-decreasing."""
+    if len(idx) < 2:
+        return None
+    falls = np.diff(idx) <= 0
+    falls[pos[(pos > 0) & (pos < len(idx))] - 1] = False
+    j = int(np.argmax(falls))
+    return j + 1 if falls[j] else None
+
+
 def trivial_partition(r):
     """Partition of ``range(r)`` with every index in its own part."""
     if r < 0:
@@ -187,9 +195,8 @@ def build_csr(m, n, entries):
     if not len(entries):
         return CsrMatrix(m, n, np.zeros(m + 1, np.int64), [], [])
     rows, cols = entries["row"], entries["col"]
-    bad = np.nonzero((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n))[0]
-    if len(bad):
-        b = int(bad[0])
+    if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
+        b = int(np.argmax((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)))
         raise ValueError(
             f"entry {b} at (row, col)=({rows[b]}, {cols[b]}) is outside a {m}x{n} matrix"
         )
@@ -240,27 +247,58 @@ def _block_pattern(A, rows, cols):
     Returns ``(k, l, inverse)``: the block row and column part of every
     distinct (block row, column part) pair that holds a stored entry,
     sorted row-major, and for each stored entry the index of its pair.
+    In CSR order a block row's entries are a few ascending runs of keys,
+    one per row, which a stable sort (Timsort on int64) merges.
     """
     if rows.size != A.m:
         raise ValueError(f"row partition covers {rows.size} rows, matrix has {A.m}")
     if cols.size != A.n:
         raise ValueError(f"column partition covers {cols.size} columns, matrix has {A.n}")
-    entry_rows = np.repeat(rows.assignments(), np.diff(A.pos))
-    return _unique_pairs(entry_rows, cols.assignments()[A.idx], rows.num_parts, cols.num_parts)
+    k = np.repeat(rows.assignments(), np.diff(A.pos))
+    l = A.idx if cols.is_trivial() else cols.assignments()[A.idx]
+    keys = _pair_keys(k, l, rows.num_parts, cols.num_parts)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    # each sorted key's pair index; a cumulative sum of int64 runs several
+    # times faster than one of bool
+    rank = fresh.astype(np.int64)
+    rank[:1] = 0
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(rank, out=rank)
+    first = order[np.flatnonzero(fresh)]
+    return k[first], l[first], inverse
+
+
+def _stable_order(a, size):
+    """The stable sorting permutation of ``a``, whose values lie in [0, size).
+
+    numpy's stable sort of 16-bit integers is a radix sort, so ``a`` is
+    sorted by one 16-bit digit at a time, the least significant first:
+    O(len(a)) time for each of the ceil(log2(size) / 16) digits, with no
+    comparisons. Entries in CSR order come out column-major, rows
+    ascending within each column.
+    """
+    order = np.argsort(a.astype(np.uint16), kind="stable")
+    for shift in range(16, (int(size) - 1).bit_length(), 16):
+        order = order[np.argsort((a[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
 
 
 def transpose(A):
     """Transpose of ``A``, again in CSR form.
 
-    One ``np.argsort`` of the entries' (column, row) keys puts them in
-    column-major order, rows ascending within each column; the keys are
-    distinct, so any sort gives that one order. Column counts give the new
-    offsets. O(nnz log nnz + n) time and O(nnz + n) space.
+    The entries are in CSR order, rows ascending, so one stable sort by
+    column alone (``_stable_order``, a radix sort) puts them in
+    column-major order with rows ascending within each column, which is
+    the transpose's CSR order; column counts give the new offsets.
+    O(nnz * d + n) time for d = ceil(log2(n) / 16) digits, one while n
+    <= 65536, and O(nnz + n) space.
     """
-    rows = A.entry_rows()
-    order = np.argsort(_pair_keys(A.idx, rows, A.n, A.m))
+    order = _stable_order(A.idx, A.n)
     return CsrMatrix(A.n, A.m, _offsets(np.bincount(A.idx, minlength=A.n)),
-                     rows[order], A.val[order])
+                     A.entry_rows()[order], A.val[order])
 
 
 def row_pattern(A, i, col_partition):

@@ -138,6 +138,16 @@ class TestRunSweep:
         assert reports[1].error is not None
         assert reports[2].error is None
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rho_error_rows_are_strict_json(self, rho):
+        # a NaN kept in params made reports_to_jsonl raise, so no row was written
+        A = build_csr(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+        reports = run_sweep(A, "eye", [{"method": "overlap", "rho": rho}], trials=1,
+                            clock=fake_clock(), seed=1)
+        back = reports_from_jsonl(reports_to_jsonl(reports))
+        assert [r.error for r in back[1:]] == [f"rho must be in (0, 1], got {rho}"] * 2
+        assert [r.params for r in back[1:]] == [{"rho": repr(rho)}] * 2
+
     def test_report_fields_recomputable(self):
         # memory bits must equal both the formula and the serialized byte
         # length, and the critical point must follow from the recorded times

@@ -562,13 +562,20 @@ class TestContainerChecks:
             OneDVbrMatrix(2, [0, 2], [0, 1], [0], [0, 3], [1.0, 2.0, 3.0])
 
     def test_rejects_unsorted_blocks(self):
-        with pytest.raises(ValueError, match="not increasing"):
+        with pytest.raises(ValueError, match="not increasing in block row 0"):
             VbrMatrix([0, 1], [0, 1, 2], [0, 2], [1, 0], [0, 2], [1.0, 2.0])
+        # block rows 0, 1 (empty) and 2: a fall may only start block row 2
+        VbrMatrix([0, 1, 2, 3], [0, 1, 2], [0, 1, 1, 3], [1, 0, 1], [0, 1, 1, 3], [1.0] * 3)
+        with pytest.raises(ValueError, match="not increasing in block row 2"):
+            VbrMatrix([0, 1, 2, 3], [0, 1, 2], [0, 1, 1, 3], [0, 1, 0], [0, 1, 1, 3], [1.0] * 3)
 
     def test_rejects_block_sizes_past_int64(self):
         big = 2**62
         with pytest.raises(ValueError, match="64-bit"):
             VbrMatrix([0, big], [0, 4], [0, 1], [0], [0, 0], [])
+        # what is stored fits, however tall an empty block row is
+        B = VbrMatrix([0, big, big + 1], [0, 4], [0, 0, 1], [0], [0, 0, 4], [1.0] * 4)
+        assert B.m == big + 1
 
 
 class TestModelAndDpChecks:

@@ -9,6 +9,7 @@ import blockpart.partition as partition
 import blockpart.sparse as sparse
 from blockpart import (
     CostModel,
+    CsrMatrix,
     Partition,
     alternating_partition,
     brute_force_partition,
@@ -158,6 +159,20 @@ class TestOptimalPartition:
             assert abs(got.cost - cost) <= 1e-12 * max(scale, 1)
 
 
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_the_key_sort_past_one_radix_digit(self, data):
+        # more than 65536 column parts take a second radix digit, under the
+        # trivial partition and under one that merges a few column pairs
+        A = _widen(data.draw(patterned_csr(max_rows=12, max_cols=8)))
+        merged = data.draw(st.sets(st.integers(1, A.n - 1), max_size=4))
+        cols = Partition(np.setdiff1d(np.arange(A.n + 1), sorted(merged)))
+        u_max = data.draw(st.sampled_from([1, 2, 3, 7]))
+        model = model_block_count(u_max, int(cols.widths().max()))
+        got = optimal_partition(A, cols, model, u_max)
+        assert (got.spl.tolist(), got.cost) == _scalar_dp(A, cols, model, u_max)
+
+
 class TestBruteForce:
     def test_single_row(self):
         A = build_csr(1, 1, [(0, 0, 1.0)])
@@ -269,13 +284,12 @@ class TestOverlapPartition:
             with pytest.raises(ValueError, match="u_max"):
                 overlap_partition(identity(2), 0.5, u_max)
 
-    def test_rejects_wrapping_key(self, monkeypatch):
+    def test_exact_past_the_old_key_limit(self, monkeypatch):
+        # a (column, row) key once had to fit in int64; with 3 * 4 - 1 as the
+        # limit it wrapped on this 3 x 4 matrix, and now no key is formed
         A = build_csr(3, 4, [(0, 1, 1.0), (2, 3, 1.0)])
-        monkeypatch.setattr(sparse, "_INT64_MAX", 3 * 4)
-        assert overlap_partition(A, 0.5, 2).spl.tolist() == [0, 2, 3]
         monkeypatch.setattr(sparse, "_INT64_MAX", 3 * 4 - 1)
-        with pytest.raises(ValueError, match="64-bit"):
-            overlap_partition(A, 0.5, 2)
+        assert overlap_partition(A, 0.5, 2).spl.tolist() == [0, 2, 3]
 
     def test_overlaps_beyond_one_byte(self):
         # rows of 300 and 299 entries: the overlap table must hold 300
@@ -310,6 +324,14 @@ class TestOverlapPartition:
         for rho in (1 / 3, 0.5, 0.9, 1.0, drawn_rho):
             for u_max in range(1, A.m + 2):
                 assert overlap_partition(A, rho, u_max) == _overlap_walk(A, rho, u_max)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_matches_the_key_sort(self, data):
+        A = data.draw(st.sampled_from([lambda A: A, _widen]))(data.draw(patterned_csr()))
+        rho = data.draw(st.sampled_from([1 / 3, 0.5, 0.9, 1.0]))
+        u_max = data.draw(st.integers(1, A.m + 1))
+        assert overlap_partition(A, rho, u_max) == _key_sort_overlap(A, rho, u_max)
 
     def test_strict_refines_overlap(self):
         # identical adjacent rows always land in one part for both
@@ -459,11 +481,50 @@ def _overlap_walk(A, rho, u_max):
     return Partition(splits)
 
 
+def _widen(A):
+    """``A`` with its columns spread over more than 65536, keeping their
+    order: column j moves to 65531 + 3 j, so the columns straddle 2**16."""
+    return CsrMatrix(A.m, 65531 + 3 * A.n, A.pos, 65531 + 3 * A.idx, A.val)
+
+
+def _key_sort_overlap(A, rho, u_max):
+    """Reference overlap partition: ``overlap_partition`` as it was when it
+    took the column-major order from one sort of (column, row) keys."""
+    m = A.m
+    if m == 0:
+        return Partition([0])
+    u = min(u_max, m)
+    lens = np.diff(A.pos)
+    col, row = np.divmod(np.sort(sparse._pair_keys(A.idx, A.entry_rows(), A.n, m)), m)
+    shared = np.zeros(u * m, dtype=np.min_scalar_type(int(lens.max())))
+    one = shared.dtype.type(1)
+    for j in range(1, u):
+        lag = row[j:] - row[:-j]
+        hit = np.flatnonzero((col[j:] == col[:-j]) & (lag < u))
+        if not len(hit):
+            break
+        np.add.at(shared, lag[hit] * m + row[hit], one)
+    shared = shared.reshape(u, m)
+    end = np.minimum(np.arange(m) + u, m)
+    for d in range(u - 1, 0, -1):
+        cur = lens[d:]
+        need = np.maximum(rho * np.minimum(lens[:m - d], cur), 1)
+        fails = (cur > 0) & (shared[d, :m - d] < need)
+        end[:m - d][fails] = np.flatnonzero(fails) + d
+    end = end.tolist()
+    splits = [0]
+    while splits[-1] != m:
+        splits.append(end[splits[-1]])
+    return Partition(splits)
+
+
 def _scalar_dp(A, col_partition, model, u_max):
-    """Reference optimal partition, returned as (splits, cost): the window
-    costs of each height from one ``np.bincount`` of the window bounds,
-    then a backward pass over the rows in Python numbers that keeps, per
-    row, the shortest part of least total."""
+    """Reference optimal partition, returned as (splits, cost): the
+    (column part, row) pairs from one sort of their keys, as
+    ``optimal_partition`` took them before it sorted by part alone, the
+    window costs of each height from one ``np.bincount`` of the window
+    bounds, then a backward pass over the rows in Python numbers that
+    keeps, per row, the shortest part of least total."""
     m = A.m
     key = np.sort(sparse._pair_keys(col_partition.assignments()[A.idx], A.entry_rows(),
                                     col_partition.num_parts, m))

@@ -70,10 +70,19 @@ def models(draw):
                      beta_col=tuple(table(w_max) for _ in range(rank)))
 
 
-_SAMPLES = st.lists(st.builds(
-    TimingSample, u=st.integers(1, 4), w=st.integers(1, 4), m_rows=st.integers(1, 10**6),
-    blocks_per_row=st.integers(1, 64), seconds=st.floats(1e-9, 10.0),
-    variant=st.sampled_from(VARIANTS)), max_size=4)
+@st.composite
+def _sample(draw):
+    """A sample on the measurement design: m_rows a multiple of u, or of 2u
+    for double-rows, and an even blocks_per_row for double-blocks."""
+    u, variant = draw(st.integers(1, 4)), draw(st.sampled_from(VARIANTS))
+    rows = u * (2 if variant == "double-rows" else 1)
+    blocks = 2 if variant == "double-blocks" else 1
+    return TimingSample(u, draw(st.integers(1, 4)), rows * draw(st.integers(1, 10**6 // rows)),
+                        blocks * draw(st.integers(1, 64 // blocks)),
+                        draw(st.floats(1e-9, 10.0)), variant)
+
+
+_SAMPLES = st.lists(_sample(), max_size=4)
 
 _REPORTS = st.lists(st.builds(
     BenchReport, matrix_id=st.text(max_size=6), format=st.sampled_from(["csr", "1dvbr", "vbr"]),
@@ -140,6 +149,22 @@ class TestReaderRegressions:
         with pytest.raises(ValueError, match=rf"^{field} must be at least 1, got "):
             TimingSample(int(u), int(w), int(m_rows), int(blocks_per_row), float(seconds), variant)
         with pytest.raises(ValueError, match=rf"line 2: {field} must be at least 1, got "):
+            samples_from_csv(self.HEADER + row + "\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("4,1,3,8,base,1e-05", "m_rows 3 of a base sample is not a multiple of 4"),  # fitted as 0 rows
+        ("2,1,6,8,double-rows,1e-05",  # fitted as a grid of 4 rows
+         "m_rows 6 of a double-rows sample is not a multiple of 4"),
+        ("2,1,5,8,double-cols,1e-05", "m_rows 5 of a double-cols sample is not a multiple of 2"),
+        ("1,1,4,3,double-blocks,1e-05", "blocks_per_row 3 of a double-blocks sample is odd"),
+    ])
+    def test_samples_must_match_the_design(self, row, message):
+        # fit_cost_model rebuilds each sample's grid from these fields, so a
+        # sample off the design is refused before any fit can take it
+        u, w, m_rows, blocks_per_row, variant, seconds = row.split(",")
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            TimingSample(int(u), int(w), int(m_rows), int(blocks_per_row), float(seconds), variant)
+        with pytest.raises(ValueError, match=rf"line 2: {message}$"):
             samples_from_csv(self.HEADER + row + "\n")
 
     def test_report_number_past_the_float_range(self):

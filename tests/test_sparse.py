@@ -38,10 +38,11 @@ class TestBuildCsr:
         assert A.val.tolist() == [4.0, 2.0, 3.0, 1.0]
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"entry 1 .*\(2, 0\)"):
-            build_csr(2, 2, [(0, 0, 1.0), (2, 0, 1.0)])
-        with pytest.raises(ValueError, match="outside"):
-            build_csr(2, 2, [(0, -1, 1.0)])
+        # past each of the four bounds, after an entry inside them
+        for i, j in [(2, 0), (-1, 1), (1, 2), (0, -1)]:
+            with pytest.raises(ValueError, match=rf"entry 1 at \(row, col\)=\({i}, {j}\) "
+                                                 "is outside a 2x2 matrix"):
+                build_csr(2, 2, [(0, 0, 1.0), (i, j, 1.0), (1, 1, 1.0)])
 
     def test_explicit_zero_counts(self):
         A = build_csr(1, 2, [(0, 0, 0.0), (0, 1, 1.0)])
@@ -68,6 +69,20 @@ class TestBuildCsr:
         A = build_csr(m, n, entries)
         for got, want in zip((A.pos, A.idx, A.val), _sorting_build(m, n, entries)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_column_major_and_shuffled_entries_match_the_sorted_ones(self, data):
+        m, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        cells = sorted(data.draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                                         min_size=1, max_size=30)))
+        entries = np.array([(i, j, k + 1.0) for k, (i, j) in enumerate(cells)],
+                           dtype=sparse.ENTRY_DTYPE)
+        want = build_csr(m, n, entries)
+        column_major = entries[np.lexsort((entries["row"], entries["col"]))]
+        shuffled = entries[data.draw(st.permutations(range(len(entries))))]
+        assert build_csr(m, n, column_major) == want
+        assert build_csr(m, n, shuffled) == want
 
 
 # +-0.0, infinities and NaNs of either sign, quiet and signalling, with payloads
@@ -140,13 +155,80 @@ class TestTranspose:
         assert (T.m, T.n, T.nnz) == (A.n, A.m, A.nnz)
         assert np.array_equal(T.to_dense(), A.to_dense().T)
 
-    def test_rejects_wrapping_key(self, monkeypatch):
-        A = build_csr(3, 4, [(0, 1, 1.0), (2, 3, 2.0)])
-        monkeypatch.setattr(sparse, "_INT64_MAX", 3 * 4)
-        assert transpose(A).to_dense().tolist() == A.to_dense().T.tolist()
+    def test_exact_past_the_old_key_limit(self, monkeypatch):
+        # a (column, row) key once had to fit in int64; with 3 * 4 - 1 as the
+        # limit it wrapped on this 3 x 4 matrix, and now no key is formed
+        A = build_csr(3, 4, [(0, 1, 1.0), (0, 3, 3.0), (2, 1, 2.0), (2, 3, 4.0)])
         monkeypatch.setattr(sparse, "_INT64_MAX", 3 * 4 - 1)
-        with pytest.raises(ValueError, match="64-bit"):
-            transpose(A)
+        T = transpose(A)
+        assert (T.m, T.n) == (4, 3)
+        assert T.pos.tolist() == [0, 0, 2, 2, 4]
+        assert T.idx.tolist() == [0, 2, 0, 2]
+        assert T.val.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_dense_transpose_on_edge_shapes(self, data):
+        # more than 65536 columns take a second radix digit; an empty
+        # matrix and a single column take one digit of one value
+        shape = data.draw(st.sampled_from(["wide", "empty", "column"]))
+        m = data.draw(st.integers(0 if shape == "empty" else 1, 3))
+        n = {"wide": data.draw(st.sampled_from([65537, 65536 + 300, 2 * 65536 + 5])),
+             "empty": data.draw(st.integers(0, 3)), "column": 1}[shape]
+        cols = st.sampled_from([0, 1, 65535, 65536, 65537, n - 1]).filter(lambda j: j < n)
+        cells = set() if shape == "empty" or not m else data.draw(st.sets(
+            st.tuples(st.integers(0, m - 1), cols | st.integers(0, n - 1)), max_size=25))
+        A = build_csr(m, n, [(i, j, float(k + 1)) for k, (i, j) in enumerate(sorted(cells))])
+        T = transpose(A)
+        assert (T.m, T.n, T.nnz) == (A.n, A.m, A.nnz)
+        assert np.array_equal(T.to_dense(), A.to_dense().T)
+
+
+class TestStableOrder:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_matches_a_stable_argsort(self, data):
+        # one, two and three 16-bit digits, with values on the digit edges
+        size = data.draw(st.sampled_from([1, 2, 2**16, 2**16 + 1, 2**32, 2**32 + 7, 2**47]))
+        edges = [v for v in (0, 1, 2**16 - 1, 2**16, 2**32 - 1, 2**32, size - 1) if v < size]
+        values = data.draw(st.lists(st.sampled_from(edges) | st.integers(0, size - 1),
+                                    max_size=40))
+        a = np.array(values, dtype=np.int64)
+        assert np.array_equal(sparse._stable_order(a, size), np.argsort(a, kind="stable"))
+
+    def test_csr_order_becomes_the_column_key_order(self):
+        # the order transpose and overlap_partition take: rows ascending
+        # within each column, as one sort of the (column, row) keys gives
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            A = random_csr(int(rng.integers(1, 12)), int(rng.integers(1, 12)), 0.4, rng)
+            keys = sparse._pair_keys(A.idx, A.entry_rows(), A.n, A.m)
+            assert np.array_equal(sparse._stable_order(A.idx, A.n), np.argsort(keys))
+
+
+class TestBlockPattern:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_a_unique_oracle(self, data):
+        # block rows mix empty rows, short ones and long ones
+        m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 40))
+        rows = []
+        for _ in range(m):
+            kind = data.draw(st.sampled_from(["empty", "short", "long"]))
+            size = {"empty": 0, "short": min(n, 2), "long": n}[kind]
+            rows.append(data.draw(st.sets(st.integers(0, n - 1), max_size=size)))
+        A = build_csr(m, n, [(i, j, 1.0) for i, cols in enumerate(rows) for j in sorted(cols)])
+        row_cuts = data.draw(st.sets(st.integers(1, m - 1))) if m > 1 else set()
+        col_cuts = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        row_part = Partition([0, *sorted(row_cuts), m])
+        col_part = Partition([0, *sorted(col_cuts), n])
+        k, l, inverse = sparse._block_pattern(A, row_part, col_part)
+        keys = (np.repeat(row_part.assignments(), np.diff(A.pos)) * col_part.num_parts
+                + col_part.assignments()[A.idx])
+        uniq, want = np.unique(keys, return_inverse=True)
+        assert k.tolist() == (uniq // col_part.num_parts).tolist()
+        assert l.tolist() == (uniq % col_part.num_parts).tolist()
+        assert inverse.tolist() == want.tolist()
 
 
 class TestRowPattern:
