@@ -139,25 +139,25 @@ def _check_formats(formats):
 
 
 def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_max=8,
-              trials=3, warmup=1, clock=None, seed=None, time_budget=None):
+              trials=3, clock=None, seed=None, time_budget=None):
     """Benchmark every (partitioner, format) combination on one matrix.
 
     Rows run sequentially. The CSR baseline row comes first and its
-    multiply time anchors every row's critical point. The first multiply
-    of each container is timed on its own and counts as one warm-up call:
-    it also builds the container's multiply plan, so its excess over
-    ``multiply_seconds`` is one-time set-up and is added to
-    ``convert_seconds``. ``memory_bits`` is 8 times the length of the
-    container's serialization, the file ``blockpart convert`` writes.
-    Format names other than 1dvbr and vbr raise before anything is timed.
+    multiply time anchors every row's critical point. Each multiply gets
+    one warm-up call before its ``trials`` timed ones, untimed for CSR. A
+    container's is its first multiply, which also builds its plan: it is
+    timed on its own, and its excess over ``multiply_seconds`` is one-time
+    set-up added to ``convert_seconds``. ``memory_bits`` is 8 times the
+    length of the container's serialization, the file ``blockpart
+    convert`` writes. Format names other than 1dvbr and vbr raise before
+    anything is timed.
     """
     _check_formats(formats)
     clock = clock or default_clock
     rng = np.random.default_rng(resolve_seed(seed))
     x = rng.standard_normal(A.n)
 
-    t_csr = time_min(lambda: spmv_csr(A, x), trials, clock=clock,
-                     warmup=warmup, time_budget=time_budget)
+    t_csr = time_min(lambda: spmv_csr(A, x), trials, clock=clock, time_budget=time_budget)
     reports = [BenchReport(matrix_id, "csr", "none", {}, K=A.m, L=A.n, N_index=A.nnz,
                            N_value=A.nnz, memory_bits=csr_memory_bits(A, S_INDEX, S_VALUE),
                            partition_seconds=0.0, convert_seconds=0.0, multiply_seconds=t_csr,
@@ -181,10 +181,10 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 memory = 8 * len(serialize(B))
                 y = np.zeros(A.m)
                 t0 = clock()
-                spmv_vbr(y, B, x)  # the first multiply also builds the plan
+                spmv_vbr(y, B, x)  # the warm-up call, which also builds the plan
                 t_first = (clock() - t0) / 1e9
                 t_mult = time_min(lambda: spmv_vbr(y, B, x), trials, clock=clock,
-                                  warmup=max(warmup - 1, 0), time_budget=time_budget)
+                                  warmup=0, time_budget=time_budget)
                 t_conv += max(t_first - t_mult, 0.0)
                 n_index, n_value = stored_counts(B)
                 fields = dict(K=rows.num_parts, L=cols.num_parts, N_index=n_index, N_value=n_value,

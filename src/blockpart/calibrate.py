@@ -16,6 +16,7 @@ grid and reads its CSR off that container.
 import csv
 import io
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -41,7 +42,11 @@ __all__ = [
     "default_clock",
 ]
 
-VARIANTS = ("base", "double-blocks", "double-rows", "double-cols")
+# The measurement design: each variant multiplies the base grid's (block
+# rows, block columns, blocks per row) by its factors, doubling one or none.
+_DESIGN = {"base": (1, 1, 1), "double-blocks": (1, 1, 2),
+           "double-rows": (2, 1, 1), "double-cols": (1, 2, 1)}
+VARIANTS = tuple(_DESIGN)
 # Stored values a batch of samples holds before it is timed: a memory cap.
 # Cut into many batches, the fits degrade: at the CLI defaults (u, w <= 8,
 # 256 KiB per matrix, 96 MiB of values in all; seeds 1-21) a matrix of
@@ -63,22 +68,20 @@ class TimingSample:
     variant: str
 
     def __post_init__(self):
+        # numpy numbers are stored as Python ones, so samples_to_csv writes what reads back
         for field in ("u", "w", "m_rows", "blocks_per_row"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
-        if not 0 < self.seconds < math.inf:
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field} must be a whole number, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{field} must be at least 1, got {value}")
+            object.__setattr__(self, field, int(value))
+        if not isinstance(self.seconds, numbers.Real) or not 0 < self.seconds < math.inf:
             raise ValueError(f"measured time must be positive and finite, got {self.seconds!r}")
+        object.__setattr__(self, "seconds", float(self.seconds))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        # the design behind _sample_design: m_rows is u times the block rows,
-        # which double-rows doubles, and double-blocks doubles blocks_per_row
-        per_base_row = self.u * (2 if self.variant == "double-rows" else 1)
-        if self.m_rows % per_base_row:
-            raise ValueError(f"m_rows {self.m_rows} of a {self.variant} sample is not "
-                             f"a multiple of {per_base_row}")
-        if self.variant == "double-blocks" and self.blocks_per_row % 2:
-            raise ValueError(f"blocks_per_row {self.blocks_per_row} of a double-blocks "
-                             "sample is odd")
+        _sample_design(self)
 
 
 def default_clock():
@@ -146,19 +149,11 @@ def _grid_vbr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
 def _grid_shape(u, w, k0, b0, variant):
     """(block rows, block columns, blocks per row) of one measurement: the
     base grid has ``k0`` block rows of ``b0`` blocks, square-ish with room
-    for twice the blocks, and each other variant doubles one quantity."""
+    for twice the blocks, and ``variant`` scales it by its ``_DESIGN`` factors."""
     if u < 1 or w < 1 or b0 < 1:
         raise ValueError(f"block shape parameters must be positive: u={u}, w={w}, blocks_per_row={b0}")
-    l0 = max(math.ceil(k0 * u / w), 2 * b0)
-    if variant == "base":
-        return k0, l0, b0
-    if variant == "double-blocks":
-        return k0, l0, 2 * b0
-    if variant == "double-rows":
-        return 2 * k0, l0, b0
-    if variant == "double-cols":
-        return k0, 2 * l0, b0
-    raise ValueError(f"unknown variant {variant!r}")
+    fk, fl, fb = _DESIGN[variant]
+    return fk * k0, fl * max(math.ceil(k0 * u / w), 2 * b0), fb * b0
 
 
 def _variant_shape(u, w, blocks_per_row, min_bytes, variant):
@@ -185,16 +180,16 @@ def synth_block_matrix(u, w, blocks_per_row=8, min_bytes=256 * 1024, seed=0):
 
 
 def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
-                    trials=3, warmup=1, clock=None, seed=0, time_budget=None):
+                    trials=3, clock=None, seed=0, time_budget=None):
     """Time the four measurement variants for every block size.
 
-    Runs strictly sequentially. The matrices are built and warmed up in
-    batches of up to ``_BATCH_BYTES`` of stored values, and each batch is
-    then timed back to back, so the samples the fit compares are measured
-    close together rather than each right after its own construction. The
-    warm-up builds each container's multiply plan while the batch is
-    built, so no plan build falls between two timed samples. Returns the
-    samples to feed ``fit_cost_model``.
+    Runs strictly sequentially. The matrices are built in batches of up to
+    ``_BATCH_BYTES`` of stored values, and each batch is then timed back
+    to back, so the samples the fit compares are measured close together
+    rather than each right after its own construction. Each matrix gets
+    exactly one warm-up multiply, while its batch is built: it builds the
+    container's multiply plan, so no plan build falls between two timed
+    samples. Returns the samples to feed ``fit_cost_model``.
     """
     rng = np.random.default_rng(seed)
     samples, batch, held = [], [], 0
@@ -213,8 +208,7 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
                 B = _grid_vbr(u, w, k, l, b, rng)
                 x = rng.standard_normal(B.n)
                 y = np.zeros(B.m)
-                for _ in range(warmup):
-                    spmv_vbr(y, B, x)
+                spmv_vbr(y, B, x)  # the warm-up call, which builds the plan
                 batch.append((u, w, b, variant, B, x, y))
                 held += B.val.nbytes
                 if held >= _BATCH_BYTES:
@@ -226,10 +220,16 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
 
 def _sample_design(sample):
     """(K, L, blocks) of a sample under the measurement design: its base
-    block rows and blocks per row undo the variant's doubling, which
-    ``TimingSample`` checks divides them exactly."""
-    k0 = sample.m_rows // sample.u // (2 if sample.variant == "double-rows" else 1)
-    b0 = sample.blocks_per_row // (2 if sample.variant == "double-blocks" else 1)
+    block rows and blocks per row undo the variant's ``_DESIGN`` factors,
+    which must divide them exactly."""
+    fk, _, fb = _DESIGN[sample.variant]
+    if sample.m_rows % (sample.u * fk):
+        raise ValueError(f"m_rows {sample.m_rows} of a {sample.variant} sample is not "
+                         f"a multiple of {sample.u * fk}")
+    if sample.blocks_per_row % fb:  # the factors are 1 or 2
+        raise ValueError(f"blocks_per_row {sample.blocks_per_row} of a {sample.variant} "
+                         "sample is odd")
+    k0, b0 = sample.m_rows // (sample.u * fk), sample.blocks_per_row // fb
     k, l, b = _grid_shape(sample.u, sample.w, k0, b0, sample.variant)
     return k, l, k * b
 
@@ -314,7 +314,7 @@ def critical_point(t_partition, t_convert, t_blocked_multiply, t_csr_multiply):
     """
     for name, t in (("partition", t_partition), ("convert", t_convert),
                     ("blocked multiply", t_blocked_multiply), ("csr multiply", t_csr_multiply)):
-        if t < 0:
+        if not t >= 0:  # NaN too
             raise ValueError(f"{name} time must be non-negative, got {t}")
     if t_blocked_multiply >= t_csr_multiply:
         return math.inf

@@ -130,7 +130,7 @@ def _cmd_spmv_bench(args):
     A = mmio.read_matrix_market(args.matrix)
     reports = run_sweep(A, args.matrix, [spec], formats=(args.format,) if args.format != "csr" else (),
                         u_max=u_max, w_max=w_max, trials=args.trials,
-                        warmup=args.warmup, time_budget=args.time_budget)
+                        time_budget=args.time_budget)
     for row in reports:
         print(row.to_json())
 
@@ -146,8 +146,7 @@ def _cmd_sweep(args):
         A = mmio.read_matrix_market(path)
         all_reports += run_sweep(A, path, specs, formats=formats, u_max=args.umax,
                                  w_max=8 if args.wmax is None else args.wmax,
-                                 trials=args.trials, warmup=args.warmup,
-                                 time_budget=args.time_budget)
+                                 trials=args.trials, time_budget=args.time_budget)
     _emit(bench.reports_to_jsonl(all_reports), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -258,7 +257,6 @@ def main(argv=None):
     _partition_args(p, with_alternate=False)
     p.add_argument("--format", default="1dvbr", choices=["csr", "vbr", "1dvbr"])
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--time-budget", type=float, default=None)
     p.set_defaults(func=_cmd_spmv_bench)
 
@@ -271,7 +269,6 @@ def main(argv=None):
     p.add_argument("--umax", type=int, default=8)
     p.add_argument("--wmax", type=int, help="widest column part (needs vbr in --formats; default 8)")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--out", help="JSON-lines report path (default stdout)")
     p.add_argument("--csv", help="also write a CSV summary here")

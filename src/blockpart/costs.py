@@ -13,6 +13,7 @@ measured (fitted) costs are floats.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,22 @@ __all__ = [
 ]
 
 
+def _table(name, entries):
+    """``entries`` with every integral one, numpy's included, as a Python
+    int, so integer models stay exact, and every other as a finite float."""
+    out = []
+    for i, v in enumerate(entries):
+        if isinstance(v, numbers.Integral):
+            out.append(int(v))
+        elif not isinstance(v, numbers.Real):
+            raise ValueError(f"cost table entry {name}[{i}] = {v!r} is not a real number")
+        elif not math.isfinite(v):
+            raise ValueError(f"cost table entry {name}[{i}] = {v!r} is not finite")
+        else:
+            out.append(float(v))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Rank-R separable partition cost.
@@ -50,10 +67,11 @@ class CostModel:
     beta_col: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_row", tuple(self.alpha_row))
-        object.__setattr__(self, "alpha_col", tuple(self.alpha_col))
-        object.__setattr__(self, "beta_row", tuple(tuple(t) for t in self.beta_row))
-        object.__setattr__(self, "beta_col", tuple(tuple(t) for t in self.beta_col))
+        for name in ("alpha_row", "alpha_col"):
+            object.__setattr__(self, name, _table(name, getattr(self, name)))
+        for name in ("beta_row", "beta_col"):
+            object.__setattr__(self, name, tuple(_table(f"{name}[{r}]", t)
+                                                 for r, t in enumerate(getattr(self, name))))
         if not self.alpha_row or not self.alpha_col:
             raise ValueError("alpha tables must cover at least size 1")
         if len(self.beta_row) != len(self.beta_col) or not self.beta_row:
@@ -64,10 +82,6 @@ class CostModel:
         for t in self.beta_col:
             if len(t) != self.w_max:
                 raise ValueError("beta_col tables must match alpha_col range")
-        for t in self._tables():
-            for v in t:
-                if not isinstance(v, int) and not math.isfinite(v):
-                    raise ValueError(f"cost table entry {v!r} is not finite")
 
     @property
     def rank(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from blockpart import (build_csr, cost_model_from_csv, performance_profile, read_matrix_market,
-                       run_sweep, spmv_vbr, write_matrix_market)
+                       run_sweep, spmv_csr, spmv_vbr, write_matrix_market)
 from blockpart.bench import (BenchReport, _reject_constant, profile_to_csv, reports_from_jsonl,
                              reports_to_jsonl)
 from blockpart.calibrate import samples_from_csv
@@ -190,15 +190,36 @@ class TestRunSweep:
             return spmv_vbr(y, B, x, counter)
 
         monkeypatch.setattr(bench, "spmv_vbr", kernel)
-        for warmup in (0, 1, 2):
-            csr_row, row = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
-                                     formats=("vbr",), trials=3, warmup=warmup, clock=clock,
-                                     seed=1)
-            assert row.multiply_seconds == pytest.approx(1e-3)
-            assert row.convert_seconds == pytest.approx(1e-3 + 5.0)
-            assert row.critical_point == critical_point(
-                row.partition_seconds, row.convert_seconds,
-                row.multiply_seconds, csr_row.multiply_seconds)
+        csr_row, row = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
+                                 formats=("vbr",), trials=3, clock=clock, seed=1)
+        assert row.multiply_seconds == pytest.approx(1e-3)
+        assert row.convert_seconds == pytest.approx(1e-3 + 5.0)
+        assert row.critical_point == critical_point(
+            row.partition_seconds, row.convert_seconds,
+            row.multiply_seconds, csr_row.multiply_seconds)
+
+    def test_every_multiply_gets_one_warm_up_call(self, monkeypatch):
+        # CSR and each container: one warm-up call, then trials timed calls
+        import blockpart.bench as bench
+
+        csr_calls, vbr_calls = [], {}
+
+        def csr(A, x):
+            csr_calls.append(A)
+            return spmv_csr(A, x)
+
+        def vbr(y, B, x, counter=None):
+            vbr_calls[id(B)] = vbr_calls.get(id(B), 0) + 1
+            return spmv_vbr(y, B, x, counter)
+
+        monkeypatch.setattr(bench, "spmv_csr", csr)
+        monkeypatch.setattr(bench, "spmv_vbr", vbr)
+        specs = [{"method": "strict"}, {"method": "optimal"}]
+        reports = run_sweep(block_pair_matrix(), "pair", specs, formats=("1dvbr", "vbr"),
+                            trials=3, clock=fake_clock(), seed=1)
+        assert all(row.error is None for row in reports)
+        assert len(csr_calls) == 1 + 3
+        assert list(vbr_calls.values()) == [1 + 3] * (len(reports) - 1)
 
     def test_serializers_run_after_the_convert_clock(self, monkeypatch):
         # every clock reading advances 1 ms and each serialization 9 s
@@ -753,7 +774,7 @@ class TestCli:
         (path,) = self._write_matrices(tmp_path, count=1)
         cli_main(["spmv-bench", "--matrix", path, "--format", "1dvbr",
                   "--method", "optimal:mem1d", "--umax", "4",
-                  "--trials", "2", "--warmup", "1"])
+                  "--trials", "2"])
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert lines[0]["format"] == "csr"
         assert lines[1]["format"] == "1dvbr"
@@ -927,7 +948,7 @@ class TestCliFuzz:
             argv += maybe("--umax", counts) + maybe("--wmax", counts)
             if command == "spmv-bench":
                 argv += maybe("--format", st.sampled_from(["csr", "vbr", "1dvbr"]))
-                argv += maybe("--trials", counts) + maybe("--warmup", st.integers(0, 2))
+                argv += maybe("--trials", counts)
             else:
                 argv += maybe("--alternate", counts)
             if command == "convert":

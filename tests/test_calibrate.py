@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockpart import fit_cost_model, jacobi_svd, synth_block_matrix, time_min
 from blockpart.calibrate import (
     TimingSample,
     VARIANTS,
+    _grid_shape,
     _grid_vbr,
     _sample_design,
     _variant_shape,
@@ -223,6 +225,13 @@ class TestCriticalPoint:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             critical_point(-1, 0, 1, 2)
+        # NaN passed a t < 0 check and gave a NaN critical point
+        for stage, name in enumerate(("partition", "convert", "blocked multiply",
+                                      "csr multiply")):
+            times = [1.0, 1.0, 1.0, 2.0]
+            times[stage] = math.nan
+            with pytest.raises(ValueError, match=f"^{name} time must be non-negative, got nan$"):
+                critical_point(*times)
 
 
 class TestMeasurement:
@@ -278,8 +287,7 @@ class TestMeasurement:
             ticks[0] += 10**6
             return ticks[0]
 
-        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8,
-                                  trials=1, warmup=0, clock=clock)
+        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=1, clock=clock)
         assert len(samples) == 2 * 2 * len(VARIANTS)
         have = {(s.u, s.w, s.variant) for s in samples}
         assert len(have) == len(samples)
@@ -292,10 +300,28 @@ class TestMeasurement:
 
         monkeypatch.setattr(calibrate, "to_vbr", refuse)
         monkeypatch.setattr(calibrate, "build_csr", refuse)
-        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=1, warmup=1,
+        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=1,
                                   clock=iter(range(0, 10**12, 10**6)).__next__)
         assert {(s.u, s.w, s.variant) for s in samples} == {
             (u, w, v) for u in (1, 2) for w in (1, 2) for v in VARIANTS}
+
+    def test_each_grid_is_multiplied_once_before_its_batch_is_timed(self, monkeypatch):
+        # one warm-up multiply per grid while the batch is built, then
+        # trials timed ones per grid in the same order
+        import blockpart.calibrate as calibrate
+
+        calls = []
+
+        def kernel(y, B, x, counter=None):
+            calls.append(id(B))
+            return spmv_vbr(y, B, x, counter)
+
+        monkeypatch.setattr(calibrate, "spmv_vbr", kernel)
+        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=3,
+                                  clock=iter(range(0, 10**12, 10**6)).__next__)
+        grids = calls[:len(samples)]
+        assert len(set(grids)) == len(samples)
+        assert calls[len(samples):] == [g for g in grids for _ in range(3)]
 
     def test_samples_time_warm_containers_back_to_back(self, monkeypatch):
         # every container is built and warmed up (which builds its plan)
@@ -309,7 +335,7 @@ class TestMeasurement:
             return spmv_vbr(y, B, x, counter)
 
         monkeypatch.setattr(calibrate, "spmv_vbr", kernel)
-        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=2, warmup=1,
+        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=2,
                                   clock=iter(range(0, 10**12, 10**6)).__next__)
         assert plan_missing == [True] * len(samples) + [False] * (2 * len(samples))
         assert all(s.seconds == pytest.approx(1e-3) for s in samples)
@@ -368,7 +394,7 @@ class TestMeasurement:
             return spmv_vbr(y, B, x, counter)
 
         def run():
-            return run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=1, warmup=1,
+            return run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=1,
                                    clock=iter(range(0, 10**12, 10**6)).__next__)
 
         monkeypatch.setattr(calibrate, "spmv_vbr", kernel)
@@ -390,3 +416,35 @@ class TestMeasurement:
         samples = [TimingSample(1, 2, 4, 2, 0.125, "base"),
                    TimingSample(2, 2, 8, 4, 3.5e-05, "double-blocks")]
         assert samples_from_csv(samples_to_csv(samples)) == samples
+
+    def test_numpy_numbers_are_stored_as_python_ones(self):
+        # the CSV then reads 2 and 3.5e-05, not 2.0 or np.float64(3.5e-05)
+        sample = TimingSample(np.int64(2), np.int32(2), np.int64(8), np.uint8(4),
+                              np.float64(3.5e-05), "double-blocks")
+        assert sample == TimingSample(2, 2, 8, 4, 3.5e-05, "double-blocks")
+        assert [type(v) for v in (sample.u, sample.w, sample.m_rows, sample.blocks_per_row,
+                                  sample.seconds)] == [int] * 4 + [float]
+        assert samples_from_csv(samples_to_csv([sample])) == [sample]
+
+    @pytest.mark.parametrize("field, value", [
+        ("m_rows", 4.0),  # was written as 4.0, which samples_from_csv refused
+        ("u", True),
+        ("blocks_per_row", np.float64(8.0)),
+        ("w", np.bool_(True)),
+        ("m_rows", "4"),
+    ], ids=["float", "bool", "np-float", "np-bool", "str"])
+    def test_counts_must_be_whole_numbers(self, field, value):
+        fields = dict(u=2, w=1, m_rows=4, blocks_per_row=8, seconds=1e-5, variant="base")
+        fields[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be a whole number, got "):
+            TimingSample(**fields)
+
+
+class TestDesign:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(variant=st.sampled_from(VARIANTS), u=st.integers(1, 16), w=st.integers(1, 16),
+           k0=st.integers(1, 10**5), b0=st.integers(1, 64))
+    def test_sample_design_gives_the_grid_shape_back(self, variant, u, w, k0, b0):
+        k, l, b = _grid_shape(u, w, k0, b0, variant)
+        sample = TimingSample(u, w, k * u, b, 1e-5, variant)
+        assert _sample_design(sample) == (k, l, k * b)

@@ -23,6 +23,7 @@ from blockpart import (
     vbr_memory_bits,
 )
 from blockpart.gadgets import GadgetParams, build_gadget, case_row_partition, case_col_partition
+from blockpart.partition import optimal_partition
 
 from conftest import random_csr, random_partition, planted_model
 
@@ -251,3 +252,33 @@ class TestModelTables:
     def test_rejects_inconsistent_tables(self):
         with pytest.raises(ValueError):
             CostModel(alpha_row=(0,), alpha_col=(0,), beta_row=((1, 1),), beta_col=((1,),))
+
+    def test_numpy_integer_tables_stay_exact(self):
+        # np.int64 entries are stored as Python ints: the model is exact, so
+        # the DP runs in integers, the CSV reads 192 and not 192.0, and
+        # evaluate does not wrap at 2**63
+        reference = model_memory_vbr(64, 64, 4, 3)
+        numpy_model = CostModel(
+            alpha_row=np.array(reference.alpha_row), alpha_col=np.array(reference.alpha_col),
+            beta_row=[np.array(t) for t in reference.beta_row],
+            beta_col=np.array(reference.beta_col))
+        assert numpy_model == reference and numpy_model.exact
+        assert cost_model_to_csv(numpy_model) == cost_model_to_csv(reference)
+        rng = np.random.default_rng(5)
+        A = random_csr(12, 9, 0.3, rng)
+        rows, cols = random_partition(12, 4, rng), random_partition(9, 3, rng)
+        assert evaluate(numpy_model, A, rows, cols) == evaluate(reference, A, rows, cols)
+        found, want = (optimal_partition(A, cols, m, 4) for m in (numpy_model, reference))
+        assert found == want and found.cost == want.cost and isinstance(found.cost, int)
+
+        big = np.int64(2**62)
+        column = build_csr(3, 1, [(i, 0, 1.0) for i in range(3)])
+        wide = CostModel(alpha_row=(big,), alpha_col=(np.int64(0),),
+                         beta_row=((big,),), beta_col=((np.int64(1),),))
+        assert evaluate(wide, column, trivial_partition(3), trivial_partition(1)) == 6 * 2**62
+
+    @pytest.mark.parametrize("bad", ["1", None, np.bool_(True)], ids=["str", "None", "np-bool"])
+    def test_non_number_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^cost table entry beta_col\[0\]\[1\] = "
+                                             r".* is not a real number$"):
+            CostModel(alpha_row=(0,), alpha_col=(0, 0), beta_row=((1,),), beta_col=((1, bad),))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockpart import (
+    CsrMatrix,
     Partition,
     build_csr,
     spmv_1dvbr,
@@ -11,6 +12,7 @@ from blockpart import (
     spmv_vbr,
     to_1dvbr,
     to_vbr,
+    trivial_partition,
 )
 
 from conftest import random_csr, random_partition
@@ -87,6 +89,23 @@ class TestSpmvVbr:
             expect = spmv_csr(A, x)
             got = spmv_vbr(np.zeros(A.m), to_vbr(A, rows, cols), x)
             assert np.abs(got - expect).max(initial=0.0) <= mixed_tolerance(A, x)
+
+    def test_power_law_rows_pad_little(self):
+        # 1x1 blocks of a power-law matrix: one height and over a hundred
+        # distinct stored counts, from 1 to 10,000. The plan's class DP pads
+        # them by under 1.15x; one group per height would pad them a
+        # thousandfold, and no benchmark workload has such rows
+        rng = np.random.default_rng(0)
+        m = n = 10_000
+        lengths = np.minimum(rng.zipf(2.0, m), n)
+        pos = np.concatenate([[0], np.cumsum(lengths)])
+        idx = np.arange(pos[-1]) - np.repeat(pos[:-1], lengths)
+        A = CsrMatrix(m, n, pos, idx, rng.uniform(-1.0, 1.0, pos[-1]))
+        B = to_1dvbr(A, trivial_partition(m))
+        x = rng.standard_normal(n)
+        y = spmv_1dvbr(np.zeros(m), B, x)
+        assert np.abs(y - spmv_csr(A, x)).max() <= mixed_tolerance(A, x) * n
+        assert sum(values.size for values, _, _ in B._plan) <= 1.5 * len(B.val)
 
 
 class TestSpmv1dVbr:
