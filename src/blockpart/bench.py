@@ -112,7 +112,12 @@ def _partition_for(spec, A, fmt, u_max, w_max, rounds=3):
     on the transpose and optimal alternates ``rounds`` half-steps. Every
     method keeps parts within ``u_max`` rows and ``w_max`` columns. An
     optimal spec without a model uses the storage model of ``fmt``.
+    No part is taller or wider than ``A``, so the bounds are first clamped
+    to its shape: a built-in model's tables then grow with the matrix,
+    not with ``u_max``, and every partition stays the same.
     """
+    # a bound below 1 is left to fail as before
+    u_max, w_max = min(u_max, max(A.m, 1)), min(w_max, max(A.n, 1))
     method = spec["method"]
     if method == "optimal":
         model = _resolve_model(spec.get("model", "mem1d" if fmt == "1dvbr" else "memvbr"),
@@ -139,14 +144,15 @@ def _check_formats(formats):
 
 
 def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_max=8,
-              trials=3, clock=None, seed=None, time_budget=None):
+              trials=3, clock=None, seed=None):
     """Benchmark every (partitioner, format) combination on one matrix.
 
     Rows run sequentially. The CSR baseline row comes first and its
-    multiply time anchors every row's critical point. Each multiply gets
-    one warm-up call before its ``trials`` timed ones, untimed for CSR. A
-    container's is its first multiply, which also builds its plan: it is
-    timed on its own, and its excess over ``multiply_seconds`` is one-time
+    multiply time anchors every row's critical point. CSR and every
+    container are measured alike: one warm-up call, ``time_min(f, 1)``,
+    then ``multiply_seconds = time_min(f, trials)``. CSR's warm-up time is
+    discarded. A container's warm-up is its first multiply, which also
+    builds its plan, and its excess over ``multiply_seconds`` is one-time
     set-up added to ``convert_seconds``. ``memory_bits`` is 8 times the
     length of the container's serialization, the file ``blockpart
     convert`` writes. Format names other than 1dvbr and vbr raise before
@@ -157,7 +163,9 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
     rng = np.random.default_rng(resolve_seed(seed))
     x = rng.standard_normal(A.n)
 
-    t_csr = time_min(lambda: spmv_csr(A, x), trials, clock=clock, time_budget=time_budget)
+    csr = partial(spmv_csr, A, x)
+    time_min(csr, 1, clock=clock)
+    t_csr = time_min(csr, trials, clock=clock)
     reports = [BenchReport(matrix_id, "csr", "none", {}, K=A.m, L=A.n, N_index=A.nnz,
                            N_value=A.nnz, memory_bits=csr_memory_bits(A, S_INDEX, S_VALUE),
                            partition_seconds=0.0, convert_seconds=0.0, multiply_seconds=t_csr,
@@ -179,12 +187,9 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 t_conv = (clock() - t0) / 1e9
                 serialize, fixed_words = _FORMATS[fmt]
                 memory = 8 * len(serialize(B))
-                y = np.zeros(A.m)
-                t0 = clock()
-                spmv_vbr(y, B, x)  # the warm-up call, which also builds the plan
-                t_first = (clock() - t0) / 1e9
-                t_mult = time_min(lambda: spmv_vbr(y, B, x), trials, clock=clock,
-                                  warmup=0, time_budget=time_budget)
+                blocked = partial(spmv_vbr, np.zeros(A.m), B, x)
+                t_first = time_min(blocked, 1, clock=clock)  # the warm-up builds the plan
+                t_mult = time_min(blocked, trials, clock=clock)
                 t_conv += max(t_first - t_mult, 0.0)
                 n_index, n_value = stored_counts(B)
                 fields = dict(K=rows.num_parts, L=cols.num_parts, N_index=n_index, N_value=n_value,
@@ -256,9 +261,17 @@ def _finite_float(text):
     return value
 
 
+# the JSON type of each report field; every other field is a number or null
+_FIELD_TYPES = {"matrix_id": (str, "a string"), "format": (str, "a string"),
+                "partitioner": (str, "a string"), "error": ((str, type(None)), "a string or null"),
+                "params": (dict, "an object"), "critical_point_inf": (bool, "true or false")}
+_NUMBER = ((int, float, type(None)), "a number or null")
+
+
 def reports_from_jsonl(text):
     """Parse ``reports_to_jsonl`` output; any other line, a number past the
-    float range included, raises ValueError naming its line number."""
+    float range or a field of the wrong JSON type included, raises
+    ValueError naming its line number."""
     rows = []
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -267,7 +280,14 @@ def reports_from_jsonl(text):
             row = json.loads(line, parse_constant=_reject_constant, parse_float=_finite_float)
             if not isinstance(row, dict):
                 raise ValueError("a report must be a JSON object")
+            for name, value in row.items():
+                types, kind = _FIELD_TYPES.get(name, _NUMBER)
+                # true and false are ints to Python, but not numbers to JSON
+                if not isinstance(value, types) or isinstance(value, bool) is not (types is bool):
+                    raise ValueError(f"field {name!r} must be {kind}, got {json.dumps(value)}")
             if row.pop("critical_point_inf", False):
+                if row.get("critical_point") is not None:
+                    raise ValueError("critical_point_inf is true, so critical_point must be null")
                 row["critical_point"] = math.inf
             rows.append(BenchReport(**row))
         except (TypeError, ValueError) as exc:

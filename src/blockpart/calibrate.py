@@ -89,27 +89,20 @@ def default_clock():
     return time.perf_counter_ns()
 
 
-def time_min(fn, trials, clock=None, warmup=1, time_budget=None):
-    """Minimum wall time of ``fn`` over ``trials`` runs after warm-up.
+def time_min(fn, trials, clock=None):
+    """Minimum wall time in seconds of ``trials`` calls of ``fn``.
 
-    ``time_budget`` (seconds) caps total measurement time; at least one
-    timed run always happens.
+    Every call is timed, with two clock reads each; there is no warm-up,
+    so a caller that wants one makes it, usually as ``time_min(fn, 1)``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     clock = clock or default_clock
-    for _ in range(warmup):
-        fn()
     best = math.inf
-    spent = 0.0
     for _ in range(trials):
         t0 = clock()
         fn()
-        dt = (clock() - t0) / 1e9
-        best = min(best, dt)
-        spent += dt
-        if time_budget is not None and spent >= time_budget:
-            break
+        best = min(best, (clock() - t0) / 1e9)
     return best
 
 
@@ -180,24 +173,24 @@ def synth_block_matrix(u, w, blocks_per_row=8, min_bytes=256 * 1024, seed=0):
 
 
 def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
-                    trials=3, clock=None, seed=0, time_budget=None):
+                    trials=3, clock=None, seed=0):
     """Time the four measurement variants for every block size.
 
     Runs strictly sequentially. The matrices are built in batches of up to
     ``_BATCH_BYTES`` of stored values, and each batch is then timed back
     to back, so the samples the fit compares are measured close together
     rather than each right after its own construction. Each matrix gets
-    exactly one warm-up multiply, while its batch is built: it builds the
-    container's multiply plan, so no plan build falls between two timed
-    samples. Returns the samples to feed ``fit_cost_model``.
+    exactly one warm-up multiply, untimed, while its batch is built: it
+    builds the container's multiply plan, so no plan build falls between
+    two timed samples. Its sample is then ``time_min`` of ``trials``
+    calls. Returns the samples to feed ``fit_cost_model``.
     """
     rng = np.random.default_rng(seed)
     samples, batch, held = [], [], 0
 
     def time_batch():
         for u, w, b, variant, B, x, y in batch:
-            seconds = time_min(lambda: spmv_vbr(y, B, x), trials, clock=clock,
-                               warmup=0, time_budget=time_budget)
+            seconds = time_min(lambda: spmv_vbr(y, B, x), trials, clock=clock)
             samples.append(TimingSample(u, w, B.m, b, seconds, variant))
         batch.clear()
 

@@ -129,8 +129,7 @@ def _cmd_spmv_bench(args):
     spec, u_max, w_max = _request(args, args.format)
     A = mmio.read_matrix_market(args.matrix)
     reports = run_sweep(A, args.matrix, [spec], formats=(args.format,) if args.format != "csr" else (),
-                        u_max=u_max, w_max=w_max, trials=args.trials,
-                        time_budget=args.time_budget)
+                        u_max=u_max, w_max=w_max, trials=args.trials)
     for row in reports:
         print(row.to_json())
 
@@ -146,7 +145,7 @@ def _cmd_sweep(args):
         A = mmio.read_matrix_market(path)
         all_reports += run_sweep(A, path, specs, formats=formats, u_max=args.umax,
                                  w_max=8 if args.wmax is None else args.wmax,
-                                 trials=args.trials, time_budget=args.time_budget)
+                                 trials=args.trials)
     _emit(bench.reports_to_jsonl(all_reports), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -192,8 +191,7 @@ def _cmd_calibrate(args):
         raise ValueError(f"--rank must be in 1..{min(args.umax, args.wmax)}, got {args.rank}")
     samples = calibrate.run_calibration(
         args.umax, args.wmax, blocks_per_row=args.blocks_per_row,
-        min_bytes=args.min_bytes, trials=args.trials, seed=resolve_seed(),
-        time_budget=args.time_budget)
+        min_bytes=args.min_bytes, trials=args.trials, seed=resolve_seed())
     if args.samples_out:
         with open(args.samples_out, "w", encoding="ascii") as fh:
             fh.write(calibrate.samples_to_csv(samples))
@@ -257,7 +255,6 @@ def main(argv=None):
     _partition_args(p, with_alternate=False)
     p.add_argument("--format", default="1dvbr", choices=["csr", "vbr", "1dvbr"])
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--time-budget", type=float, default=None)
     p.set_defaults(func=_cmd_spmv_bench)
 
     p = sub.add_parser("sweep", help="benchmark partitioner/format combinations")
@@ -269,7 +266,6 @@ def main(argv=None):
     p.add_argument("--umax", type=int, default=8)
     p.add_argument("--wmax", type=int, help="widest column part (needs vbr in --formats; default 8)")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--out", help="JSON-lines report path (default stdout)")
     p.add_argument("--csv", help="also write a CSV summary here")
     p.set_defaults(func=_cmd_sweep)
@@ -288,14 +284,15 @@ def main(argv=None):
                    help="value storage per synthetic matrix (default: one L2 cache)")
     p.add_argument("--blocks-per-row", type=int, default=8)
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--samples-out", help="also dump raw timing samples as CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("gadget", help="emit a hardness gadget as Matrix Market")
     p.add_argument("--kind", required=True, choices=["b1", "b2", "mini", "count", "reduction"])
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=float, default=1.0,
+                   help="b1, b2, reduction: index weight; each gadget's side is about 56*s**2 "
+                        "(209 at s = 1), and s above about 4.06e8 is refused")
     p.add_argument("--umax", type=int, default=2, help="count: block height cap")
     p.add_argument("--wmax", type=int, default=2,
                    help="count: block width cap; the gadget has about (umax+1)(wmax+1) "

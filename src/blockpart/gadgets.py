@@ -33,10 +33,19 @@ __all__ = [
 ]
 
 
+# the largest side a CsrMatrix can index
+_MU_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class GadgetParams:
     """Sizing constants of the cost-model gadget, derived from the index
     weight ``s`` (the per-block cost relative to a per-value cost of 1).
+
+    The gadget's side ``mu`` is about 56 s**2: 209 at s = 1 and 56,125,028
+    at s = 1000, whose row pointers alone take 449 MB. An ``s`` whose
+    ``mu`` is past the int64 indices of a CsrMatrix, above about 4.06e8,
+    is refused.
     """
 
     s: float
@@ -46,6 +55,11 @@ class GadgetParams:
             raise ValueError(f"index weight must be finite, got {self.s}")
         if self.s < 1:
             raise ValueError(f"index weight must be at least 1, got {self.s}")
+        # mu3's float product overflows near s = 6.4e306, so test s first
+        if self.s > 1e9 or self.mu > _MU_MAX:
+            raise ValueError(f"index weight {self.s} makes the gadget side mu larger than "
+                             f"{_MU_MAX}, the int64 index range of a CsrMatrix; s may be at "
+                             "most about 4.06e8")
 
     @property
     def mu1(self):

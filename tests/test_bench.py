@@ -202,13 +202,14 @@ class TestRunSweep:
         # CSR and each container: one warm-up call, then trials timed calls
         import blockpart.bench as bench
 
-        csr_calls, vbr_calls = [], {}
+        csr_calls, vbr_calls, containers = [], {}, []
 
         def csr(A, x):
             csr_calls.append(A)
             return spmv_csr(A, x)
 
         def vbr(y, B, x, counter=None):
+            containers.append(B)  # kept alive, so a freed container's id is not reused
             vbr_calls[id(B)] = vbr_calls.get(id(B), 0) + 1
             return spmv_vbr(y, B, x, counter)
 
@@ -285,20 +286,57 @@ class TestRunSweep:
         assert row.error is None
         assert (row.K, row.L) == (3, 2 if fmt == "vbr" else 3)
 
-    def test_time_budget_reaches_every_timing(self, monkeypatch):
+    @pytest.mark.parametrize("fmt, model", [("1dvbr", "mem1d"), ("1dvbr", "blocks"),
+                                            ("vbr", "memvbr"), ("vbr", "blocks")])
+    def test_built_in_models_are_sized_by_the_matrix(self, monkeypatch, fmt, model):
+        # a bound of 10**9 would build 10**9-entry tables; the spy refuses
+        # any table not sized by the matrix before the real builder runs
         import blockpart.bench as bench
+        from blockpart.bench import _partition_for
 
-        budgets = []
+        A = random_csr(10, 7, 0.3, np.random.default_rng(4))
+        sizes = []
 
-        def timed(fn, trials, clock=None, warmup=1, time_budget=None):
-            budgets.append(time_budget)
-            return 1e-3
+        def spy(builder, *sized):
+            def build(*args):
+                tables = [args[i] for i in sized]
+                sizes.append(tables)
+                assert tables == [A.m, A.n][:len(tables)], tables
+                return builder(*args)
+            return build
 
-        monkeypatch.setattr(bench, "time_min", timed)
-        reports = run_sweep(block_pair_matrix(), "pair", [{"method": "strict"}],
-                            formats=("1dvbr", "vbr"), trials=3, clock=fake_clock(), seed=1,
-                            time_budget=0.25)
-        assert budgets == [0.25] * len(reports)
+        monkeypatch.setattr(bench, "model_block_count", spy(bench.model_block_count, 0, 1))
+        monkeypatch.setattr(bench, "model_memory_1dvbr", spy(bench.model_memory_1dvbr, 2))
+        monkeypatch.setattr(bench, "model_memory_vbr", spy(bench.model_memory_vbr, 2, 3))
+        spec = {"method": "optimal", "model": model}
+        huge = _partition_for(spec, A, fmt, 10**9, 10**9)
+        assert sizes
+        exact = _partition_for(spec, A, fmt, A.m, A.n)
+        assert [p.spl.tolist() for p in huge] == [p.spl.tolist() for p in exact]
+
+    @pytest.mark.parametrize("method", ["strict", "overlap"])
+    def test_heuristics_keep_their_partition_past_the_matrix(self, method):
+        from blockpart.bench import _partition_for
+
+        A = random_csr(10, 7, 0.3, np.random.default_rng(5))
+        spec = {"method": method, "rho": 0.5}
+        for fmt in ("1dvbr", "vbr"):
+            huge = _partition_for(spec, A, fmt, 10**6, 10**6)
+            exact = _partition_for(spec, A, fmt, A.m, A.n)
+            assert [p.spl.tolist() for p in huge] == [p.spl.tolist() for p in exact]
+
+    def test_file_model_covering_the_matrix_is_accepted(self):
+        # a table range of m rows is enough for any partition of m rows
+        from blockpart import model_memory_1dvbr
+        from blockpart.bench import _partition_for
+
+        A = random_csr(4, 6, 0.5, np.random.default_rng(6))
+        spec = {"method": "optimal", "model": model_memory_1dvbr(64, 64, A.m)}
+        rows, _ = _partition_for(spec, A, "1dvbr", 8, 8)
+        assert rows.spl.tolist() == _partition_for(spec, A, "1dvbr", A.m, 8)[0].spl.tolist()
+        short = {"method": "optimal", "model": model_memory_1dvbr(64, 64, A.m - 1)}
+        with pytest.raises(ValueError, match=f"u_max {A.m} exceeds model table range {A.m - 1}"):
+            _partition_for(short, A, "1dvbr", 8, 8)
 
     def test_partition_seconds_include_the_transpose(self, monkeypatch):
         # every clock reading advances 1 ms and the transpose stand-in 7 s,
@@ -659,6 +697,18 @@ class TestCli:
                                              rf"got {count}$"):
             cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
 
+    @pytest.mark.parametrize("argv", [
+        ["spmv-bench", "--matrix", "m.mtx"],
+        ["sweep", "--matrix", "m.mtx"],
+        ["calibrate", "--out", "model.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_time_budget_flag_is_gone(self, capsys, argv):
+        # every timed multiply runs its full trials, so no command takes a budget
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--time-budget", "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --time-budget 0.5" in capsys.readouterr().err
+
     def test_sweep_unknown_format_writes_no_report(self, tmp_path):
         (path,) = self._write_matrices(tmp_path, count=1)
         out = tmp_path / "r.jsonl"
@@ -755,7 +805,10 @@ class TestCli:
             "1.0,csr,0.0", "1.4230769230769231,csr,1.0",
             "1.0,strict 1dvbr,1.0", "1.4230769230769231,strict 1dvbr,1.0"]
 
-    @pytest.mark.parametrize("line", ['{"memory_bits": NaN}', "[]", '{"speed": 1}'])
+    @pytest.mark.parametrize("line", ['{"memory_bits": NaN}', "[]", '{"speed": 1}'] + [
+        '{"matrix_id": "m", "format": "csr", "partitioner": "none", "params": {}, ' + fields
+        for fields in ['"critical_point": 12.0, "critical_point_inf": "no"}',
+                       '"memory_bits": true}', '"memory_bits": "1e3"}']])
     def test_profile_rejects_bad_report_lines(self, tmp_path, line):
         path = tmp_path / "r.jsonl"
         path.write_text(line + "\n")
@@ -832,6 +885,16 @@ class TestCli:
         out = tmp_path / "g.mtx"
         with pytest.raises(SystemExit, match=rf"^blockpart gadget: index weight must be finite, "
                                              rf"got {s}$"):
+            cli_main(["gadget", "--kind", kind, "--s", s, "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, s", [("b1", "1e308"), ("reduction", "1e300")])
+    def test_gadget_too_large_to_index_rejected(self, tmp_path, kind, s):
+        # b1 ended in an OverflowError traceback and reduction never ended
+        out = tmp_path / "g.mtx"
+        weight = re.escape(str(float(s)))
+        with pytest.raises(SystemExit, match=rf"^blockpart gadget: index weight {weight} makes "
+                                             r"the gadget side mu larger than "):
             cli_main(["gadget", "--kind", kind, "--s", s, "--out", str(out)])
         assert not out.exists()
 

@@ -236,45 +236,21 @@ class TestCriticalPoint:
 
 class TestMeasurement:
     def test_fake_clock_min_of_trials(self):
-        ticks = iter(range(0, 10**12, 10**6))  # 1 ms per clock call
+        # 1 ms per clock call: exactly trials calls of fn and two reads each
+        ticks = iter(range(0, 10**12, 10**6))
+        reads, calls = [], []
 
         def clock():
+            reads.append(None)
             return next(ticks)
 
-        best = time_min(lambda: None, trials=5, clock=clock, warmup=2)
+        best = time_min(lambda: calls.append(None), trials=5, clock=clock)
         assert best == pytest.approx(1e-3)
+        assert (len(calls), len(reads)) == (5, 2 * 5)
 
-    def test_time_budget_stops_timing_once_spent(self):
-        # each run of fn takes 2 ms on the fake clock
-        now = [0]
-        runs = []
-
-        def fn():
-            runs.append(now[0])
-            now[0] += 2 * 10**6
-
-        def clock():
-            return now[0]
-
-        for budget, timed in ((5e-3, 3), (6.5e-3, 4), (0.0, 1), (1e-9, 1), (None, 10)):
-            runs.clear()
-            best = time_min(fn, trials=10, clock=clock, warmup=1, time_budget=budget)
-            assert best == pytest.approx(2e-3)
-            assert len(runs) == 1 + timed, budget
-
-    def test_run_calibration_passes_the_time_budget(self, monkeypatch):
-        import blockpart.calibrate as calibrate
-
-        budgets = []
-
-        def timed(fn, trials, clock=None, warmup=1, time_budget=None):
-            budgets.append(time_budget)
-            return 1e-3
-
-        monkeypatch.setattr(calibrate, "time_min", timed)
-        samples = run_calibration(1, 2, blocks_per_row=1, min_bytes=8, trials=3,
-                                  time_budget=0.125)
-        assert budgets == [0.125] * len(samples) == [0.125] * 2 * len(VARIANTS)
+    def test_time_min_needs_a_trial(self):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            time_min(lambda: None, trials=0)
 
     def test_zero_blocks_per_row_rejected(self):
         with pytest.raises(ValueError, match="block shape parameters must be positive"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,17 @@ class TestGadgetParams:
     def test_rejects_non_finite_weight(self, s):
         with pytest.raises(ValueError, match=r"^index weight must be finite, got "):
             GadgetParams(s)
+
+    @pytest.mark.parametrize("s", [405836262.0, 1e9, 1e300, 1e308])
+    def test_rejects_a_side_past_the_int64_indices(self, s):
+        # 1e308 raised OverflowError from mu3, and building a 1e300 gadget hung
+        with pytest.raises(ValueError, match=rf"^index weight {re.escape(str(s))} makes the gadget side mu "
+                                             rf"larger than {2**63 - 1}, "):
+            GadgetParams(s)
+
+    def test_largest_weight_fits_the_int64_indices(self):
+        # nothing is built: the largest accepted s has its side just in range
+        assert 2**63 - 2 * 10**9 < GadgetParams(405836261.99999994).mu <= 2**63 - 1
 
 
 class TestBuildGadget:

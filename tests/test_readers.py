@@ -172,3 +172,30 @@ class TestReaderRegressions:
         line = '{"matrix_id": "a", "format": "vbr", "partitioner": "strict", "params": {}, '
         with pytest.raises(ValueError, match="line 1: 1e400 is past the float range"):
             reports_from_jsonl(line + '"multiply_seconds": 1e400}\n')
+
+    REPORT = '{"matrix_id": "a", "format": "vbr", "partitioner": "strict", "params": {}'
+
+    @pytest.mark.parametrize("fields, message", [
+        # each of these was read, and profile then ranked the wrong value
+        ('"critical_point": 12.0, "critical_point_inf": "no"',
+         "'critical_point_inf' must be true or false, got \"no\""),
+        ('"memory_bits": true', "'memory_bits' must be a number or null, got true"),
+        ('"memory_bits": "1e3"', "'memory_bits' must be a number or null, got \"1e3\""),
+        ('"K": [3]', "'K' must be a number or null, got \\[3\\]"),
+        ('"error": 5', "'error' must be a string or null, got 5"),
+        ('"matrix_id": null', "'matrix_id' must be a string, got null"),
+        ('"params": []', "'params' must be an object, got \\[\\]"),
+        ('"critical_point": 12.0, "critical_point_inf": true',
+         "critical_point_inf is true, so critical_point must be null"),
+    ])
+    def test_report_fields_of_the_wrong_type(self, fields, message):
+        with pytest.raises(ValueError, match=f"^report line 1: (field )?{message}$"):
+            reports_from_jsonl(self.REPORT + ", " + fields + "}\n")
+
+    def test_every_written_report_reads_back(self):
+        reports = [BenchReport("a", "csr", "none", {}, K=4, L=4, memory_bits=64,
+                               multiply_seconds=1e-3, critical_point=math.inf),
+                   BenchReport("a", "vbr", "overlap(nan)", {"rho": "nan"}, error="bad rho"),
+                   BenchReport("a", "1dvbr", "strict", {}, K=2, partition_seconds=0.0,
+                               critical_point=12.5, model_objective=7)]
+        assert reports_from_jsonl(reports_to_jsonl(reports)) == reports
