@@ -105,11 +105,12 @@ def _partitioner_id(spec):
     raise ValueError(f"unknown partitioner {spec!r}")
 
 
-def _partition_for(spec, A, fmt, u_max, w_max, rounds=3):
+def _partition_for(spec, A, fmt, u_max, w_max):
     """Partition ``A`` for ``fmt`` as ``spec`` asks, returning (rows, cols).
 
     1dvbr keeps the columns trivial. For vbr, strict and overlap run again
-    on the transpose and optimal alternates ``rounds`` half-steps. Every
+    on the transpose and optimal alternates 3 half-steps. ``spec`` is one
+    ``_partitioner_id`` accepts, which ``run_sweep`` checks first. Every
     method keeps parts within ``u_max`` rows and ``w_max`` columns. An
     optimal spec without a model uses the storage model of ``fmt``.
     No part is taller or wider than ``A``, so the bounds are first clamped
@@ -123,15 +124,13 @@ def _partition_for(spec, A, fmt, u_max, w_max, rounds=3):
         model = _resolve_model(spec.get("model", "mem1d" if fmt == "1dvbr" else "memvbr"),
                                fmt, u_max, w_max)
         if fmt == "vbr":
-            return alternating_partition(A, model, u_max, w_max, rounds=rounds)
+            return alternating_partition(A, model, u_max, w_max)
         cols = trivial_partition(A.n)
         return optimal_partition(A, cols, model, u_max), cols
     if method == "strict":
         heuristic = strict_partition
-    elif method == "overlap":
+    else:  # overlap
         heuristic = partial(overlap_partition, rho=spec["rho"])
-    else:
-        raise ValueError(f"unknown partitioner {spec!r}")
     rows = heuristic(A, u_max=u_max)
     cols = heuristic(transpose(A), u_max=w_max) if fmt == "vbr" else trivial_partition(A.n)
     return rows, cols
@@ -155,10 +154,11 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
     builds its plan, and its excess over ``multiply_seconds`` is one-time
     set-up added to ``convert_seconds``. ``memory_bits`` is 8 times the
     length of the container's serialization, the file ``blockpart
-    convert`` writes. Format names other than 1dvbr and vbr raise before
-    anything is timed.
+    convert`` writes. Format names other than 1dvbr and vbr, and unknown
+    partitioners, raise before anything is timed.
     """
     _check_formats(formats)
+    labels = [_partitioner_id(spec) for spec in partitioners]
     clock = clock or default_clock
     rng = np.random.default_rng(resolve_seed(seed))
     x = rng.standard_normal(A.n)
@@ -170,9 +170,8 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                            N_value=A.nnz, memory_bits=csr_memory_bits(A, S_INDEX, S_VALUE),
                            partition_seconds=0.0, convert_seconds=0.0, multiply_seconds=t_csr,
                            critical_point=math.inf)]
-    for spec in partitioners:
+    for spec, label in zip(partitioners, labels):
         for fmt in formats:
-            label = _partitioner_id(spec)
             # a NaN or infinite rho fails in the partitioner, and its row must
             # still be strict JSON: such a number is kept as its repr
             params = {k: v if not isinstance(v, float) or math.isfinite(v) else repr(v)

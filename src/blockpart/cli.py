@@ -52,17 +52,16 @@ def _parse_spec(text, flag):
     raise ValueError(f"{label} is not strict, overlap[:RHO] or optimal[:MODEL]")
 
 
-def _partition_args(sub, with_alternate=True):
+def _partition_args(sub, formats, default=None):
     sub.add_argument("--matrix", required=True, help="Matrix Market file")
     sub.add_argument("--method", help="partitioner: strict | overlap[:RHO] | optimal[:MODEL], "
                                       "MODEL blocks | mem1d | memvbr | file:PATH (default "
                                       "optimal, the storage model of the format; RHO 0.9)")
+    sub.add_argument("--format", choices=formats, default=default, required=default is None,
+                     help="container: 1dvbr partitions the rows, vbr the rows and "
+                          "the columns" + (f" (default {default})" if default else ""))
     sub.add_argument("--umax", type=int, help="tallest row part (default 8)")
-    sub.add_argument("--wmax", type=int, help="widest column part (2-D requests only; default 8)")
-    if with_alternate:
-        sub.add_argument("--alternate", type=int, metavar="N",
-                         help="run N alternating half-steps of the optimal method on rows "
-                              "and columns (default 3 for a 2-D request)")
+    sub.add_argument("--wmax", type=int, help="widest column part (--format vbr only; default 8)")
 
 
 def _emit(text, path):
@@ -74,50 +73,44 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _request(args, fmt):
-    """Check the flags of a partition, convert or spmv-bench call that asks
-    for ``fmt`` before any matrix is read, and return the sweep's spec,
-    ``u_max`` and ``w_max``. A flag the request would ignore is rejected."""
+def _request(args):
+    """Check the flags of a partition, convert or spmv-bench call before any
+    matrix is read, and return the sweep's spec, ``u_max`` and ``w_max``.
+    A flag the request would ignore is rejected."""
+    fmt = args.format
     if fmt == "csr":
         for flag in ("--method", "--umax"):
             if getattr(args, flag[2:]) is not None:
                 raise ValueError(f"{flag} sets up the blocked partition, so it needs "
                                  "--format 1dvbr or vbr")
     spec = _parse_spec("optimal" if args.method is None else args.method, "--method")
-    flag_2d = "--alternate" if args.command == "partition" else "--format vbr"
-    alternate = getattr(args, "alternate", None)
-    if alternate is not None and (spec["method"] != "optimal" or fmt != "vbr"):
-        raise ValueError("--alternate alternates optimal row and column half-steps, so it needs "
-                         "--method optimal" + ("" if flag_2d == "--alternate" else " and --format vbr"))
     if args.wmax is not None and fmt != "vbr":
-        raise ValueError(f"--wmax bounds the widths of column parts, so it needs {flag_2d}")
+        raise ValueError("--wmax bounds the widths of column parts, so it needs --format vbr")
     if fmt == "vbr" and spec.get("model") == "mem1d":
-        raise ValueError(f"--method 'optimal:mem1d' prices rows only, but {flag_2d} also "
+        raise ValueError("--method 'optimal:mem1d' prices rows only, but --format vbr also "
                          "partitions columns: use optimal:memvbr, optimal:blocks or "
                          "optimal:file:PATH")
     return spec, 8 if args.umax is None else args.umax, 8 if args.wmax is None else args.wmax
 
 
-def _partition(args, fmt):
-    """Partition the matrix for ``fmt`` as a sweep would; returns (A, rows, cols)."""
-    spec, u_max, w_max = _request(args, fmt)
+def _partition(args):
+    """Partition the matrix for ``--format`` as a sweep would; returns (A, rows, cols)."""
+    spec, u_max, w_max = _request(args)
     A = mmio.read_matrix_market(args.matrix)
-    rounds = 3 if args.alternate is None else args.alternate
-    rows, cols = bench._partition_for(spec, A, fmt, u_max, w_max, rounds)
+    rows, cols = bench._partition_for(spec, A, args.format, u_max, w_max)
     return A, rows, cols
 
 
 def _cmd_partition(args):
-    fmt = "1dvbr" if args.alternate is None else "vbr"
-    _, rows, cols = _partition(args, fmt)
+    _, rows, cols = _partition(args)
     out = {"spl_rows": rows.spl.tolist()}
-    if fmt == "vbr":
+    if args.format == "vbr":
         out["spl_cols"] = cols.spl.tolist()
     _emit(json.dumps(out) + "\n", args.out)
 
 
 def _cmd_convert(args):
-    A, rows, cols = _partition(args, args.format)
+    A, rows, cols = _partition(args)
     serialize, _ = bench._FORMATS[args.format]
     payload = serialize(to_vbr(A, rows, cols))
     with open(args.out, "wb") as fh:
@@ -126,7 +119,7 @@ def _cmd_convert(args):
 
 
 def _cmd_spmv_bench(args):
-    spec, u_max, w_max = _request(args, args.format)
+    spec, u_max, w_max = _request(args)
     A = mmio.read_matrix_market(args.matrix)
     reports = run_sweep(A, args.matrix, [spec], formats=(args.format,) if args.format != "csr" else (),
                         u_max=u_max, w_max=w_max, trials=args.trials)
@@ -134,10 +127,27 @@ def _cmd_spmv_bench(args):
         print(row.to_json())
 
 
+def _check_distinct(flag, items, labels):
+    """Refuse two items with one report label: ``profile`` keeps one value
+    per method and matrix, so it could not read their report."""
+    seen = {}
+    for item, label in zip(items, labels):
+        if label in seen:
+            how = "is given twice" if seen[label] == item else (
+                f"shares the report label {label!r} with {seen[label]!r}")
+            raise ValueError(f"{flag} {item!r} {how}; a report has one row per method, "
+                             "format and matrix")
+        seen[label] = item
+
+
 def _cmd_sweep(args):
-    specs = [_parse_spec(item, "--methods item") for item in args.methods.split(",")]
+    items = args.methods.split(",")
+    specs = [_parse_spec(item, "--methods item") for item in items]
     formats = tuple(args.formats.split(","))
     bench._check_formats(formats)
+    _check_distinct("--methods item", items, map(bench._partitioner_id, specs))
+    _check_distinct("--formats item", formats, formats)
+    _check_distinct("--matrix", args.matrix, args.matrix)
     if args.wmax is not None and "vbr" not in formats:
         raise ValueError("--wmax bounds the widths of column parts, so it needs vbr in --formats")
     all_reports = []
@@ -227,10 +237,8 @@ def _cmd_gadget(args):
         A = gadgets.build_mini_pair()
     elif args.kind == "count":
         A = gadgets.build_count_gadget("B1", args.umax, args.wmax)
-    elif args.kind == "reduction":
+    else:  # reduction: argparse limits --kind to these five
         A = gadgets.build_reduction_matrix(*_parse_graph(args.graph), gadgets.GadgetParams(args.s))
-    else:
-        raise SystemExit(f"unknown gadget kind {args.kind!r}")
     mmio.write_matrix_market(args.out, A, comment=f"gadget {args.kind}")
     print(f"wrote {A.m}x{A.n} gadget with {A.nnz} entries to {args.out}")
 
@@ -241,19 +249,17 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partition", help="compute a row (and optionally column) partition")
-    _partition_args(p)
+    _partition_args(p, ["1dvbr", "vbr"], default="1dvbr")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("convert", help="convert a matrix to a blocked format")
-    _partition_args(p)
-    p.add_argument("--format", required=True, choices=["vbr", "1dvbr"])
+    _partition_args(p, ["1dvbr", "vbr"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("spmv-bench", help="time one partitioner/format combination")
-    _partition_args(p, with_alternate=False)
-    p.add_argument("--format", default="1dvbr", choices=["csr", "vbr", "1dvbr"])
+    _partition_args(p, ["csr", "1dvbr", "vbr"], default="1dvbr")
     p.add_argument("--trials", type=int, default=3)
     p.set_defaults(func=_cmd_spmv_bench)
 
@@ -304,7 +310,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        for flag in ("umax", "wmax", "trials", "alternate"):
+        for flag in ("umax", "wmax", "trials"):
             count = getattr(args, flag, None)
             if count is not None and count < 1:
                 raise ValueError(f"--{flag} must be at least 1, got {count}")

@@ -22,9 +22,10 @@ largest count c, and minimises the sum over classes of ``_GROUP + c *
 (block rows in the class)``.
 Heights with a single count skip the DP, so a calibration grid, whose
 block rows all store the same number of columns, is one group with no
-pad. On the seed-1234 benchmark containers this replaced padding every
-count to a multiple of 4 as follows (groups, padded / stored values,
-change of the multiply in interleaved medians, 2 vCPUs):
+pad, and calibration times exactly the values the model prices. On the
+seed-1234 benchmark containers this replaced padding every count to a
+multiple of 4 as follows (groups, padded / stored values, change of the
+multiply in interleaved medians, 2 vCPUs):
 
     blocks-2d, VBR                  39, 1.07 -> 12, 1.21    -23 to -33 %
     scatter-heuristic, both kernels  1, 1.20 ->  1, 1.00     -8 to -16 %
@@ -37,9 +38,10 @@ same containers, which is noise, so each group adds into its own rows.
 Building the plan loops in Python only over the groups and over the
 distinct counts of heights that have several. On the 20000-row rowruns
 benchmark matrix (225,891 stored values in 10 groups) the plan holds
-2.65 MB, one padded copy of the values plus int64 x indices and y rows,
-and builds in about 3-5 ms, the time of some 10 of its 0.34 ms
-multiplies (min of 20 and 200 runs, 2 vCPUs). The build moves each block
+2.65 MB (2.73 MB under the pad to a multiple of 4), one padded copy of
+the values plus int64 x indices and y rows, and builds in about 3-5 ms,
+the time of some 10 of its 0.34 ms multiplies (min of 20 and 200 runs,
+2 vCPUs). The build moves each block
 row's values and x columns into its group's slots by one scatter each,
 and skips a scatter that would move nothing: a container of one
 block-row height and one stored column count with no empty block row,

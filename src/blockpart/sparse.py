@@ -187,7 +187,9 @@ def build_csr(m, n, entries):
     one ``np.fromiter`` call. Entries are sorted row-major; duplicate
     coordinates are summed in input order. Entries already in that order
     without duplicates, as ``write_matrix_market`` writes them, skip the
-    sort: one pass over their keys finds them. Out-of-range coordinates
+    sort, about half the build on the benchmark files: one pass over their
+    keys finds them. Any other input is sorted by a sort that assumes no
+    order. Out-of-range coordinates
     are rejected, naming the offending entry.
     """
     if not (isinstance(entries, np.ndarray) and entries.dtype == ENTRY_DTYPE):
@@ -292,7 +294,8 @@ def transpose(A):
     The entries are in CSR order, rows ascending, so one stable sort by
     column alone (``_stable_order``, a radix sort) puts them in
     column-major order with rows ascending within each column, which is
-    the transpose's CSR order; column counts give the new offsets.
+    the transpose's CSR order; column counts give the new offsets. That is
+    Gustavson's counting-sort transpose, with no (column, row) key.
     O(nnz * d + n) time for d = ceil(log2(n) / 16) digits, one while n
     <= 65536, and O(nnz + n) space.
     """

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import re
+import shlex
 import tempfile
 
 import numpy as np
@@ -89,6 +90,19 @@ class TestRunSweep:
         assert len(reports) == 1 + 3
         assert reports[0].format == "csr"
         assert all(r.error is None for r in reports)
+
+    def test_unknown_partitioner_raises_before_anything_is_timed(self):
+        def refuse():
+            raise AssertionError("nothing may be timed")
+
+        with pytest.raises(ValueError, match=r"^unknown partitioner \{'method': 'fast'\}$"):
+            run_sweep(block_pair_matrix(), "p", [{"method": "strict"}, {"method": "fast"}],
+                      clock=refuse)
+
+    def test_unknown_model_is_an_error_row(self):
+        reports = run_sweep(block_pair_matrix(), "p", [{"method": "optimal", "model": "dense"}],
+                            formats=("1dvbr",), trials=1, clock=fake_clock())
+        assert [r.error for r in reports] == [None, "unknown cost model 'dense'"]
 
     def test_identity_strict_counts(self):
         A = build_csr(4, 4, [(i, i, 1.0) for i in range(4)])
@@ -452,9 +466,14 @@ class TestPerformanceProfile:
         for fracs in fractions.values():
             assert all(b >= a for a, b in zip(fracs, fracs[1:]))
 
-    def test_rejects_incomplete_coverage(self):
-        with pytest.raises(ValueError):
-            performance_profile({"a": {"i": 1.0}, "b": {}})
+    @pytest.mark.parametrize("values, message", [
+        ({}, "no methods to profile"),
+        ({"a": {}, "b": {}}, "no instances to profile"),
+        ({"a": {"i": 1.0}, "b": {}}, "method 'b' does not cover the instance set"),
+    ], ids=["no-methods", "no-instances", "method-short"])
+    def test_rejects_incomplete_coverage(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            performance_profile(values)
 
     def test_csv_shape(self):
         taus, fractions = performance_profile(
@@ -494,40 +513,20 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["spl_rows"][0] == 0 and out["spl_rows"][-1] == 8
 
-    def test_alternate_needs_2d_model(self, tmp_path, capsys):
+    def test_mem1d_needs_1d_format(self, tmp_path, capsys):
         (path,) = self._write_matrices(tmp_path, count=1)
         missing = str(tmp_path / "missing.mtx")
-        prices = r"--method 'optimal:mem1d' prices rows only, but "
-        with pytest.raises(SystemExit, match=rf"^blockpart partition: {prices}--alternate also "
-                                             r"partitions columns: use optimal:memvbr, "
-                                             r"optimal:blocks or optimal:file:PATH$"):
-            cli_main(["partition", "--matrix", missing, "--alternate", "3",
-                      "--method", "optimal:mem1d"])
-        with pytest.raises(SystemExit, match=rf"^blockpart convert: {prices}--format vbr also "
-                                             r"partitions columns"):
-            cli_main(["convert", "--matrix", missing, "--format", "vbr",
-                      "--method", "optimal:mem1d", "--out", str(tmp_path / "m.vbr")])
-        cli_main(["partition", "--matrix", path, "--alternate", "3"])
+        prices = r"--method 'optimal:mem1d' prices rows only, but --format vbr also "
+        for command in (["partition"], ["convert", "--out", str(tmp_path / "m.vbr")],
+                        ["spmv-bench"]):
+            with pytest.raises(SystemExit, match=rf"^blockpart {command[0]}: {prices}"
+                                                 r"partitions columns: use optimal:memvbr, "
+                                                 r"optimal:blocks or optimal:file:PATH$"):
+                cli_main(command + ["--matrix", missing, "--format", "vbr",
+                                    "--method", "optimal:mem1d"])
+        cli_main(["partition", "--matrix", path, "--format", "vbr"])
         out = json.loads(capsys.readouterr().out)
         assert out["spl_rows"][-1] == 8 and out["spl_cols"][-1] == 8
-
-    @pytest.mark.parametrize("argv", [
-        ["partition", "--method", "strict", "--alternate", "3"],
-        ["partition", "--method", "overlap:0.5", "--alternate", "1"],
-        ["convert", "--format", "1dvbr", "--alternate", "3", "--out", "x.1dvbr"],
-        ["convert", "--format", "vbr", "--method", "strict", "--alternate", "3", "--out", "x.vbr"],
-    ])
-    def test_alternate_rejected_before_the_read(self, tmp_path, argv):
-        # the matrix path does not exist: the flags must fail first
-        missing = str(tmp_path / "missing.mtx")
-        with pytest.raises(SystemExit, match=r"--alternate .* needs --method optimal"):
-            cli_main(argv[:1] + ["--matrix", missing] + argv[1:])
-
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_alternate_count_checked_before_the_read(self, tmp_path, count):
-        missing = str(tmp_path / "missing.mtx")
-        with pytest.raises(SystemExit, match=rf"--alternate .* at least 1, got {count}"):
-            cli_main(["partition", "--matrix", missing, "--alternate", count])
 
     @pytest.mark.parametrize("argv, flag", [
         (["spmv-bench", "--format", "1dvbr", "--method", "overlap:0.5", "--wmax", "4"], "--wmax"),
@@ -549,7 +548,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["partition", "--method", "overlap:0.5"],
-        ["partition", "--alternate", "2", "--wmax", "4"],
+        ["partition", "--format", "vbr", "--method", "strict", "--wmax", "4"],
+        ["partition", "--format", "vbr", "--wmax", "4"],
     ])
     def test_applying_flags_reach_the_read(self, tmp_path, argv):
         # convert and spmv-bench take them in test_convert_bytes_match_spmv_bench_memory
@@ -578,10 +578,16 @@ class TestCli:
         cli_main(["sweep", "--matrix", path, "--methods", method, "--formats", fmt, *sizes,
                   "--trials", "1"])
         swept = json.loads(capsys.readouterr().out.splitlines()[1])
+        cli_main(["partition", "--matrix", path, "--method", method, "--format", fmt, *sizes])
+        splits = json.loads(capsys.readouterr().out)
         assert row["error"] is None and swept["error"] is None
         assert row["memory_bits"] == swept["memory_bits"] == 8 * out.stat().st_size
         assert (row["partitioner"], row["K"], row["L"]) == (swept["partitioner"], swept["K"],
                                                             swept["L"])
+        # 1dvbr's trivial column partition is not printed: one part per column
+        cols = splits.get("spl_cols", range(9))
+        assert (len(splits["spl_rows"]) - 1, len(cols) - 1) == (row["K"], row["L"])
+        assert ("spl_cols" in splits) == (fmt == "vbr")
 
     @pytest.mark.parametrize("method", ["strict", "overlap", "optimal"])
     def test_partition_heights_bounded_for_every_method(self, tmp_path, capsys, method):
@@ -681,7 +687,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, flag", [
         (["partition", "--umax", "0"], "--umax"),
-        (["partition", "--alternate", "2", "--wmax", "-1"], "--wmax"),
+        (["partition", "--format", "vbr", "--wmax", "-1"], "--wmax"),
         (["convert", "--format", "vbr", "--wmax", "0", "--out", "x"], "--wmax"),
         (["convert", "--format", "1dvbr", "--umax", "0", "--out", "x"], "--umax"),
         (["spmv-bench", "--umax", "0"], "--umax"),
@@ -709,6 +715,43 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --time-budget 0.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--matrix", "m.mtx"],
+        ["partition", "--matrix", "m.mtx", "--format", "vbr"],
+        ["convert", "--matrix", "m.mtx", "--format", "vbr", "--out", "m.vbr"],
+        ["spmv-bench", "--matrix", "m.mtx", "--format", "vbr"],
+        ["sweep", "--matrix", "m.mtx"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[4:5]))
+    def test_alternate_flag_is_gone(self, capsys, argv):
+        # --format vbr is the one 2-D switch, and optimal always alternates 3 half-steps
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--alternate", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alternate 3" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self, monkeypatch):
+        # README's `blockpart ...` examples, continuations joined, go through the
+        # real parser to their command; recorders stand in, so none runs
+        import blockpart.cli as cli
+
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        text = "".join(re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M))
+        commands = [shlex.split(line, comments=True)[1:]
+                    for line in text.replace("\\\n", " ").splitlines()
+                    if line.startswith("blockpart ")]
+        reached = []
+        for name in vars(cli):
+            if name.startswith("_cmd_"):
+                monkeypatch.setattr(cli, name, lambda args, name=name: reached.append(name))
+        for argv in commands:
+            try:
+                cli.main(argv)
+            except SystemExit as exc:  # argparse exits with 2 on a flag it does not take
+                pytest.fail(f"blockpart {shlex.join(argv)} exited with {exc.code}")
+        assert reached == ["_cmd_" + argv[0].replace("-", "_") for argv in commands]
+        assert {argv[0] for argv in commands} == {"partition", "convert", "spmv-bench", "sweep",
+                                                  "profile", "calibrate", "gadget"}
+
     def test_sweep_unknown_format_writes_no_report(self, tmp_path):
         (path,) = self._write_matrices(tmp_path, count=1)
         out = tmp_path / "r.jsonl"
@@ -716,6 +759,29 @@ class TestCli:
         for matrix in (path, str(tmp_path / "missing.mtx")):
             with pytest.raises(SystemExit, match=r"^blockpart sweep: unknown format 'VBR'"):
                 cli_main(["sweep", "--matrix", matrix, "--formats", "1dvbr,VBR", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--methods", "strict,strict"], r"--methods item 'strict' is given twice"),
+        (["--methods", "overlap,strict,overlap:0.9"],
+         r"--methods item 'overlap:0.9' shares the report label 'overlap\(0.9\)' with 'overlap'"),
+        (["--methods", "optimal:file:A,optimal:file:B"],
+         r"--methods item 'optimal:file:.*B' shares the report label 'optimal\(custom\)' "
+         r"with 'optimal:file:.*A'"),
+        (["--formats", "vbr,1dvbr,vbr"], r"--formats item 'vbr' is given twice"),
+        (["--matrix", "MISSING"], r"--matrix '.*missing\.mtx' is given twice"),
+    ], ids=["method", "method-label", "model-files", "format", "matrix"])
+    def test_sweep_refuses_a_report_profile_cannot_read(self, tmp_path, flags, message):
+        # profile keeps one value per method and matrix, so two rows in one cell
+        # would stop it; the matrix path does not exist, so the check runs first
+        for name in "AB":
+            (tmp_path / name).write_text(self._MODEL_CSV)
+        missing, out = str(tmp_path / "missing.mtx"), tmp_path / "r.jsonl"
+        flags = [f.replace("file:", f"file:{tmp_path}/").replace("MISSING", missing)
+                 for f in flags]
+        with pytest.raises(SystemExit, match=rf"^blockpart sweep: {message}; a report has one "
+                                             r"row per method, format and matrix$"):
+            cli_main(["sweep", "--matrix", missing, *flags, "--out", str(out)])
         assert not out.exists()
 
     def test_summary_csv_rows_parse_to_the_header_width(self, tmp_path):
@@ -773,14 +839,15 @@ class TestCli:
         assert csv_path.read_text().startswith("matrix_id,")
 
         profile_path = tmp_path / "profile.csv"
-        cli_main(["profile", "--reports", str(report_path),
-                  "--metric", "memory", "--out", str(profile_path)])
-        lines = profile_path.read_text().strip().splitlines()
-        assert lines[0] == "tau,method,fraction"
-        assert len(lines) > 1
-        for line in lines[1:]:
-            tau, method, fraction = line.split(",")
-            assert 0.0 <= float(fraction) <= 1.0
+        for metric in ("memory", "time", "critical"):
+            cli_main(["profile", "--reports", str(report_path),
+                      "--metric", metric, "--out", str(profile_path)])
+            lines = profile_path.read_text().strip().splitlines()
+            assert lines[0] == "tau,method,fraction"
+            assert len(lines) > 1
+            for line in lines[1:]:
+                tau, method, fraction = line.split(",")
+                assert 0.0 <= float(fraction) <= 1.0
 
     def _umax_reports(self, tmp_path, umax, name="r"):
         path = str(tmp_path / "dense.mtx")
@@ -1009,14 +1076,13 @@ class TestCliFuzz:
             argv = ["--matrix", draw(matrix)]
             argv += maybe("--method", method)
             argv += maybe("--umax", counts) + maybe("--wmax", counts)
-            if command == "spmv-bench":
-                argv += maybe("--format", st.sampled_from(["csr", "vbr", "1dvbr"]))
-                argv += maybe("--trials", counts)
-            else:
-                argv += maybe("--alternate", counts)
+            formats = st.sampled_from(["vbr", "1dvbr"] + ["csr"] * (command == "spmv-bench"))
             if command == "convert":
-                argv += ["--format", draw(st.sampled_from(["vbr", "1dvbr"])),
-                         "--out", str(out / "blocked.bin")]
+                argv += ["--format", draw(formats), "--out", str(out / "blocked.bin")]
+            else:
+                argv += maybe("--format", formats)
+            if command == "spmv-bench":
+                argv += maybe("--trials", counts)
             elif command == "partition":
                 argv += maybe("--out", st.just(out / "partition.json"))
         elif command == "sweep":

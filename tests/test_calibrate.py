@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,17 @@ class TestFitCostModel:
         assert np.allclose(model.alpha_row, a_r, rtol=0.02, atol=0)
         assert np.allclose(model.alpha_col, a_c, rtol=0.02, atol=0)
         assert np.allclose(fitted, beta, rtol=0.02, atol=0)
+
+    @pytest.mark.parametrize("rank, keep, message", [
+        (1, 0, "no samples"),
+        (3, None, "rank must be in 1..2, got 3"),
+        (0, None, "rank must be in 1..2, got 0"),
+    ], ids=["no-samples", "rank-above", "rank-zero"])
+    def test_rejects_empty_design_and_bad_rank(self, rank, keep, message):
+        a_r, a_c, beta = planted_tables(2, 2, 1, np.random.default_rng(5))
+        samples = synth_samples(2, 2, a_r, a_c, beta)[:keep]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_cost_model(samples, rank=rank)
 
     def test_missing_cells_rejected(self):
         rng = np.random.default_rng(5)
@@ -402,17 +414,18 @@ class TestMeasurement:
                                   sample.seconds)] == [int] * 4 + [float]
         assert samples_from_csv(samples_to_csv([sample])) == [sample]
 
-    @pytest.mark.parametrize("field, value", [
-        ("m_rows", 4.0),  # was written as 4.0, which samples_from_csv refused
-        ("u", True),
-        ("blocks_per_row", np.float64(8.0)),
-        ("w", np.bool_(True)),
-        ("m_rows", "4"),
-    ], ids=["float", "bool", "np-float", "np-bool", "str"])
-    def test_counts_must_be_whole_numbers(self, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("m_rows", 4.0, "m_rows must be a whole number, got 4.0"),  # samples_from_csv refused 4.0
+        ("u", True, "u must be a whole number, got True"),
+        ("blocks_per_row", np.float64(8.0), "blocks_per_row must be a whole number, got "),
+        ("w", np.bool_(True), "w must be a whole number, got "),
+        ("m_rows", "4", "m_rows must be a whole number, got '4'"),
+        ("variant", "wide", "unknown variant 'wide'"),
+    ], ids=["float", "bool", "np-float", "np-bool", "str", "variant"])
+    def test_fields_are_checked(self, field, value, message):
         fields = dict(u=2, w=1, m_rows=4, blocks_per_row=8, seconds=1e-5, variant="base")
         fields[field] = value
-        with pytest.raises(ValueError, match=rf"^{field} must be a whole number, got "):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             TimingSample(**fields)
 
 

@@ -8,6 +8,7 @@ with the vectorized counters, converters, ``evaluate`` or the DP.
 
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,11 +21,14 @@ from blockpart import (
     OneDVbrMatrix,
     Partition,
     VbrMatrix,
+    alternating_partition,
     block_count,
     brute_force_partition,
     build_csr,
     cost_model_from_csv,
     evaluate,
+    model_block_count,
+    model_memory_vbr,
     onedvbr_get,
     onedvbr_memory_bits,
     optimal_partition,
@@ -46,6 +50,7 @@ from blockpart.calibrate import VARIANTS, _grid_shape, _grid_vbr
 from blockpart.sparse import _frozen, _offsets
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+_EYE3 = build_csr(3, 3, [(i, i, 1.0) for i in range(3)])
 VALUES = [0.0, 1.0, -2.5, 0.125, 7.0]
 
 
@@ -546,6 +551,20 @@ class TestContainerChecks:
         assert serialize_1dvbr(D) == serialize_1dvbr(to_1dvbr(A, Partition([0, 2])))
         assert np.array_equal(spmv_1dvbr(np.zeros(2), D, np.ones(3)), [1.0, 2.0])
 
+    @pytest.mark.parametrize("pos, ofs, message", [
+        ([0, 1], [0, 1, 1], "pos and ofs must have one entry per block row plus one"),
+        ([0, 1, 1], [0, 1], "pos and ofs must have one entry per block row plus one"),
+        ([0, 1, 2], [0, 1, 1], "pos/ofs must end at the stored block and value counts"),
+        ([0, 1, 1], [0, 1, 2], "pos/ofs must end at the stored block and value counts"),
+        ([1, 1, 1], [0, 1, 1], "pos must start at 0 and be non-decreasing"),
+        ([0, 2, 1], [0, 1, 1], "pos must start at 0 and be non-decreasing"),
+    ], ids=["pos-length", "ofs-length", "pos-end", "ofs-end", "pos-start", "pos-falls"])
+    def test_vbr_rejects_bad_offsets(self, pos, ofs, message):
+        # two block rows of one row each, one column, one stored 1x1 block
+        VbrMatrix([0, 1, 2], [0, 1], [0, 1, 1], [0], [0, 1, 1], [1.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VbrMatrix([0, 1, 2], [0, 1], pos, [0], ofs, [1.0])
+
     @pytest.mark.parametrize("bad", [-1, 3, 7])
     def test_vbr_rejects_block_index_outside_parts(self, bad):
         with pytest.raises(ValueError, match="outside"):
@@ -591,6 +610,37 @@ class TestModelAndDpChecks:
         csv = f"alpha_row,1\nalpha_col,1\nbeta_row r=1,{text}\nbeta_col r=1,1\n"
         with pytest.raises(ValueError, match="not finite"):
             cost_model_from_csv(csv)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CostModel(alpha_row=(), alpha_col=(0,), beta_row=((),), beta_col=((1,),)),
+         "alpha tables must cover at least size 1"),
+        (lambda: CostModel(alpha_row=(0,), alpha_col=(), beta_row=((1,),), beta_col=((),)),
+         "alpha tables must cover at least size 1"),
+        (lambda: CostModel(alpha_row=(0,), alpha_col=(0,), beta_row=((1,), (1,)),
+                           beta_col=((1,),)),
+         "beta_row and beta_col must list the same rank >= 1"),
+        (lambda: CostModel(alpha_row=(0,), alpha_col=(0,), beta_row=(), beta_col=()),
+         "beta_row and beta_col must list the same rank >= 1"),
+        (lambda: model_block_count(0, 2), "table sizes must be positive"),
+        (lambda: model_block_count(2, 0), "table sizes must be positive"),
+        (lambda: model_memory_vbr(64, 64, 0, 2), "table sizes must be positive"),
+        (lambda: model_memory_vbr(64, 64, 2, 0), "table sizes must be positive"),
+        (lambda: optimal_partition(_EYE3, trivial_partition(3), model_block_count(2, 1), 0),
+         "u_max must be at least 1, got 0"),
+        (lambda: optimal_partition(_EYE3, trivial_partition(2), model_block_count(2, 1), 2),
+         "column partition covers 2 columns, matrix has 3"),
+        (lambda: brute_force_partition(_EYE3, trivial_partition(3), model_block_count(2, 1), 0),
+         "u_max must be at least 1, got 0"),
+        (lambda: alternating_partition(_EYE3, model_block_count(2, 2), 3, 2),
+         "u_max/w_max exceed the model's table ranges"),
+        (lambda: alternating_partition(_EYE3, model_block_count(2, 2), 2, 3),
+         "u_max/w_max exceed the model's table ranges"),
+    ], ids=["alpha-row-empty", "alpha-col-empty", "rank-mismatch", "rank-zero",
+            "count-u0", "count-w0", "vbr-u0", "vbr-w0", "dp-u0", "dp-columns", "brute-u0",
+            "alternating-u", "alternating-w"])
+    def test_rejects_bad_tables_and_bounds(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_dp_raises_when_costs_overflow(self):
         # 1e308 per row part: the second row's total is inf, so no choice

@@ -224,6 +224,11 @@ class TestModelTables:
         assert again == model
         assert again.exact
 
+    def test_csv_skips_blank_lines(self):
+        model = model_memory_vbr(64, 64, 4, 3)
+        text = "\n" + cost_model_to_csv(model).replace("\n", "\n \n", 2) + "\t\n"
+        assert cost_model_from_csv(text) == model
+
     def test_csv_round_trip_float(self):
         rng = np.random.default_rng(10)
         model = planted_model(4, 3, rng)

@@ -243,12 +243,25 @@ class TestReductionMatrix:
         A = build_reduction_matrix(2, [], GadgetParams(1))
         assert A.nnz == 0
 
-    def test_rejects_self_loop_and_duplicate(self):
-        p = GadgetParams(1)
-        with pytest.raises(ValueError, match="self-loop"):
-            build_reduction_matrix(2, [(0, 0)], p)
-        with pytest.raises(ValueError, match="duplicates"):
-            build_reduction_matrix(2, [(0, 1), (1, 0)], p)
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 0)], r"edge 0 is a self-loop \(0, 0\)"),
+        ([(0, 1), (1, 0)], r"edge 1 duplicates \(0, 1\)"),
+        ([(0, 1), (1, 2)], r"edge 1 endpoint outside 0\.\.1"),
+        ([(-1, 1)], r"edge 0 endpoint outside 0\.\.1"),
+    ], ids=["self-loop", "duplicate", "endpoint-past-end", "endpoint-negative"])
+    def test_rejects_self_loop_duplicate_and_outside_endpoint(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_reduction_matrix(2, edges, GadgetParams(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_gadget("B3", GadgetParams(1)),
+    lambda: gadget_case_cost("B3", ("all", "all"), GadgetParams(1)),
+    lambda: build_count_gadget("B3", 2, 2),
+], ids=["build_gadget", "gadget_case_cost", "build_count_gadget"])
+def test_unknown_gadget_kind_rejected(build):
+    with pytest.raises(ValueError, match="^unknown gadget kind 'B3'$"):
+        build()
 
 
 class TestSymmetricEmbed:

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -55,6 +56,14 @@ class TestParse:
     def test_duplicates_summed(self):
         text = "%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 1.0\n1 1 2.5\n"
         assert parse_matrix_market(text).val.tolist() == [3.5]
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.mtx"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty file$"):
+            read_matrix_market(path)
+        with pytest.raises(ValueError, match="^<string>: empty file$"):
+            parse_matrix_market("")
 
     def test_unsupported_header_quoted(self):
         bad = "%%MatrixMarket matrix coordinate complex general\n1 1 0\n"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,11 +102,19 @@ def _sorting_build(m, n, entries):
 
 
 class TestInvariantValidation:
-    def test_bad_pos(self):
+    @pytest.mark.parametrize("m, n, pos, idx, message", [
+        (-1, 2, [], [], "negative dimensions -1x2"),
+        (2, 2, [0, 1], [0], "pos has length 2, expected 3"),
+        (1, 1, [0, 2], [0], "pos must start at 0, be non-decreasing, and end at nnz"),
+        (1, 2, [0, 2], [0, 1], "idx/val length mismatch: 2 vs 1"),
+        (1, 2, [0, 1], [2], "column index out of range"),
+        (1, 2, [0, 1], [-1], "column index out of range"),
+    ], ids=["negative", "pos-length", "pos-end", "idx-val", "column-past-n", "column-negative"])
+    def test_rejects_bad_fields(self, m, n, pos, idx, message):
         from blockpart import CsrMatrix
 
-        with pytest.raises(ValueError):
-            CsrMatrix(1, 1, [0, 2], [0], [1.0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CsrMatrix(m, n, pos, idx, [1.0])
 
     def test_unsorted_row(self):
         from blockpart import CsrMatrix
@@ -207,6 +217,15 @@ class TestStableOrder:
 
 
 class TestBlockPattern:
+    @pytest.mark.parametrize("rows, cols, message", [
+        ([0, 1], [0, 3], "row partition covers 1 rows, matrix has 2"),
+        ([0, 2], [0, 2], "column partition covers 2 columns, matrix has 3"),
+    ], ids=["rows", "columns"])
+    def test_rejects_partitions_of_other_sizes(self, rows, cols, message):
+        A = build_csr(2, 3, [(0, 0, 1.0)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sparse._block_pattern(A, Partition(rows), Partition(cols))
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.data())
     def test_matches_a_unique_oracle(self, data):
@@ -232,6 +251,11 @@ class TestBlockPattern:
 
 
 class TestRowPattern:
+    def test_rejects_partition_of_other_width(self):
+        A = build_csr(1, 3, [(0, 0, 1.0)])
+        with pytest.raises(ValueError, match="^column partition covers 2 columns, matrix has 3$"):
+            row_pattern(A, 0, trivial_partition(2))
+
     def test_trivial_partition_gives_columns(self):
         A = build_csr(1, 3, [(0, 0, 1.0), (0, 1, 1.0)])
         assert row_pattern(A, 0, trivial_partition(3)).tolist() == [0, 1]
@@ -300,6 +324,17 @@ class TestPartition:
                 inv = [p.inverse(i) for i in range(r)]
                 assert inv == sorted(inv)
                 assert p.assignments().tolist() == inv
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Partition([0, 2, 3]).inverse(3), IndexError,
+         "index 3 outside partitioned range [0, 3)"),
+        (lambda: Partition([0, 2, 3]).inverse(-1), IndexError,
+         "index -1 outside partitioned range [0, 3)"),
+        (lambda: trivial_partition(-1), ValueError, "negative range size -1"),
+    ], ids=["inverse-past-end", "inverse-negative", "trivial-negative"])
+    def test_rejects_indices_out_of_range(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_rejects_bad_splits(self):
         with pytest.raises(ValueError):
