@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -127,14 +128,14 @@ def _cmd_spmv_bench(args):
         print(row.to_json())
 
 
-def _check_distinct(flag, items, labels):
-    """Refuse two items with one report label: ``profile`` keeps one value
-    per method and matrix, so it could not read their report."""
+def _check_distinct(flag, items, labels, what="the report label"):
+    """Refuse two items with one label, ``what`` naming the kind: ``profile``
+    keeps one value per method and matrix, so it could not read their report."""
     seen = {}
     for item, label in zip(items, labels):
         if label in seen:
             how = "is given twice" if seen[label] == item else (
-                f"shares the report label {label!r} with {seen[label]!r}")
+                f"shares {what} {label!r} with {seen[label]!r}")
             raise ValueError(f"{flag} {item!r} {how}; a report has one row per method, "
                              "format and matrix")
         seen[label] = item
@@ -147,7 +148,7 @@ def _cmd_sweep(args):
     bench._check_formats(formats)
     _check_distinct("--methods item", items, map(bench._partitioner_id, specs))
     _check_distinct("--formats item", formats, formats)
-    _check_distinct("--matrix", args.matrix, args.matrix)
+    _check_distinct("--matrix", args.matrix, map(os.path.realpath, args.matrix), "the file")
     if args.wmax is not None and "vbr" not in formats:
         raise ValueError("--wmax bounds the widths of column parts, so it needs vbr in --formats")
     all_reports = []

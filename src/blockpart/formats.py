@@ -109,7 +109,12 @@ def _blocked_arrays(A, rows, cols):
     Blocks are laid out column-major and packed left to right within each
     block row. Every stored entry is placed by one scatter into a zeroed
     value array, so a block covering a missing entry holds an explicit 0.0.
+    Under two trivial partitions every block is one entry and these are
+    A's own read-only arrays, with ``ofs = pos``; partitions of the wrong
+    size go on to ``_block_pattern``, which rejects them.
     """
+    if rows.is_trivial() and cols.is_trivial() and (rows.size, cols.size) == (A.m, A.n):
+        return A.pos, A.idx, A.pos, A.val
     k, l, pair = _block_pattern(A, rows, cols)
     heights = rows.widths()[k]
     starts = _value_starts(heights, cols.widths()[l])
@@ -124,13 +129,21 @@ def _blocked_arrays(A, rows, cols):
 
 
 def to_vbr(A, row_partition, col_partition):
-    """Convert CSR to VBR under the given partitions, zero-filling blocks."""
+    """Convert CSR to VBR under the given partitions, zero-filling blocks.
+
+    Under two trivial partitions the container shares A's read-only
+    ``pos``, ``idx`` and ``val`` (``ofs`` is ``pos``) and copies nothing.
+    """
     return VbrMatrix(row_partition.spl, col_partition.spl,
                      *_blocked_arrays(A, row_partition, col_partition))
 
 
 def to_1dvbr(A, row_partition):
-    """Convert CSR to 1D-VBR under the given row partition, zero-filling blocks."""
+    """Convert CSR to 1D-VBR under the given row partition, zero-filling blocks.
+
+    Under the trivial row partition the container shares A's read-only
+    ``pos``, ``idx`` and ``val`` (``ofs`` is ``pos``) and copies nothing.
+    """
     return OneDVbrMatrix(A.n, row_partition.spl,
                          *_blocked_arrays(A, row_partition, trivial_partition(A.n)))
 

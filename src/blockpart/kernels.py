@@ -48,6 +48,10 @@ block-row height and one stored column count with no empty block row,
 such as every calibration grid, has its values and x columns in place
 already. That halves the build of a 256 KiB calibration grid of 3 x 3
 or 8 x 8 blocks (0.26-0.49 to 0.13-0.25 ms, min of 70 runs, 2 vCPUs).
+Under a trivial column partition, as in every 1D-VBR container and
+calibration's w = 1 grids, every stored block is one column wide, so the
+x indices are ``idx`` itself and are read from it rather than rebuilt
+from block widths.
 
 A multiply loops in Python only over the groups: one gather of x and one
 batched product per group, added straight into that group's rows of y.
@@ -153,8 +157,15 @@ def _build_plan(B):
     then in storage order within a group.
     """
     heights = np.diff(B.spl_rows)
-    widths = np.diff(B.spl_cols)[B.idx]
-    first = _offsets(widths)  # stored columns before each block
+    # first[q]: the stored columns before block q; column: the x index of
+    # every stored column, block after block
+    if len(B.spl_cols) == B.n + 1:  # trivial columns: block q is column idx[q]
+        first = np.arange(len(B.idx) + 1, dtype=np.int64)
+        column = B.idx
+    else:
+        widths = np.diff(B.spl_cols)[B.idx]
+        first = _offsets(widths)
+        column = np.arange(first[-1]) + np.repeat(B.spl_cols[B.idx] - first[:-1], widths)
     stored = np.diff(first[B.pos])  # stored columns of each block row
     kept = np.flatnonzero(stored)
     order = kept[np.lexsort((stored[kept], heights[kept]))]
@@ -176,8 +187,7 @@ def _build_plan(B):
     shift[order] = at_val[:-1] - B.ofs[order]
     by_column = _shifted(B.val, np.diff(B.ofs), shift, int(at_val[-1]), 0.0)
     shift[order] = at_col[:-1] - first[B.pos[order]]
-    # the x index of every stored column, block after block; pad slots read x[n] = 0.0
-    column = np.arange(first[-1]) + np.repeat(B.spl_cols[B.idx] - first[:-1], widths)
+    # pad slots read x[n] = 0.0
     cols = _frozen(_shifted(column, stored, shift, int(at_col[-1]), B.n), np.int64)
     lo = runs.tolist()
     groups = []

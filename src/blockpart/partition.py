@@ -64,7 +64,8 @@ def optimal_partition(A, col_partition, model, u_max):
     each chunk's map from the best of the U rows below it to the best of
     its first U rows. (B) The chunk edges from the bottom up, one product
     each. (C) All chunks at once, in L steps: each row's best and its first
-    argmin, the shortest part among equals. That is O(sqrt(m) + U) numpy
+    argmin, the shortest part among equals; the splits follow from row 0
+    by pointer doubling (``_chain``). That is O(sqrt(m) + U + log m) numpy
     calls. Integer sums are exact: int64 is used only when every path sum,
     plus twice the "no part" sentinel, fits in it. With W <= w_max distinct
     column widths and D = ceil(log2(n) / 16) radix digits the bound is
@@ -192,11 +193,9 @@ def optimal_partition(A, col_partition, model, u_max):
     stuck = np.flatnonzero(~(best < finite))
     if len(stuck):
         raise ValueError(f"no part starting at row {stuck[-1]} has a finite cost")
-    step = step.T.reshape(-1)[pad:].tolist()
-    splits = [0]
-    while splits[-1] != m:
-        splits.append(splits[-1] + step[splits[-1]] + 1)
-    return _Optimum(splits, best[:1].tolist()[0])  # a Python int or float
+    # row i's part ends at row i + step[i] + 1; the cost is a Python int or float
+    step = step.T.reshape(-1)[pad:]
+    return _Optimum(_chain(np.arange(1, m + 1) + step), best[:1].tolist()[0])
 
 
 def brute_force_partition(A, col_partition, model, u_max):
@@ -278,7 +277,8 @@ def overlap_partition(A, rho, u_max):
     further apart, so the passes stop there, after J < u_max of them.
     The join test, evaluated in float64 for every (g, d), gives each
     possible leader its group's end, and the partition follows those ends
-    from row 0. O(nnz * D + J * nnz + u_max * m) time and
+    from row 0 by pointer doubling (``_chain``). O(nnz * D + J * nnz +
+    u_max * m + m log m) time and
     O(nnz + u_max * m) space; the overlap table takes the smallest
     unsigned type that holds the longest row's length, one byte per
     cell while no row holds more than 255 entries.
@@ -314,11 +314,27 @@ def overlap_partition(A, rho, u_max):
         need = np.maximum(rho * np.minimum(lens[:m - d], cur), 1)
         fails = (cur > 0) & (shared[d, :m - d] < need)
         end[:m - d][fails] = np.flatnonzero(fails) + d
-    end = end.tolist()
-    splits = [0]
-    while splits[-1] != m:
-        splits.append(end[splits[-1]])
-    return Partition(splits)
+    return Partition(_chain(end))
+
+
+def _chain(nxt):
+    """The split points 0, nxt[0], nxt[nxt[0]], ... up to m = len(nxt),
+    where every nxt[i] lies in (i, m].
+
+    Pointer doubling: after p passes ``points`` holds the chain's first
+    2**p points and ``jump`` leads 2**p links on, so the next 2**p points
+    are ``jump[points]``, in order and past the last one. About log2 of the
+    chain's length O(m) passes replace a Python loop over its links.
+    ``jump[m]`` is m, so the points past the chain's end repeat m and are
+    cut off.
+    """
+    m = len(nxt)
+    jump = np.append(nxt, m)
+    points = np.zeros(1, dtype=np.int64)
+    while points[-1] != m:
+        points = np.concatenate((points, jump[points]))
+        jump = jump[jump]
+    return points[:np.searchsorted(points, m) + 1]
 
 
 def _swap_axes(model):

@@ -770,7 +770,10 @@ class TestCli:
          r"with 'optimal:file:.*A'"),
         (["--formats", "vbr,1dvbr,vbr"], r"--formats item 'vbr' is given twice"),
         (["--matrix", "MISSING"], r"--matrix '.*missing\.mtx' is given twice"),
-    ], ids=["method", "method-label", "model-files", "format", "matrix"])
+        (["--matrix", "DIR/./missing.mtx"],
+         r"--matrix '.*/\./missing\.mtx' shares the file '.*[^.]/missing\.mtx' with "
+         r"'.*missing\.mtx'"),
+    ], ids=["method", "method-label", "model-files", "format", "matrix", "matrix-spelling"])
     def test_sweep_refuses_a_report_profile_cannot_read(self, tmp_path, flags, message):
         # profile keeps one value per method and matrix, so two rows in one cell
         # would stop it; the matrix path does not exist, so the check runs first
@@ -778,7 +781,7 @@ class TestCli:
             (tmp_path / name).write_text(self._MODEL_CSV)
         missing, out = str(tmp_path / "missing.mtx"), tmp_path / "r.jsonl"
         flags = [f.replace("file:", f"file:{tmp_path}/").replace("MISSING", missing)
-                 for f in flags]
+                 .replace("DIR", str(tmp_path)) for f in flags]
         with pytest.raises(SystemExit, match=rf"^blockpart sweep: {message}; a report has one "
                                              r"row per method, format and matrix$"):
             cli_main(["sweep", "--matrix", missing, *flags, "--out", str(out)])

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import blockpart.kernels as kernels
 from blockpart import (
     CostModel,
+    CsrMatrix,
     OneDVbrMatrix,
     Partition,
     VbrMatrix,
@@ -63,16 +64,24 @@ def partitions(draw, size):
 
 
 @st.composite
+def partitions_or_trivial(draw, size):
+    if draw(st.integers(0, 3)) == 0:
+        return trivial_partition(size)
+    return draw(partitions(size))
+
+
+@st.composite
 def blocked_inputs(draw, min_dim=0, max_dim=7):
     """A small CSR matrix (possibly 0 x n or m x 0, with empty rows and
-    explicitly stored zeros) and a random row and column partition."""
+    explicitly stored zeros) and a row and a column partition, each
+    trivial one time in four and random otherwise."""
     m = draw(st.integers(min_dim, max_dim))
     n = draw(st.integers(min_dim, max_dim))
     cells = draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)))) \
         if m and n else set()
     values = draw(st.lists(st.sampled_from(VALUES), min_size=len(cells), max_size=len(cells)))
     A = build_csr(m, n, [(i, j, v) for (i, j), v in zip(sorted(cells), values)])
-    return A, draw(partitions(m)), draw(partitions(n))
+    return A, draw(partitions_or_trivial(m)), draw(partitions_or_trivial(n))
 
 
 @st.composite
@@ -222,6 +231,31 @@ class TestConverterProperties:
             heights[k] for k, _ in blocks_1d) * 64
         assert onedvbr_memory_bits(A, rows, 64, 64) == bits_1d
         assert 8 * len(serialize_1dvbr(to_1dvbr(A, rows))) == bits_1d
+
+    @PROPERTY
+    @given(blocked_inputs(), st.data())
+    def test_trivial_partitions_share_the_csr_arrays(self, case, data):
+        # CSR is the container with two trivial partitions: its 1x1 blocks
+        # are the stored entries, -0.0 and explicit zeros among them
+        A, _, _ = case
+        signed = data.draw(st.lists(st.sampled_from([*VALUES, -0.0]),
+                                    min_size=A.nnz, max_size=A.nnz))
+        A = CsrMatrix(A.m, A.n, A.pos, A.idx, signed)
+        rows, cols = trivial_partition(A.m), trivial_partition(A.n)
+        dense = A.to_dense()
+        vbr, onedvbr = to_vbr(A, rows, cols), to_1dvbr(A, rows)
+        # the storage formulas with K = m, L = n and one value per block
+        bits_1d = (3 * (A.m + 1) + A.nnz) * 64 + A.nnz * 64
+        assert 8 * len(serialize_vbr(vbr)) == bits_1d + (A.n + 1) * 64
+        assert 8 * len(serialize_1dvbr(onedvbr)) == bits_1d
+        for B in (vbr, onedvbr):
+            blocks = [(k, int(l)) for k in range(A.m) for l in B.idx[B.pos[k]:B.pos[k + 1]]]
+            assert blocks == sorted(ref_blocks(A, rows, cols))
+            want = np.array([dense[k, l] for k, l in blocks], dtype=np.float64)
+            assert B.val.tobytes() == want.tobytes()  # -0.0 keeps its sign
+            assert np.shares_memory(B.pos, A.pos) and np.shares_memory(B.ofs, A.pos)
+            if A.nnz:
+                assert np.shares_memory(B.val, A.val) and np.shares_memory(B.idx, A.idx)
 
 
 class TestMultiplyPlan:

@@ -84,8 +84,8 @@ class TestTo1dVbr:
             A = build_csr(row, 8, entries)
             rows = strict_partition(A)
             fast = to_1dvbr(A, rows)
-            # the VBR conversion with trivial columns always runs the
-            # general merge path and must agree array for array
+            # to_vbr under the same row partition and trivial columns holds
+            # the same blocks, so the two agree array for array
             general = to_vbr(A, rows, trivial_partition(8))
             assert fast.idx.tolist() == general.idx.tolist()
             assert fast.val.tolist() == general.val.tolist()

@@ -26,6 +26,15 @@ def mixed_tolerance(A, x):
     return 1e-12 * np.abs(A.val).max(initial=0.0) * np.abs(x).max(initial=0.0)
 
 
+def power_law_csr(rng, m=10_000):
+    """An m x m matrix whose row lengths follow a Zipf law, each row's
+    entries in its first columns."""
+    lengths = np.minimum(rng.zipf(2.0, m), m)
+    pos = np.concatenate([[0], np.cumsum(lengths)])
+    idx = np.arange(pos[-1]) - np.repeat(pos[:-1], lengths)
+    return CsrMatrix(m, m, pos, idx, rng.uniform(-1.0, 1.0, pos[-1]))
+
+
 class TestSpmvCsr:
     def test_identity(self):
         x = np.array([3.0, -1.0, 2.0])
@@ -96,11 +105,8 @@ class TestSpmvVbr:
         # them by under 1.15x; one group per height would pad them a
         # thousandfold, and no benchmark workload has such rows
         rng = np.random.default_rng(0)
-        m = n = 10_000
-        lengths = np.minimum(rng.zipf(2.0, m), n)
-        pos = np.concatenate([[0], np.cumsum(lengths)])
-        idx = np.arange(pos[-1]) - np.repeat(pos[:-1], lengths)
-        A = CsrMatrix(m, n, pos, idx, rng.uniform(-1.0, 1.0, pos[-1]))
+        A = power_law_csr(rng)
+        m, n = A.m, A.n
         B = to_1dvbr(A, trivial_partition(m))
         x = rng.standard_normal(n)
         y = spmv_1dvbr(np.zeros(m), B, x)
@@ -130,6 +136,19 @@ class TestSpmv1dVbr:
             expect = spmv_csr(A, x)
             got = spmv_1dvbr(np.zeros(A.m), to_1dvbr(A, rows), x)
             assert np.abs(got - expect).max(initial=0.0) <= mixed_tolerance(A, x)
+
+    def test_planned_csr_matches_csr(self):
+        # CSR is the 1D-VBR container with trivial rows, which shares its
+        # arrays, so the planned kernel multiplies CSR: each y row equals
+        # spmv_csr's within 1e-12 of its sum of |terms|
+        rng = np.random.default_rng(4)
+        matrices = [random_csr(int(rng.integers(0, 30)), int(rng.integers(1, 30)),
+                               float(rng.uniform(0.0, 0.5)), rng) for _ in range(100)]
+        for A in [*matrices, power_law_csr(rng)]:
+            x = rng.standard_normal(A.n)
+            y = spmv_1dvbr(np.zeros(A.m), to_1dvbr(A, trivial_partition(A.m)), x)
+            terms = spmv_csr(CsrMatrix(A.m, A.n, A.pos, A.idx, np.abs(A.val)), np.abs(x))
+            assert np.all(np.abs(y - spmv_csr(A, x)) <= 1e-12 * terms)
 
 
 class TestKernelProperties:

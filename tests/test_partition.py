@@ -230,6 +230,22 @@ class TestStrictPartition:
             assert strict_partition(A, u_max) == _strict_walk(A, u_max)
 
 
+class TestSplitChain:
+    @PROPERTY
+    @given(st.data())
+    def test_follows_the_links(self, data):
+        # the Python walk that both partitioners once ran is the reference;
+        # a small longest step gives chains of up to 70 links
+        m = data.draw(st.integers(0, 70))
+        longest = data.draw(st.integers(1, max(m, 1)))
+        nxt = np.array([data.draw(st.integers(i + 1, min(i + longest, m))) for i in range(m)],
+                       dtype=np.int64)
+        splits = [0]
+        while splits[-1] != m:
+            splits.append(int(nxt[splits[-1]]))
+        assert partition._chain(nxt).tolist() == splits
+
+
 class TestOverlapPartition:
     def test_merges_at_half(self):
         A = build_csr(2, 3, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (1, 2, 1.0)])
