@@ -128,7 +128,7 @@ def _block_shapes(A, rows, cols):
     Blocks are tallied in a table indexed by distinct part height and
     width, so only that table, never the block list, reaches Python.
     """
-    k, l, _ = _block_pattern(A, rows, cols)
+    k, l = _block_pattern(A, rows, cols)[:2]
     heights, height_class = np.unique(rows.widths(), return_inverse=True)
     widths, width_class = np.unique(cols.widths(), return_inverse=True)
     nw = len(widths)

@@ -97,8 +97,10 @@ def _value_starts(heights, widths):
     A total past 2**62 is rejected rather than left to wrap. Summed in
     float64, a total of non-negative products is off by far less than a
     factor of 2, so below that no int64 product or partial sum overflows.
+    ``np.einsum`` sums the products without BLAS, whose ``np.dot`` took
+    about 8 ms in some processes that did not pin its threads.
     """
-    if float(np.dot(heights.astype(np.float64), widths.astype(np.float64))) > 2.0 ** 62:
+    if float(np.einsum("i,i->", heights, widths, dtype=np.float64)) > 2.0 ** 62:
         raise ValueError("block values do not fit 64-bit offsets")
     return _offsets(heights * widths)
 
@@ -111,11 +113,21 @@ def _blocked_arrays(A, rows, cols):
     value array, so a block covering a missing entry holds an explicit 0.0.
     Under two trivial partitions every block is one entry and these are
     A's own read-only arrays, with ``ofs = pos``; partitions of the wrong
-    size go on to ``_block_pattern``, which rejects them.
+    size go on to ``_block_pattern``, which rejects them. Otherwise each
+    entry's block is its pair index, expanded here from the pattern's
+    ``fresh`` mask, the one use of that index.
     """
     if rows.is_trivial() and cols.is_trivial() and (rows.size, cols.size) == (A.m, A.n):
         return A.pos, A.idx, A.pos, A.val
-    k, l, pair = _block_pattern(A, rows, cols)
+    k, l, fresh, order = _block_pattern(A, rows, cols)
+    # each entry's pair index; a cumulative sum of int64 is several times
+    # faster than one of bool
+    rank = fresh.astype(np.int64)
+    rank[:1] = 0
+    pair = np.cumsum(rank, out=rank)
+    if order is not None:
+        pair = np.empty_like(rank)
+        pair[order] = rank
     heights = rows.widths()[k]
     starts = _value_starts(heights, cols.widths()[l])
     pos = _offsets(np.bincount(k, minlength=rows.num_parts))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .costs import _alpha_sum, _check_sizes, evaluate, CostModel
-from .sparse import _INT64_MAX, _offsets, _stable_order, Partition, transpose, trivial_partition
+from .sparse import _INT64_MAX, _block_pattern, _offsets, _stable_order, Partition, transpose, trivial_partition
 
 __all__ = [
     "optimal_partition",
@@ -42,19 +42,20 @@ def optimal_partition(A, col_partition, model, u_max):
     A candidate part [s, s + u) pays the price of a u x w_l block once for
     every column part l it touches. Pair (t, l), whose previous row
     holding part l is ``prev``, is the first occurrence of l in the window
-    [s, s + u) exactly when 0 <= t - s < min(u, t - prev). In CSR order
-    the P <= nnz distinct (row, column part) pairs are adjacent entries,
-    and one stable radix sort by part (``sparse._stable_order``) lists
-    them by part, rows ascending within each; with U = min(u_max, m), the
-    step between consecutive keys l * (m + U) + t, clipped to U, is then
-    g = min(t - prev, U). One ``np.bincount`` of each pair's (g, t, width
-    class) and a reverse cumulative sum over g
-    give G[d, t], the pairs at row t that count in a window starting d
-    rows up. The pairs of [s, s + u) are those of [s, s + u - 1) plus
-    G[u - 1, s + u - 1], so a cumulative sum over d of the skewed view
-    G[d, s + d] and one product with each height's class prices give every
-    window cost in one (U, m) table: int64 or Python ints for an integer
-    model, float64 otherwise.
+    [s, s + u) exactly when 0 <= t - s < min(u, t - prev). The P <= nnz
+    distinct (row, column part) pairs are the nonzero blocks under the
+    trivial row partition, which ``sparse._block_pattern`` reads off CSR
+    order with no sort; one stable radix sort by part
+    (``sparse._stable_order``) lists them by part, rows ascending within
+    each. With U = min(u_max, m), the step between consecutive keys
+    l * (m + U) + t, clipped to U, is then g = min(t - prev, U). One
+    ``np.bincount`` of each pair's (g, t, width class) and a reverse
+    cumulative sum over g give G[d, t], the pairs at row t that count in
+    a window starting d rows up. The pairs of [s, s + u) are those of
+    [s, s + u - 1) plus G[u - 1, s + u - 1], so a cumulative sum over d of
+    the skewed view G[d, s + d] and one product with each height's class
+    prices give every window cost in one (U, m) table: int64 or Python
+    ints for an integer model, float64 otherwise.
 
     The backward pass best[i] = min over u of cost(i, u) + best[i + u] is
     linear in the min-plus semiring, so it runs on chunks of L =
@@ -87,30 +88,17 @@ def optimal_partition(A, col_partition, model, u_max):
     _check_sizes(col_partition, model.w_max, "column", "width")
 
     m = A.m
-    if col_partition.size != A.n:
-        raise ValueError(f"column partition covers {col_partition.size} columns, matrix has {A.n}")
+    # the distinct (row t, column part l) pairs. Sorted by part, rows
+    # ascending within each part, their keys l * (m + U) + t step by
+    # g = min(t - prev, U) once clipped to U, prev being the previous row
+    # holding part l. At a part's first row the step exceeds U, so g is U
+    # where prev = -1 would give min(t + 1, U): the two differ only for
+    # windows that would start above row 0.
+    t, l = _block_pattern(A, trivial_partition(m), col_partition)[:2]
     if m == 0:
         return _Optimum([0], 0)
-    # the distinct (row t, column part l) pairs: in CSR order a row's
-    # repeated parts are adjacent, and no part repeats under the trivial
-    # partition. Sorted by part, rows ascending within each part, their
-    # keys l * (m + U) + t step by g = min(t - prev, U) once clipped to U,
-    # prev being the previous row holding part l. At a part's first row the
-    # step exceeds U, so g is U where prev = -1 would give min(t + 1, U):
-    # the two differ only for windows that would start above row 0.
     U = min(u_max, m)
     span = m + U
-    t = A.entry_rows()
-    if col_partition.is_trivial():
-        l = A.idx
-    else:
-        l = col_partition.assignments()[A.idx]
-        fresh = np.ones(len(l) + 1, dtype=bool)
-        np.not_equal(l[1:], l[:-1], out=fresh[1:-1])
-        fresh[A.pos] = True  # a row's first entry
-        # gathering at the kept indices beats a boolean mask several times over
-        keep = np.flatnonzero(fresh[:-1])
-        l, t = l[keep], t[keep]
     order = _stable_order(l, col_partition.num_parts)
     l, t = l[order], t[order]
     g = np.minimum(np.diff(l * span + t, prepend=-U), U)
@@ -360,6 +348,9 @@ def alternating_partition(A, model, u_max, w_max, rounds=3, objective_trace=None
     """
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
+    for name, bound in (("u_max", u_max), ("w_max", w_max)):
+        if bound < 1:
+            raise ValueError(f"{name} must be at least 1, got {bound}")
     if w_max > model.w_max or u_max > model.u_max:
         raise ValueError("u_max/w_max exceed the model's table ranges")
     At = transpose(A) if rounds > 1 else None

@@ -246,31 +246,45 @@ def _unique_pairs(a, b, na, nb):
 def _block_pattern(A, rows, cols):
     """Nonzero blocks of ``A`` under a row and a column partition.
 
-    Returns ``(k, l, inverse)``: the block row and column part of every
-    distinct (block row, column part) pair that holds a stored entry,
-    sorted row-major, and for each stored entry the index of its pair.
-    In CSR order a block row's entries are a few ascending runs of keys,
-    one per row, which a stable sort (Timsort on int64) merges.
+    The one answer to "which (block row, column part) pairs hold a
+    stored entry", for the converters, the counters, ``evaluate`` and the
+    DP. Returns ``(k, l, fresh, order)``: the block row and column part
+    of every such pair, sorted row-major; the stored entries, listed in
+    ``order`` (None for CSR order), run pair by pair, and the bool mask
+    ``fresh`` marks each run's first entry in that list. Only the
+    converters need each entry's pair index, so they expand it
+    themselves.
+
+    Under a trivial row partition the pairs are read off CSR order with
+    no keys and no sort: a row's repeated parts are adjacent, so a pair
+    starts wherever an entry's part differs from the previous entry's,
+    or a row starts, and under two trivial partitions every entry is its
+    own pair. Otherwise a block row's entries are a few ascending runs of
+    int64 keys in CSR order, one per row, which a stable sort (Timsort)
+    merges.
     """
     if rows.size != A.m:
         raise ValueError(f"row partition covers {rows.size} rows, matrix has {A.m}")
     if cols.size != A.n:
         raise ValueError(f"column partition covers {cols.size} columns, matrix has {A.n}")
-    k = np.repeat(rows.assignments(), np.diff(A.pos))
     l = A.idx if cols.is_trivial() else cols.assignments()[A.idx]
+    if rows.is_trivial():
+        if cols.is_trivial():
+            return A.entry_rows(), l, np.ones(len(l), dtype=bool), None
+        fresh = np.ones(len(l) + 1, dtype=bool)
+        np.not_equal(l[1:], l[:-1], out=fresh[1:-1])
+        fresh[A.pos] = True  # a row's first entry
+        # gathering at the kept indices beats a boolean mask several times over
+        first = np.flatnonzero(fresh[:-1])
+        return A.entry_rows()[first], l[first], fresh[:-1], None
+    k = np.repeat(rows.assignments(), np.diff(A.pos))
     keys = _pair_keys(k, l, rows.num_parts, cols.num_parts)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     fresh = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    # each sorted key's pair index; a cumulative sum of int64 runs several
-    # times faster than one of bool
-    rank = fresh.astype(np.int64)
-    rank[:1] = 0
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(rank, out=rank)
     first = order[np.flatnonzero(fresh)]
-    return k[first], l[first], inverse
+    return k[first], l[first], fresh, order
 
 
 def _stable_order(a, size):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -69,3 +70,29 @@ def planted_model(u_max, w_max, rng, rank=3):
         beta_col=tuple(tuple(float(rng.uniform(0.1, 1.0)) for _ in range(w_max))
                        for _ in range(rank)),
     )
+
+
+def mesh_csr(g, rng):
+    """A finite-element-like matrix on a g x g mesh with several unknowns
+    per node, and the partition of its rows (and columns) by node.
+
+    Nodes are numbered row by row, and each is coupled to the nodes of
+    its 3 x 3 neighbourhood, itself included (9-point coupling). The
+    nodes of the s-th of four vertical strips of mesh columns have
+    (1, 2, 3, 6)[s] unknowns, numbered consecutively, and every coupled
+    pair of nodes i, j gives a dense d_i x d_j block of values drawn from
+    ``rng``. No two adjacent nodes share their neighbours once g >= 3.
+    """
+    dofs = np.tile([(1, 2, 3, 6)[4 * c // g] for c in range(g)], g)
+    spl = np.concatenate(([0], np.cumsum(dofs)))
+    cells = []
+    for r in range(g):
+        for c in range(g):
+            i = r * g + c
+            for j in [rr * g + cc for rr in range(max(r - 1, 0), min(r + 2, g))
+                      for cc in range(max(c - 1, 0), min(c + 2, g))]:
+                cells += [(a, b) for a in range(spl[i], spl[i + 1])
+                          for b in range(spl[j], spl[j + 1])]
+    m = int(spl[-1])
+    vals = rng.uniform(-1.0, 1.0, size=len(cells))
+    return build_csr(m, m, [(a, b, float(v)) for (a, b), v in zip(cells, vals)]), Partition(spl)

@@ -443,6 +443,21 @@ class TestAlternating:
         with pytest.raises(ValueError):
             alternating_partition(identity(2), model_block_count(2, 2), 2, 2, rounds=0)
 
+    @pytest.mark.parametrize("u_max, w_max, rounds, message", [
+        (0, 2, 3, "u_max must be at least 1, got 0"),
+        (2, 0, 3, "w_max must be at least 1, got 0"),
+        (2, -1, 1, "w_max must be at least 1, got -1"),
+    ], ids=["u_max", "w_max", "w_max-rows-only"])
+    def test_rejects_bounds_below_one_before_any_dp(self, monkeypatch, u_max, w_max, rounds,
+                                                     message):
+        def no_dp(*args):
+            raise AssertionError("a DP ran before the bounds were checked")
+
+        monkeypatch.setattr(partition, "optimal_partition", no_dp)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            alternating_partition(identity(2), model_block_count(2, 2), u_max, w_max,
+                                  rounds=rounds)
+
 
 def _partitions_capped(r, cap):
     def extend(splits):

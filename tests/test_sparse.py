@@ -237,17 +237,30 @@ class TestBlockPattern:
             size = {"empty": 0, "short": min(n, 2), "long": n}[kind]
             rows.append(data.draw(st.sets(st.integers(0, n - 1), max_size=size)))
         A = build_csr(m, n, [(i, j, 1.0) for i, cols in enumerate(rows) for j in sorted(cols)])
-        row_cuts = data.draw(st.sets(st.integers(1, m - 1))) if m > 1 else set()
-        col_cuts = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
-        row_part = Partition([0, *sorted(row_cuts), m])
-        col_part = Partition([0, *sorted(col_cuts), n])
-        k, l, inverse = sparse._block_pattern(A, row_part, col_part)
+
+        def partition(size):
+            # trivial one time in four: the pattern reads those off CSR order
+            if data.draw(st.integers(0, 3)) == 0:
+                return trivial_partition(size)
+            cuts = data.draw(st.sets(st.integers(1, size - 1))) if size > 1 else set()
+            return Partition([0, *sorted(cuts), size])
+
+        row_part, col_part = partition(m), partition(n)
+        k, l, fresh, order = sparse._block_pattern(A, row_part, col_part)
         keys = (np.repeat(row_part.assignments(), np.diff(A.pos)) * col_part.num_parts
                 + col_part.assignments()[A.idx])
         uniq, want = np.unique(keys, return_inverse=True)
         assert k.tolist() == (uniq // col_part.num_parts).tolist()
         assert l.tolist() == (uniq % col_part.num_parts).tolist()
-        assert inverse.tolist() == want.tolist()
+        # each entry's pair index as ``formats._blocked_arrays`` expands it:
+        # the entries listed in ``order`` run pair by pair, each run's first
+        # marked in ``fresh``
+        assert (order is None) == row_part.is_trivial()
+        listed = np.arange(A.nnz) if order is None else order
+        assert fresh.dtype == bool and fresh.shape == (A.nnz,) and fresh[:1].all()
+        pair = np.empty(A.nnz, dtype=np.int64)
+        pair[listed] = np.cumsum(fresh) - 1
+        assert pair.tolist() == want.tolist()
 
 
 class TestRowPattern:
