@@ -2,7 +2,8 @@
 
 Supports real, integer, and pattern fields with general or symmetric
 symmetry. Indices are 1-based on disk and 0-based in memory; duplicate
-coordinates are summed on read.
+coordinates are summed on read. A size line with a negative count, or a
+symmetric one that is not square, is refused as ``file:line``.
 
 Lines end in ``\\n``, ``\\r\\n`` or ``\\r`` (universal newlines); any
 other whitespace character is a field separator. Text after a ``%`` on
@@ -63,6 +64,11 @@ def _read_header(lines, name):
         m, n, declared = (int(t) for t in line.split())
     except ValueError:
         raise ValueError(f"{name}:{lineno}: malformed size line {line!r}") from None
+    if min(m, n, declared) < 0:
+        raise ValueError(f"{name}:{lineno}: negative count in size line {line!r}")
+    if parts[4] == "symmetric" and m != n:
+        raise ValueError(f"{name}:{lineno}: symmetric matrix must be square, "
+                         f"size line declares {m}x{n}")
     return _Header(parts[3], parts[4], m, n, declared, lineno)
 
 

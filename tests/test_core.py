@@ -50,6 +50,8 @@ from blockpart import (
 from blockpart.calibrate import VARIANTS, _grid_shape, _grid_vbr
 from blockpart.sparse import _frozen, _offsets
 
+from conftest import plan_groups
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 _EYE3 = build_csr(3, 3, [(i, i, 1.0) for i in range(3)])
 VALUES = [0.0, 1.0, -2.5, 0.125, 7.0]
@@ -326,8 +328,9 @@ class TestMultiplyPlan:
         A = example_matrix
         for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
             spmv_vbr(np.zeros(A.m), B, np.ones(A.n))
-            assert B._plan
-            for group in B._plan:
+            pad, groups = B._plan
+            assert isinstance(pad, bool) and groups
+            for group in plan_groups(B._plan):
                 assert len(group) == 3
                 for array in group:
                     assert not array.flags.writeable
@@ -342,6 +345,8 @@ class TestMultiplyPlan:
         # and read the zero slot x[n]; c is the group's largest stored count,
         # and one height's groups hold disjoint, ascending ranges of counts.
         # A small group cost splits heights these small matrices would merge.
+        # The y rows are a slice exactly when they are lo, lo + 1, ..., hi - 1
+        # in plan order, and the plan's pad flag says whether any slot is pad.
         A, rows, cols = case
         dense = np.hstack([A.to_dense(), np.zeros((A.m, 1))])
         for B, part in zip(blocked_pair(A, rows, cols), (cols, trivial_partition(A.n))):
@@ -352,11 +357,15 @@ class TestMultiplyPlan:
             for k in range(rows.num_parts):
                 if any((k, l) in blocks for l in range(part.num_parts)):
                     want_rows.extend(range(rows.spl[k], rows.spl[k + 1]))
-            shapes = [values.shape[1:] for values, _, _ in B._plan]
+            shapes = [values.shape[1:] for values, _, _ in plan_groups(B._plan)]
             assert shapes == sorted(set(shapes))
+            pad, groups = B._plan
+            assert pad == any(A.n in x_cols for _, x_cols, _ in groups)
             ranges = {}  # height -> (fewest, most) stored columns of each group, in plan order
-            for values, x_cols, y_rows in B._plan:
+            for (values, x_cols, y_rows), (_, _, target) in zip(plan_groups(B._plan), groups):
                 g, u, c = values.shape
+                flat = y_rows.ravel().tolist()
+                assert isinstance(target, slice) == (flat == list(range(flat[0], flat[-1] + 1)))
                 assert x_cols.shape == (g, c) and y_rows.shape == (g, u)
                 assert np.array_equal(values, dense[y_rows[:, :, None], x_cols[:, None, :]])
                 counts = []
@@ -394,7 +403,9 @@ class TestMultiplyPlan:
         else:
             containers = [data.draw(near_uniform_vbr())]
         for B in containers:
-            got, want = kernels._build_plan(B), _scattering_plan(B)
+            plan, want = kernels._build_plan(B), _scattering_plan(B)
+            got = plan_groups(plan)
+            assert plan[0] == any(B.n in cols for _, cols, _ in want)
             assert len(got) == len(want)
             for got_group, want_group in zip(got, want):
                 for a, b in zip(got_group, want_group):
@@ -418,7 +429,48 @@ class TestMultiplyPlan:
         B = to_1dvbr(A, Partition(spl))
         x = np.arange(1.0, n + 1.0)
         assert np.array_equal(spmv_vbr(np.zeros(m), B, x), spmv_csr(A, x))
-        assert [(v.shape, r.tolist(), c.tolist()) for v, c, r in B._plan] == shapes
+        assert [(v.shape, r.tolist(), c.tolist()) for v, c, r in plan_groups(B._plan)] == shapes
+
+    def test_calibration_grid_gets_a_slice(self):
+        # every block row of a grid stores the same columns: one group over
+        # all the rows in order, no pad, so y is updated through y[0:m]
+        B = _grid_vbr(3, 2, *_grid_shape(3, 2, 5, 2, "base"), np.random.default_rng(0))
+        x = np.arange(1.0, B.n + 1.0)
+        y = spmv_vbr(np.zeros(B.m), B, x)
+        pad, ((values, cols, rows),) = B._plan
+        assert (pad, rows) == (False, slice(0, B.m))
+        assert values.shape == (5, 3, 2 * 2) and B.n not in cols
+        assert np.array_equal(y, np.einsum("guc,gc->gu", values, x[cols]).ravel())
+
+    def test_equal_length_rows_get_a_slice(self):
+        # 1x1 blocks whose rows all store 2 entries: one group, no pad, its
+        # y rows a slice and its values a read-only view of B.val itself
+        A = build_csr(4, 5, [(i, j, float(5 * i + j + 1)) for i in range(4)
+                             for j in (i, (i + 2) % 5)])
+        for B in (to_vbr(A, trivial_partition(4), trivial_partition(5)),
+                  to_1dvbr(A, trivial_partition(4))):
+            x = np.arange(1.0, 6.0)
+            assert np.array_equal(spmv_vbr(np.zeros(4), B, x), spmv_csr(A, x))
+            pad, ((values, cols, rows),) = B._plan
+            assert (pad, rows, values.shape) == (False, slice(0, 4), (4, 1, 2))
+            assert np.shares_memory(values, B.val) and not values.flags.writeable
+
+    @pytest.mark.parametrize("entries, pad, rows", [
+        # rows 0 and 2 store 2 entries each and row 1 none: one unpadded
+        # group whose rows skip row 1
+        ([(0, 0, 1.0), (0, 1, 2.0), (2, 1, 3.0), (2, 2, 4.0)], False, [[0], [2]]),
+        # rows 0 and 1 store 2 and 1 entries: one group padded to 2 that
+        # covers rows 0..1, but in the order 1, 0 of its stored counts
+        ([(0, 0, 1.0), (0, 1, 2.0), (1, 2, 3.0)], True, [[1], [0]]),
+    ])
+    def test_rows_out_of_order_keep_an_index_array(self, entries, pad, rows):
+        A = build_csr(3, 3, entries)
+        B = to_1dvbr(A, trivial_partition(3))
+        x = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(spmv_vbr(np.ones(3), B, x), 1.0 + spmv_csr(A, x))
+        got_pad, ((_, _, got_rows),) = B._plan
+        assert got_pad == pad and isinstance(got_rows, np.ndarray)
+        assert got_rows.tolist() == rows and not got_rows.flags.writeable
 
     @PROPERTY
     @given(st.lists(st.integers(1, 3000), min_size=1, max_size=8, unique=True), st.data())

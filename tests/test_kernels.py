@@ -15,7 +15,7 @@ from blockpart import (
     trivial_partition,
 )
 
-from conftest import random_csr, random_partition
+from conftest import plan_groups, random_csr, random_partition
 
 
 def identity(n):
@@ -111,7 +111,63 @@ class TestSpmvVbr:
         x = rng.standard_normal(n)
         y = spmv_1dvbr(np.zeros(m), B, x)
         assert np.abs(y - spmv_csr(A, x)).max() <= mixed_tolerance(A, x) * n
-        assert sum(values.size for values, _, _ in B._plan) <= 1.5 * len(B.val)
+        assert sum(values.size for values, _, _ in plan_groups(B._plan)) <= 1.5 * len(B.val)
+
+
+def _square(rows):
+    """Square matrix whose row i stores the columns ``rows[i]``, values distinct."""
+    n = len(rows)
+    return build_csr(n, n, [(i, j, float(n * i + j + 1) / n) for i, cols in enumerate(rows)
+                            for j in cols])
+
+
+def _in_place_error(A, B, x, y):
+    """Largest error of ``spmv_vbr(y, B, x)``, where x and y share memory,
+    against the old y plus ``spmv_csr`` of the old x, relative to
+    1e-12 of each row's sum of |terms|."""
+    x_old, y_old = x.copy(), y.copy()
+    assert spmv_vbr(y, B, x) is y
+    want = y_old + spmv_csr(A, x_old)
+    bound = np.abs(y_old) + spmv_csr(CsrMatrix(A.m, A.n, A.pos, A.idx, np.abs(A.val)),
+                                     np.abs(x_old))
+    return float(np.max(np.abs(y - want) - 1e-12 * bound, initial=-np.inf))
+
+
+class TestInPlace:
+    # spmv_vbr(v, B, v) adds A @ v into v from the old v, whether the plan
+    # has pad slots or none and one group or several, and so does a y that
+    # overlaps x without being it: x = buf[1:], y = buf[:-1]
+    @pytest.mark.parametrize("rows, spl, pad, groups", [
+        ([[0, 2], [1, 3], [2, 4], [0, 3], [1, 4]], None, False, 1),
+        ([[0, 3], [0, 3], [0, 5], [0, 5], [1, 2, 5], [1, 2, 4]], [0, 2, 4, 5, 6], False, 2),
+        ([[0, 2], [4], [1, 3], [0, 3], [2, 4]], None, True, 1),
+        ([[0, 3], [0, 3], [0, 5], [5], [1, 2, 5], [2, 4]], [0, 2, 4, 5, 6], True, 2),
+    ])
+    def test_x_is_y(self, rows, spl, pad, groups):
+        A = _square(rows)
+        part = trivial_partition(A.m) if spl is None else Partition(spl)
+        rng = np.random.default_rng(6)
+        for B in (to_1dvbr(A, part), to_vbr(A, part, trivial_partition(A.n))):
+            v = rng.standard_normal(A.m)
+            assert _in_place_error(A, B, v, v) <= 0.0
+            assert (B._plan[0], len(B._plan[1])) == (pad, groups)
+            buf = rng.standard_normal(A.m + 1)
+            assert _in_place_error(A, B, buf[1:], buf[:-1]) <= 0.0
+
+    def test_random_square_matrices(self):
+        rng = np.random.default_rng(8)
+        kinds = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            A = random_csr(n, n, float(rng.uniform(0.1, 0.7)), rng)
+            rows = random_partition(n, 4, rng)
+            for B in (to_1dvbr(A, rows), to_vbr(A, rows, random_partition(n, 3, rng))):
+                v = rng.standard_normal(n)
+                assert _in_place_error(A, B, v, v) <= 0.0
+                buf = rng.standard_normal(n + 1)
+                assert _in_place_error(A, B, buf[1:], buf[:-1]) <= 0.0
+                kinds.add((B._plan[0], min(len(B._plan[1]), 2)))
+        assert kinds >= {(False, 1), (False, 2), (True, 1), (True, 2)}
 
 
 class TestSpmv1dVbr:

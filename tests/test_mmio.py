@@ -107,6 +107,25 @@ class TestParse:
         A = parse_matrix_market(text)
         assert (A.m, A.n, A.nnz) == (3, 2, 0)
 
+    @pytest.mark.parametrize("header, size, entry, message", [
+        # a mirrored (1, 0) entry would read silently into a 2x3 matrix
+        ("real symmetric", "2 3 1", "1 2 1.0", "symmetric matrix must be square, size line declares 2x3"),
+        # the mirror (2, 0) of an entry past row 2 is not in the file
+        ("real symmetric", "2 3 1", "1 3 1.0", "symmetric matrix must be square, size line declares 2x3"),
+        ("pattern symmetric", "3 2 1", "1 1", "symmetric matrix must be square, size line declares 3x2"),
+        ("real general", "-1 3 0", "", "negative count in size line '-1 3 0'"),
+        ("real general", "2 -3 0", "", "negative count in size line '2 -3 0'"),
+        ("real general", "2 2 -1", "", "negative count in size line '2 2 -1'"),
+    ])
+    def test_bad_size_line_named_at_its_line(self, tmp_path, header, size, entry, message):
+        text = f"%%MatrixMarket matrix coordinate {header}\n% comment\n{size}\n{entry}\n"
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        for read, name in ((lambda: parse_matrix_market(text), "<string>"),
+                           (lambda: read_matrix_market(path), str(path))):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name}:3: {message}')}$"):
+                read()
+
     def test_wrong_entry_count(self):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
         with pytest.raises(ValueError, match="declares 2"):
