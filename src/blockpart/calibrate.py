@@ -55,17 +55,6 @@ VARIANTS = tuple(_DESIGN)
 # alone, 11/18 with 16 MiB batches, 18/21 with this cap (two batches) and
 # 17/21 in one batch, at 47, 106, 242 and 324 MB peak RSS.
 _BATCH_BYTES = 64 << 20
-# Block rows above which a grid draws each Floyd column with its own
-# scalar-bound ``rng.integers`` call rather than one broadcast call; both
-# give the same stream. The broadcast call costs about 7.5 ns per value and
-# the per-column calls about 2.7 ns per value plus 2.6 us per call, so they
-# tie near 600 block rows whatever the blocks per row: with the generator's
-# creation included, 45 against 48 us at 512 block rows and 55 against 52
-# us at 683 for 8 blocks per row, 95 against 96 us at 683 for 16, and 253
-# against 127 us at 4096 (min of 7 x 100 calls, 2-vCPU Xeon, numpy 2.4.6).
-# The benchmark's grids have at most 512 block rows; the CLI defaults'
-# small-block grids reach 8192.
-_PER_COLUMN_DRAWS = 600
 
 
 @dataclass(frozen=True)
@@ -123,26 +112,19 @@ def _grid_vbr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
 
     Every block row holds ``blocks_per_row`` dense u x w blocks at distinct
     block columns, ascending. The block columns of all block rows come
-    from one broadcast draw, or one draw per Floyd column past
-    ``_PER_COLUMN_DRAWS`` block rows, and the values are drawn after them,
-    block by block in draw order and row-major within a block. One gather
-    of whole blocks from the values' transposed view then puts them in
-    column order and column-major: the offsets are arithmetic, with no CSR
-    and no sort of the entries. ``_grid_shape`` gives at least
-    ``blocks_per_row`` block columns.
+    from one broadcast draw, and the values are drawn after them, block by
+    block in draw order and row-major within a block. One gather of whole
+    blocks from the values' transposed view then puts them in column order
+    and column-major: the offsets are arithmetic, with no CSR and no sort
+    of the entries. ``_grid_shape`` gives at least ``blocks_per_row`` block
+    columns.
     """
     k, b = n_block_rows, blocks_per_row
     # Floyd's sampling, all block rows at once: the i-th draw picks from
     # [0, top] and takes top itself when the draw is already taken. Row i
-    # of the broadcast draw is the stream of one size-k draw from [0, top],
-    # which past _PER_COLUMN_DRAWS block rows is drawn by itself.
+    # of the broadcast draw is the stream of one size-k draw from [0, top].
     tops = np.arange(n_block_cols - b, n_block_cols)
-    if k > _PER_COLUMN_DRAWS:
-        picks = np.empty((b, k), dtype=np.int64)
-        for i, top in enumerate(tops.tolist()):
-            picks[i] = rng.integers(0, top + 1, size=k)
-    else:
-        picks = rng.integers(0, tops[:, None] + 1, size=(b, k))
+    picks = rng.integers(0, tops[:, None] + 1, size=(b, k))
     for i, top in enumerate(tops.tolist()):
         picks[i, (picks[:i] == picks[i]).any(axis=0)] = top
     picks = picks.T

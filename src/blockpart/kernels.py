@@ -14,7 +14,7 @@ lo + 1, ..., hi - 1 in plan order, else their (G, u) array. The values
 are copied once, but for a group of 1 x c blocks already where the plan
 puts them, whose values are a view of ``B.val``. Pad columns hold 0.0
 and read a zero slot appended to a copy of x, so they add exactly +0.0
-whatever x holds; a plan with no pad slot reads x itself.
+whatever x holds.
 
 Each group costs one Python-level call per multiply and each pad column
 one more x gather and u multiply-adds, so each height's padded counts
@@ -45,15 +45,14 @@ benchmark matrix (225,891 stored values in 10 groups) the plan holds
 the values plus int64 x indices and y rows, and builds in about 3-5 ms,
 the time of some 10 of its 0.34 ms multiplies (min of 20 and 200 runs,
 2 vCPUs). On scatter-heuristic's two 1 x 1 containers (100,000 values)
-each plan holds no array of its own (0.88 MB before y rows became
-slices and the values a view), and on calibrate-fit's aligned 3 x 3
-container 0.46 MB (0.48 MB). The build moves each block row's values
-and x columns into its group's slots by one scatter each, and skips a
-scatter that would move nothing: a container of one
-block-row height and one stored column count with no empty block row,
-such as every calibration grid, has its values and x columns in place
-already. That halves the build of a 256 KiB calibration grid of 3 x 3
-or 8 x 8 blocks (0.26-0.49 to 0.13-0.25 ms, min of 70 runs, 2 vCPUs).
+each plan holds no array of its own, and on calibrate-fit's aligned
+3 x 3 container 0.46 MB. The build moves each block row's values and x
+columns into its group's slots by one scatter each, and skips a scatter
+that would move nothing: a container of one block-row height and one
+stored column count with no empty block row, such as every calibration
+grid, has its values and x columns in place already. That halves the
+build of a 256 KiB calibration grid of 3 x 3 or 8 x 8 blocks (0.26-0.49
+to 0.13-0.25 ms, min of 70 runs, 2 vCPUs).
 Under a trivial column partition, as in every 1D-VBR container and
 calibration's w = 1 grids, every stored block is one column wide, so the
 x indices are ``idx`` itself and are read from it rather than rebuilt
@@ -65,18 +64,14 @@ in place through ``y[lo:hi]`` for a slice and by fancy index otherwise.
 Every row of y belongs to exactly one block row, so there is no
 scatter-add: a row's products over its stored columns and its pad are
 summed by one ``np.einsum`` reduction, in an order fixed by the plan, so
-repeated calls are bit-identical, and added to y once. The slice and
-the gather from x itself add the same products in the same order as the
-fancy-index update and the padded copy, so y is the same to the bit; on
-the seed-1234 benchmark containers they cut the multiply by 13 % on
-scatter-heuristic (both containers) and 17-19 % on calibrate-fit, whose
-plans are one such group each, and leave rowruns-1d and blocks-2d, whose
-groups all keep index arrays and pad, within 0.5 % (interleaved medians
-of 2,000 calls, 2 vCPUs). The copy of x stays whenever x shares memory
-with y, so ``spmv_vbr(v, B, v)`` reads the old v in every group even
-after an earlier group has written to it. 1D-VBR is VBR with a trivial
-column partition, so ``spmv_1dvbr`` is the same kernel. Pass a dict as ``counter`` to tally multiply-adds (key
-``"madds"``); it counts the stored values, ``len(B.val)``, not the pad.
+repeated calls are bit-identical, and added to y once. The slice adds
+the same products in the same order as the fancy-index update, so y is
+the same to the bit. Every group reads the copy of x, so
+``spmv_vbr(v, B, v)`` reads the old v even after an earlier group has
+written to it. 1D-VBR is VBR with a trivial column partition, so
+``spmv_1dvbr`` is the same kernel. Pass a dict as ``counter`` to tally
+multiply-adds (key ``"madds"``); it counts the stored values,
+``len(B.val)``, not the pad.
 """
 
 import itertools
@@ -166,14 +161,14 @@ def _shifted(src, lengths, shift, size, fill):
 
 
 def _build_plan(B):
-    """Blocked-ELL plan of B as (pad, ((values, x columns, y rows), ...)).
+    """Blocked-ELL groups of B as ((values, x columns, y rows), ...).
 
     Groups go in ascending (u, c_pad), block rows by stored column count and
     then in storage order within a group. A group whose y rows are lo, lo +
     1, ..., hi - 1 in plan order targets ``slice(lo, hi)``, any other its
-    (G, u) row array. ``pad`` is whether any x column is a pad slot. Values
-    are copied into (G, u, c_pad) order, but a u = 1 group whose values
-    ``_shifted`` left in place keeps a read-only view of ``B.val``.
+    (G, u) row array. Values are copied into (G, u, c_pad) order, but a
+    u = 1 group whose values ``_shifted`` left in place keeps a read-only
+    view of ``B.val``.
     """
     heights = np.diff(B.spl_rows)
     # first[q]: the stored columns before block q; column: the x index of
@@ -221,17 +216,11 @@ def _build_plan(B):
         else:
             rows = _frozen(B.spl_rows[order[a:b], None] + np.arange(gu), np.int64)
         groups.append((_frozen(values, np.float64), cols[at_col[a]:at_col[b]].reshape(g, gc), rows))
-    return bool(at_col[-1] > first[-1]), tuple(groups)
+    return tuple(groups)
 
 
 def spmv_vbr(y, B, x, counter=None):
-    """Add B @ x into y in place and return y; B is VBR or 1D-VBR.
-
-    Products gather from x itself when the plan has no pad slot and x
-    shares no memory with y; otherwise from a copy of x with the zero
-    slot appended, which also keeps ``spmv_vbr(v, B, v)`` reading the old
-    v after a group has written to it.
-    """
+    """Add B @ x into y in place and return y; B is VBR or 1D-VBR."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (B.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({B.n},)")
@@ -239,11 +228,9 @@ def spmv_vbr(y, B, x, counter=None):
         raise ValueError(f"y has shape {y.shape}, expected ({B.m},)")
     if B._plan is None:
         B._plan = _build_plan(B)
-    pad, groups = B._plan
-    if pad or np.may_share_memory(x, y):
-        x = np.append(x, 0.0)  # pad slots read x[n]
-    for values, cols, rows in groups:
-        products = np.einsum("guc,gc->gu", values, x[cols])
+    x_pad = np.append(x, 0.0)  # pad slots read x_pad[n]
+    for values, cols, rows in B._plan:
+        products = np.einsum("guc,gc->gu", values, x_pad[cols])
         y[rows] += products.ravel() if isinstance(rows, slice) else products
     if counter is not None:
         counter["madds"] = counter.get("madds", 0) + len(B.val)

@@ -54,20 +54,6 @@ def patterned_csr(draw, max_rows=30, max_cols=10, m=None):
                             for i, cols in enumerate(rows) for j in sorted(cols)])
 
 
-def plan_groups(plan):
-    """The groups of a multiply plan as (values, x columns, y rows), each
-    slice target read as its row range: the read-only (G, u) array of rows
-    lo, ..., hi - 1, the row array a group that is not a range holds."""
-    _, groups = plan
-    out = []
-    for values, cols, rows in groups:
-        if isinstance(rows, slice):
-            rows = np.arange(rows.start, rows.stop).reshape(values.shape[:2])
-            rows.flags.writeable = False
-        out.append((values, cols, rows))
-    return out
-
-
 def random_partition(r, max_width, rng):
     splits = [0]
     while splits[-1] < r:

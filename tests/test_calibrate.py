@@ -22,8 +22,6 @@ from blockpart.calibrate import (
 from blockpart.formats import stored_counts, to_vbr
 from blockpart.kernels import spmv_vbr
 
-from conftest import plan_groups
-
 
 def planted_tables(u_max, w_max, rank, rng):
     # non-decreasing along both axes so the monotonicity pass is a no-op
@@ -107,24 +105,6 @@ class TestSynthBlockMatrix:
         for name in ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-
-    @pytest.mark.parametrize("u, w, k, l, b", [
-        (1, 1, 29, 58, 8),
-        (3, 2, 64, 96, 16),
-        (2, 3, 1000, 700, 8),  # past _PER_COLUMN_DRAWS block rows
-        (1, 1, 4096, 8192, 3),
-    ])
-    def test_draw_forms_give_the_same_grid(self, monkeypatch, u, w, k, l, b):
-        # one broadcast draw and one draw per Floyd column give one stream
-        import blockpart.calibrate as calibrate
-
-        grids = []
-        for split in (0, 10**9):  # every grid per column, every grid broadcast
-            monkeypatch.setattr(calibrate, "_PER_COLUMN_DRAWS", split)
-            grids.append(_grid_vbr(u, w, k, l, b, np.random.default_rng(k)))
-        for name in ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val"):
-            a, c = (getattr(g, name) for g in grids)
-            assert a.dtype == c.dtype and a.tobytes() == c.tobytes(), name
 
     def test_grid_vbr_can_take_every_block_column(self):
         # as many blocks as block columns: the draws take each column once
@@ -365,7 +345,7 @@ class TestMeasurement:
                                   clock=iter(range(0, 10**12, 10**6)).__next__)
         assert len({id(B) for B in timed}) == len(samples) == 36
         for B in timed:
-            (values, _, _), = plan_groups(B._plan)
+            (values, _, _), = B._plan
             assert values.size == len(B.val)
 
     def test_every_timed_container_is_pinned(self, monkeypatch):

@@ -50,8 +50,6 @@ from blockpart import (
 from blockpart.calibrate import VARIANTS, _grid_shape, _grid_vbr
 from blockpart.sparse import _frozen, _offsets
 
-from conftest import plan_groups
-
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 _EYE3 = build_csr(3, 3, [(i, i, 1.0) for i in range(3)])
 VALUES = [0.0, 1.0, -2.5, 0.125, 7.0]
@@ -328,8 +326,7 @@ class TestMultiplyPlan:
         A = example_matrix
         for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
             spmv_vbr(np.zeros(A.m), B, np.ones(A.n))
-            pad, groups = B._plan
-            assert isinstance(pad, bool) and groups
+            assert B._plan
             for group in plan_groups(B._plan):
                 assert len(group) == 3
                 for array in group:
@@ -346,7 +343,7 @@ class TestMultiplyPlan:
         # and one height's groups hold disjoint, ascending ranges of counts.
         # A small group cost splits heights these small matrices would merge.
         # The y rows are a slice exactly when they are lo, lo + 1, ..., hi - 1
-        # in plan order, and the plan's pad flag says whether any slot is pad.
+        # in plan order.
         A, rows, cols = case
         dense = np.hstack([A.to_dense(), np.zeros((A.m, 1))])
         for B, part in zip(blocked_pair(A, rows, cols), (cols, trivial_partition(A.n))):
@@ -359,10 +356,8 @@ class TestMultiplyPlan:
                     want_rows.extend(range(rows.spl[k], rows.spl[k + 1]))
             shapes = [values.shape[1:] for values, _, _ in plan_groups(B._plan)]
             assert shapes == sorted(set(shapes))
-            pad, groups = B._plan
-            assert pad == any(A.n in x_cols for _, x_cols, _ in groups)
             ranges = {}  # height -> (fewest, most) stored columns of each group, in plan order
-            for (values, x_cols, y_rows), (_, _, target) in zip(plan_groups(B._plan), groups):
+            for (values, x_cols, y_rows), (_, _, target) in zip(plan_groups(B._plan), B._plan):
                 g, u, c = values.shape
                 flat = y_rows.ravel().tolist()
                 assert isinstance(target, slice) == (flat == list(range(flat[0], flat[-1] + 1)))
@@ -403,9 +398,7 @@ class TestMultiplyPlan:
         else:
             containers = [data.draw(near_uniform_vbr())]
         for B in containers:
-            plan, want = kernels._build_plan(B), _scattering_plan(B)
-            got = plan_groups(plan)
-            assert plan[0] == any(B.n in cols for _, cols, _ in want)
+            got, want = plan_groups(kernels._build_plan(B)), _scattering_plan(B)
             assert len(got) == len(want)
             for got_group, want_group in zip(got, want):
                 for a, b in zip(got_group, want_group):
@@ -437,8 +430,8 @@ class TestMultiplyPlan:
         B = _grid_vbr(3, 2, *_grid_shape(3, 2, 5, 2, "base"), np.random.default_rng(0))
         x = np.arange(1.0, B.n + 1.0)
         y = spmv_vbr(np.zeros(B.m), B, x)
-        pad, ((values, cols, rows),) = B._plan
-        assert (pad, rows) == (False, slice(0, B.m))
+        ((values, cols, rows),) = B._plan
+        assert rows == slice(0, B.m)
         assert values.shape == (5, 3, 2 * 2) and B.n not in cols
         assert np.array_equal(y, np.einsum("guc,gc->gu", values, x[cols]).ravel())
 
@@ -451,8 +444,8 @@ class TestMultiplyPlan:
                   to_1dvbr(A, trivial_partition(4))):
             x = np.arange(1.0, 6.0)
             assert np.array_equal(spmv_vbr(np.zeros(4), B, x), spmv_csr(A, x))
-            pad, ((values, cols, rows),) = B._plan
-            assert (pad, rows, values.shape) == (False, slice(0, 4), (4, 1, 2))
+            ((values, cols, rows),) = B._plan
+            assert (rows, values.shape) == (slice(0, 4), (4, 1, 2)) and B.n not in cols
             assert np.shares_memory(values, B.val) and not values.flags.writeable
 
     @pytest.mark.parametrize("entries, pad, rows", [
@@ -468,8 +461,8 @@ class TestMultiplyPlan:
         B = to_1dvbr(A, trivial_partition(3))
         x = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(spmv_vbr(np.ones(3), B, x), 1.0 + spmv_csr(A, x))
-        got_pad, ((_, _, got_rows),) = B._plan
-        assert got_pad == pad and isinstance(got_rows, np.ndarray)
+        ((_, cols, got_rows),) = B._plan
+        assert (B.n in cols) == pad and isinstance(got_rows, np.ndarray)
         assert got_rows.tolist() == rows and not got_rows.flags.writeable
 
     @PROPERTY
@@ -748,6 +741,19 @@ class TestPairKeyOverflow:
         A = build_csr(1, 2**62, [(0, 7, 1.0)])
         assert A.pos.tolist() == [0, 1]
         assert A.idx.tolist() == [7]
+
+
+def plan_groups(plan):
+    """The groups of a multiply plan as (values, x columns, y rows), each
+    slice target read as its row range: the read-only (G, u) array of rows
+    lo, ..., hi - 1, the row array a group that is not a range holds."""
+    out = []
+    for values, cols, rows in plan:
+        if isinstance(rows, slice):
+            rows = np.arange(rows.start, rows.stop).reshape(values.shape[:2])
+            rows.flags.writeable = False
+        out.append((values, cols, rows))
+    return out
 
 
 def _scattering_plan(B):
