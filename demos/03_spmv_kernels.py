@@ -47,6 +47,6 @@ print("max |vbr - csr|:   ", np.abs(y_vbr - y_csr).max())
 print("max |1dvbr - csr|: ", np.abs(y_1d - y_csr).max())
 
 # The kernels accumulate in place, so a second multiply doubles y. It
-# reuses the multiply plan the first one built and cached on D.
+# reuses the multiply plan D built when it was made.
 spmv_1dvbr(y_1d, D, x)
 print("in-place accumulate doubles y:", np.allclose(y_1d, 2 * y_csr))

@@ -149,13 +149,12 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
     Rows run sequentially. The CSR baseline row comes first and its
     multiply time anchors every row's critical point. CSR and every
     container are measured alike: one warm-up call, ``time_min(f, 1)``,
-    then ``multiply_seconds = time_min(f, trials)``. CSR's warm-up time is
-    discarded. A container's warm-up is its first multiply, which also
-    builds its plan, and its excess over ``multiply_seconds`` is one-time
-    set-up added to ``convert_seconds``. ``memory_bits`` is 8 times the
-    length of the container's serialization, the file ``blockpart
-    convert`` writes. Format names other than 1dvbr and vbr, and unknown
-    partitioners, raise before anything is timed.
+    then ``multiply_seconds = time_min(f, trials)``; the warm-up time is
+    discarded. ``convert_seconds`` times ``to_vbr``, which also builds the
+    container's multiply plan. ``memory_bits`` is 8 times the length of
+    the container's serialization, the file ``blockpart convert`` writes.
+    Format names other than 1dvbr and vbr, and unknown partitioners, raise
+    before anything is timed.
     """
     _check_formats(formats)
     labels = [_partitioner_id(spec) for spec in partitioners]
@@ -187,9 +186,8 @@ def run_sweep(A, matrix_id, partitioners, formats=("1dvbr", "vbr"), u_max=8, w_m
                 serialize, fixed_words = _FORMATS[fmt]
                 memory = 8 * len(serialize(B))
                 blocked = partial(spmv_vbr, np.zeros(A.m), B, x)
-                t_first = time_min(blocked, 1, clock=clock)  # the warm-up builds the plan
+                time_min(blocked, 1, clock=clock)
                 t_mult = time_min(blocked, trials, clock=clock)
-                t_conv += max(t_first - t_mult, 0.0)
                 n_index, n_value = stored_counts(B)
                 fields = dict(K=rows.num_parts, L=cols.num_parts, N_index=n_index, N_value=n_value,
                               memory_bits=memory, partition_seconds=t_part, convert_seconds=t_conv,

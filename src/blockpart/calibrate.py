@@ -7,10 +7,10 @@ Calibration times synthetic block-grid matrices in four shapes per block
 size, fits the coefficients by least squares weighted to minimize
 relative error, and compresses the block-cost table to a low rank with
 an SVD. Each sample is drawn directly as a VbrMatrix from its block
-columns and values, with no CSR assembly and no conversion, and its
-warm-up multiply builds the container's multiply plan, so the samples
-time the steady-state multiply. ``synth_block_matrix`` draws the same
-grid and reads its CSR off that container.
+columns and values, with no CSR assembly and no conversion; the
+container builds its multiply plan as it is made, and one untimed
+warm-up multiply precedes the timed ones. ``synth_block_matrix`` draws
+the same grid and reads its CSR off that container.
 """
 
 import csv
@@ -53,7 +53,9 @@ VARIANTS = tuple(_DESIGN)
 # 256 KiB per matrix, 96 MiB of values in all; seeds 1-21) a matrix of
 # aligned 3x3 blocks got a 3x3 partition from 11/21 fits timing each sample
 # alone, 11/18 with 16 MiB batches, 18/21 with this cap (two batches) and
-# 17/21 in one batch, at 47, 106, 242 and 324 MB peak RSS.
+# 17/21 in one batch. The other three peaked at 47, 106 and 324 MB RSS;
+# this cap peaks at 198 MB (ru_maxrss of ``blockpart calibrate`` with its
+# defaults, 5 fresh processes on a 2-vCPU Xeon).
 _BATCH_BYTES = 64 << 20
 
 
@@ -177,16 +179,17 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
     Runs strictly sequentially. The matrices are built in batches of up to
     ``_BATCH_BYTES`` of stored values, and each batch is then timed back
     to back, so the samples the fit compares are measured close together
-    rather than each right after its own construction. Each matrix gets
-    exactly one warm-up multiply, untimed, while its batch is built: it
-    builds the container's multiply plan, so no plan build falls between
+    rather than each right after its own construction. Each container
+    builds its multiply plan as it is made and gets exactly one untimed
+    warm-up multiply while its batch is built, so neither falls between
     two timed samples. Its sample is then ``time_min`` of ``trials``
     calls. Returns the samples to feed ``fit_cost_model``.
 
-    The CLI defaults make two batches, peak near 216 MB RSS and take about
-    0.7 s on a 2-vCPU Xeon (medians of 4 processes), where assembling each
-    grid as CSR and converting it took 2.4-2.8 s, and drawing each block
-    column and building each plan with scatters 1.2 s, with the same draws.
+    The CLI defaults make two batches, peak at 198 MB RSS (see
+    ``_BATCH_BYTES``) and take 0.56-1.0 s, median 0.70 s, on a 2-vCPU
+    Xeon (5 fresh processes), where assembling each grid as CSR and
+    converting it took 2.4-2.8 s, and drawing each block column and
+    building each plan with scatters 1.2 s, with the same draws.
     """
     rng = np.random.default_rng(seed)
     samples, batch, held = [], [], 0
@@ -204,7 +207,7 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
                 B = _grid_vbr(u, w, k, l, b, rng)
                 x = rng.standard_normal(B.n)
                 y = np.zeros(B.m)
-                spmv_vbr(y, B, x)  # the warm-up call, which builds the plan
+                spmv_vbr(y, B, x)  # the warm-up call
                 batch.append((u, w, b, variant, B, x, y))
                 held += B.val.nbytes
                 if held >= _BATCH_BYTES:
@@ -286,7 +289,11 @@ def fit_cost_model(samples, rank):
 
 
 def jacobi_svd(M):
-    """SVD of a small dense matrix: (U, s, V) with M = U @ diag(s) @ V.T, s descending."""
+    """SVD of a small dense matrix: (U, s, V) with M = U @ diag(s) @ V.T, s descending.
+
+    This is numpy's LAPACK SVD, not a Jacobi iteration; the name is kept
+    because it is part of the package's API.
+    """
     U, sing, Vt = np.linalg.svd(np.asarray(M, dtype=np.float64), full_matrices=False)
     return U, sing, Vt.T
 

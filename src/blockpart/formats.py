@@ -8,6 +8,7 @@ row is u x 1 and the value stride within the block row is constant.
 
 import numpy as np
 
+from . import kernels
 from .sparse import _block_pattern, _first_fall, _frozen, _offsets, Partition, trivial_partition
 
 __all__ = [
@@ -30,8 +31,9 @@ class VbrMatrix:
     splits), ``pos`` (K+1 offsets into ``idx``), ``idx`` (column-part
     index of each stored block, ascending within a block row), ``ofs``
     (K+1 offsets of each block row's values), ``val`` (dense block
-    values, column-major within each block). ``_plan`` caches the
-    multiply plan the first ``spmv_vbr`` call builds (see ``kernels``).
+    values, column-major within each block). ``_plan`` holds the
+    read-only multiply plan, built once when the container is made, after
+    every check (see ``kernels``).
     """
 
     __slots__ = ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val", "_plan")
@@ -39,11 +41,10 @@ class VbrMatrix:
     def __init__(self, spl_rows, spl_cols, pos, idx, ofs, val):
         self.spl_rows = Partition(spl_rows).spl
         self.spl_cols = Partition(spl_cols).spl
-        self.pos = _frozen(pos, np.int64)
-        self.idx = _frozen(idx, np.int64)
-        self.ofs = _frozen(ofs, np.int64)
+        self.pos = _frozen(pos, np.int64, "pos")
+        self.idx = _frozen(idx, np.int64, "idx")
+        self.ofs = _frozen(ofs, np.int64, "ofs")
         self.val = _frozen(val, np.float64)
-        self._plan = None
         k = len(self.spl_rows) - 1
         n_parts = len(self.spl_cols) - 1
         if len(self.pos) != k + 1 or len(self.ofs) != k + 1:
@@ -63,6 +64,7 @@ class VbrMatrix:
         wrong = np.nonzero(_value_starts(np.diff(self.spl_rows), np.diff(stored)) != self.ofs)[0]
         if len(wrong):
             raise ValueError(f"block row {max(int(wrong[0]) - 1, 0)} disagrees with its pattern")
+        self._plan = kernels._build_plan(self)
 
     @property
     def m(self):
@@ -144,7 +146,8 @@ def to_vbr(A, row_partition, col_partition):
     """Convert CSR to VBR under the given partitions, zero-filling blocks.
 
     Under two trivial partitions the container shares A's read-only
-    ``pos``, ``idx`` and ``val`` (``ofs`` is ``pos``) and copies nothing.
+    ``pos``, ``idx`` and ``val`` (``ofs`` is ``pos``) rather than copying
+    them; only its multiply plan may copy values.
     """
     return VbrMatrix(row_partition.spl, col_partition.spl,
                      *_blocked_arrays(A, row_partition, col_partition))
@@ -154,7 +157,8 @@ def to_1dvbr(A, row_partition):
     """Convert CSR to 1D-VBR under the given row partition, zero-filling blocks.
 
     Under the trivial row partition the container shares A's read-only
-    ``pos``, ``idx`` and ``val`` (``ofs`` is ``pos``) and copies nothing.
+    ``pos``, ``idx`` and ``val`` (``ofs`` is ``pos``) rather than copying
+    them; only its multiply plan may copy values.
     """
     return OneDVbrMatrix(A.n, row_partition.spl,
                          *_blocked_arrays(A, row_partition, trivial_partition(A.n)))

@@ -2,8 +2,8 @@
 
 The blocked kernel runs from a blocked-ELL multiply plan (the BELLPACK
 layout of Choi, Singh and Vuduc, with SELL-C-sigma-style padding) that
-the first multiply of a container builds and caches on it (containers
-are immutable): the first multiply pays for the plan and every later one
+every container builds once, read-only, as the last step of
+``VbrMatrix.__init__``: conversion pays for the plan and every multiply
 reuses it. VBR stores each block row's blocks one after another, column
 by column, so block row k of height u with c stored columns is already a
 dense u x c matrix. The plan groups the non-empty block rows by height u
@@ -226,8 +226,6 @@ def spmv_vbr(y, B, x, counter=None):
         raise ValueError(f"x has shape {x.shape}, expected ({B.n},)")
     if y.shape != (B.m,):
         raise ValueError(f"y has shape {y.shape}, expected ({B.m},)")
-    if B._plan is None:
-        B._plan = _build_plan(B)
     x_pad = np.append(x, 0.0)  # pad slots read x_pad[n]
     for values, cols, rows in B._plan:
         products = np.einsum("guc,gc->gu", values, x_pad[cols])

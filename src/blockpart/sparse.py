@@ -27,12 +27,33 @@ __all__ = [
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
+# the same triples with float coordinates, checked before the int64 cast
+_FLOAT_ENTRY = np.dtype([("row", np.float64), ("col", np.float64), ("val", np.float64)])
 
 
-def _frozen(arr, dtype):
+def _frozen(arr, dtype, name="array"):
+    """``arr`` as a read-only contiguous array of ``dtype``.
+
+    Values bound for an integer dtype must be whole numbers, which the cast
+    would otherwise cut down; ``name`` names the array in the error. Input
+    that is already integer or bool is not checked; any other, floats or
+    Python objects such as ``Fraction``, is checked as float64.
+    """
+    if np.dtype(dtype).kind == "i":
+        arr = np.asarray(arr)
+        if arr.dtype.kind not in "iub":
+            _check_whole(np.asarray(arr, dtype=np.float64), name)
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _check_whole(a, name):
+    """Refuse floats ``a`` that are not finite whole numbers, naming them ``name``."""
+    whole = np.isfinite(a) & (a == np.trunc(a))
+    if not whole.all():
+        at = int(np.argmin(whole))
+        raise ValueError(f"{name}: {float(a.flat[at])!r} at {at} is not a whole number")
 
 
 class CsrMatrix:
@@ -54,8 +75,8 @@ class CsrMatrix:
     __slots__ = ("m", "n", "pos", "idx", "val")
 
     def __init__(self, m, n, pos, idx, val):
-        pos = _frozen(pos, np.int64)
-        idx = _frozen(idx, np.int64)
+        pos = _frozen(pos, np.int64, "pos")
+        idx = _frozen(idx, np.int64, "idx")
         val = _frozen(val, np.float64)
         if m < 0 or n < 0:
             raise ValueError(f"negative dimensions {m}x{n}")
@@ -117,7 +138,7 @@ class Partition:
     __slots__ = ("spl",)
 
     def __init__(self, spl):
-        spl = _frozen(spl, np.int64)
+        spl = _frozen(spl, np.int64, "split points")
         if len(spl) == 0 or spl[0] != 0:
             raise ValueError("split points must start at 0")
         if np.any(np.diff(spl) <= 0):
@@ -183,17 +204,21 @@ def build_csr(m, n, entries):
     """Assemble a CSR matrix from (row, col, value) triples.
 
     ``entries`` is a 1-D record array of ``ENTRY_DTYPE``, used as is, or
-    any iterable of triples (tuples, lists, a generator), converted in
-    one ``np.fromiter`` call. Entries are sorted row-major; duplicate
-    coordinates are summed in input order. Entries already in that order
-    without duplicates, as ``write_matrix_market`` writes them, skip the
-    sort, about half the build on the benchmark files: one pass over their
-    keys finds them. Any other input is sorted by a sort that assumes no
-    order. Out-of-range coordinates
-    are rejected, naming the offending entry.
+    any iterable of triples (tuples, lists, a generator), converted by
+    ``np.fromiter`` once the coordinates, read as floats, are found to be
+    whole numbers. Entries are sorted row-major; duplicate coordinates are
+    summed in input order. Entries already in that order without
+    duplicates, as ``write_matrix_market`` writes them, skip the sort,
+    about half the build on the benchmark files: one pass over their keys
+    finds them. Any other input is sorted by a sort that assumes no order.
+    Out-of-range coordinates are rejected, naming the offending entry.
     """
     if not (isinstance(entries, np.ndarray) and entries.dtype == ENTRY_DTYPE):
-        entries = np.fromiter(map(tuple, entries), ENTRY_DTYPE)
+        triples = list(map(tuple, entries))
+        given = np.fromiter(triples, _FLOAT_ENTRY, len(triples))
+        _check_whole(given["row"], "entry rows")
+        _check_whole(given["col"], "entry columns")
+        entries = np.fromiter(triples, ENTRY_DTYPE, len(triples))
     if not len(entries):
         return CsrMatrix(m, n, np.zeros(m + 1, np.int64), [], [])
     rows, cols = entries["row"], entries["col"]

@@ -312,20 +312,32 @@ class TestMeasurement:
         assert calls[len(samples):] == [g for g in grids for _ in range(3)]
 
     def test_samples_time_warm_containers_back_to_back(self, monkeypatch):
-        # every container is built and warmed up (which builds its plan)
-        # before any sample is timed, so no timed call pays for a plan
+        # every container is built with its plan and warmed up before any
+        # sample is timed: every clock reading advances 1 ms and each plan
+        # build 5 s more, and no sample shows a build
         import blockpart.calibrate as calibrate
+        import blockpart.kernels as kernels
 
-        plan_missing = []
+        events, now = [], [0]
+
+        def clock():
+            now[0] += 10**6
+            return now[0]
+
+        def build(B, build=kernels._build_plan):
+            events.append("build")
+            now[0] += 5 * 10**9
+            return build(B)
 
         def kernel(y, B, x, counter=None):
-            plan_missing.append(B._plan is None)
+            events.append("multiply")
             return spmv_vbr(y, B, x, counter)
 
+        monkeypatch.setattr(kernels, "_build_plan", build)
         monkeypatch.setattr(calibrate, "spmv_vbr", kernel)
-        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=2,
-                                  clock=iter(range(0, 10**12, 10**6)).__next__)
-        assert plan_missing == [True] * len(samples) + [False] * (2 * len(samples))
+        samples = run_calibration(2, 2, blocks_per_row=2, min_bytes=8, trials=2, clock=clock)
+        n = len(samples)
+        assert events == ["build", "multiply"] * n + ["multiply"] * (2 * n)
         assert all(s.seconds == pytest.approx(1e-3) for s in samples)
 
     def test_timed_containers_multiply_without_pad(self, monkeypatch):
@@ -375,10 +387,13 @@ class TestMeasurement:
     def test_batch_is_timed_once_it_holds_the_byte_limit(self, monkeypatch):
         import blockpart.calibrate as calibrate
 
-        calls = []  # (plan missing, stored value bytes) of every kernel call
+        # (first call on its container, stored value bytes) of every kernel
+        # call; seen keeps each container alive, so no id is reused
+        calls, seen = [], {}
 
         def kernel(y, B, x, counter=None):
-            calls.append((B._plan is None, B.val.nbytes))
+            calls.append((id(B) not in seen, B.val.nbytes))
+            seen[id(B)] = B
             return spmv_vbr(y, B, x, counter)
 
         def run():

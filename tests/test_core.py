@@ -119,7 +119,7 @@ def vectors(draw, size):
 
 
 def blocked_pair(A, rows, cols):
-    """The VBR and the 1D-VBR container of A, each with no plan built yet."""
+    """The VBR and the 1D-VBR container of A."""
     return to_vbr(A, rows, cols), to_1dvbr(A, rows)
 
 
@@ -299,33 +299,37 @@ class TestMultiplyPlan:
                 assert np.array_equal(spmv_vbr(np.zeros(m), B, x), want)
                 assert np.array_equal(spmv_vbr(np.ones(m), B, x), 1.0 + want)
 
-    def test_plan_built_once_per_container(self, example_matrix, monkeypatch):
+    def test_plan_built_once_at_construction(self, example_matrix, monkeypatch):
+        # the constructor builds the plan after its checks, and no multiply
+        # builds or replaces it
         builds = []
         monkeypatch.setattr(kernels, "_build_plan",
                             lambda B, build=kernels._build_plan: builds.append(B) or build(B))
         A = example_matrix
         for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
-            assert B._plan is None
-            spmv_vbr(np.zeros(A.m), B, np.ones(A.n))
             plan = B._plan
-            assert plan is not None
+            assert builds.count(B) == 1 and isinstance(plan, tuple) and plan
+            spmv_vbr(np.zeros(A.m), B, np.ones(A.n))
             spmv_1dvbr(np.zeros(A.m), B, np.arange(A.n, dtype=np.float64))
             assert B._plan is plan
             assert builds.count(B) == 1
+        with pytest.raises(ValueError, match="disagrees with its pattern"):  # the last check
+            VbrMatrix([0, 2], [0, 1], [0, 1], [0], [0, 1], [1.0])
+        assert len(builds) == 2
 
-    def test_shape_errors_raise_before_plan(self, example_matrix):
+    def test_shape_errors_leave_the_plan(self, example_matrix):
         A = example_matrix
         for B in blocked_pair(A, Partition([0, 4, 8]), trivial_partition(A.n)):
+            plan = B._plan
             with pytest.raises(ValueError, match="x has shape"):
                 spmv_vbr(np.zeros(A.m), B, np.ones(A.n + 1))
             with pytest.raises(ValueError, match="y has shape"):
                 spmv_vbr(np.zeros(A.m - 1), B, np.ones(A.n))
-            assert B._plan is None
+            assert B._plan is plan
 
     def test_plan_arrays_read_only(self, example_matrix):
         A = example_matrix
         for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
-            spmv_vbr(np.zeros(A.m), B, np.ones(A.n))
             assert B._plan
             for group in plan_groups(B._plan):
                 assert len(group) == 3
@@ -346,9 +350,9 @@ class TestMultiplyPlan:
         # in plan order.
         A, rows, cols = case
         dense = np.hstack([A.to_dense(), np.zeros((A.m, 1))])
-        for B, part in zip(blocked_pair(A, rows, cols), (cols, trivial_partition(A.n))):
-            with mock.patch.object(kernels, "_GROUP", group):
-                spmv_vbr(np.zeros(A.m), B, np.zeros(A.n))
+        with mock.patch.object(kernels, "_GROUP", group):
+            containers = blocked_pair(A, rows, cols)
+        for B, part in zip(containers, (cols, trivial_partition(A.n))):
             blocks = ref_blocks(A, rows, part)
             want_rows, got_rows = [], []
             for k in range(rows.num_parts):
@@ -666,6 +670,17 @@ class TestContainerChecks:
         VbrMatrix([0, 1, 2, 3], [0, 1, 2], [0, 1, 1, 3], [1, 0, 1], [0, 1, 1, 3], [1.0] * 3)
         with pytest.raises(ValueError, match="not increasing in block row 2"):
             VbrMatrix([0, 1, 2, 3], [0, 1, 2], [0, 1, 1, 3], [0, 1, 0], [0, 1, 1, 3], [1.0] * 3)
+
+    @pytest.mark.parametrize("field", ["pos", "idx", "ofs"])
+    def test_vbr_rejects_indices_that_are_not_whole(self, field):
+        # one 1x1 block row storing one block; 0.9 would be cut down to 0
+        arrays = {"pos": [0, 1], "idx": [0], "ofs": [0, 1]}
+        arrays[field] = [0.9] if field == "idx" else [0, 0.9]
+        at = 0 if field == "idx" else 1
+        with pytest.raises(ValueError, match=f"^{field}: 0.9 at {at} is not a whole number$"):
+            VbrMatrix([0, 1], [0, 1], arrays["pos"], arrays["idx"], arrays["ofs"], [1.0])
+        B = VbrMatrix([0, 1], [0, 1], [0.0, 1.0], [0.0], [0.0, 1.0], [1.0])
+        assert B.idx.tolist() == [0]
 
     def test_rejects_block_sizes_past_int64(self):
         big = 2**62

@@ -1,7 +1,7 @@
 """The package declares numpy as its only dependency; scipy and hypothesis
 may be installed next to it, so an import of either from ``src`` would
 otherwise pass every other test. No module calls ``np.dot`` either, which
-would reach BLAS."""
+would reach BLAS, and only ``VbrMatrix.__init__`` stores a multiply plan."""
 
 import ast
 import pathlib
@@ -45,3 +45,26 @@ def test_no_blas_dot(path):
     # np.dot is a BLAS call, which took about 8 ms in some processes whose
     # BLAS threads were not pinned; nothing in the package needs one
     assert list(dot_calls(path)) == []
+
+
+def plan_writes(path):
+    """Enclosing ``Class.function`` of every store to, or deletion of, a
+    ``_plan`` attribute in ``path``."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            elif (isinstance(child, ast.Attribute) and child.attr == "_plan"
+                  and not isinstance(child.ctx, ast.Load)):
+                yield scope
+            yield from walk(child, inner)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8")), "")
+
+
+def test_plan_is_written_only_by_the_constructor():
+    # a container is immutable: VbrMatrix.__init__ builds its multiply plan
+    # once, and nothing else may store, replace or delete one
+    writes = [(path.name, scope) for path in SOURCES for scope in plan_writes(path)]
+    assert writes == [("formats.py", "VbrMatrix.__init__")]

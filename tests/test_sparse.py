@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ class TestBuildCsr:
             with pytest.raises(ValueError, match=rf"entry 1 at \(row, col\)=\({i}, {j}\) "
                                                  "is outside a 2x2 matrix"):
                 build_csr(2, 2, [(0, 0, 1.0), (i, j, 1.0), (1, 1, 1.0)])
+
+    def test_rejects_coordinates_that_are_not_whole(self):
+        # the int64 cast would cut 1.9 down to 1; whole floats and int64
+        # coordinates past 2**53 stay exact
+        for i, j, message in [(1.9, 1, "entry rows: 1.9"), (1, 0.5, "entry columns: 0.5"),
+                              (float("nan"), 0, "entry rows: nan"),
+                              (0, float("inf"), "entry columns: inf")]:
+            with pytest.raises(ValueError, match=f"^{message} at 1 is not a whole number$"):
+                build_csr(2, 2, [(0, 0, 1.0), (i, j, 1.0)])
+        assert build_csr(2, 2, [(1.0, 0.0, 1.0)]).to_dense().tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert build_csr(1, 2**62, [(0, 2**53 + 1, 1.0)]).idx.tolist() == [2**53 + 1]
 
     def test_explicit_zero_counts(self):
         A = build_csr(1, 2, [(0, 0, 0.0), (0, 1, 1.0)])
@@ -115,6 +127,19 @@ class TestInvariantValidation:
 
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CsrMatrix(m, n, pos, idx, [1.0])
+
+    @pytest.mark.parametrize("pos, idx, message", [
+        ([0, 1, 2], [0.7, 2.2], "idx: 0.7 at 0 is not a whole number"),
+        ([0, 1.5, 2], [0, 2], "pos: 1.5 at 1 is not a whole number"),
+        ([0, 1, 2], [0, np.nan], "idx: nan at 1 is not a whole number"),
+    ], ids=["idx", "pos", "nan"])
+    def test_rejects_indices_that_are_not_whole(self, pos, idx, message):
+        from blockpart import CsrMatrix
+
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CsrMatrix(2, 3, pos, idx, [1.0, 2.0])
+        A = CsrMatrix(2, 3, np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0]), [1.0, 2.0])
+        assert (A.pos.tolist(), A.idx.tolist()) == ([0, 1, 2], [0, 2])
 
     def test_unsorted_row(self):
         from blockpart import CsrMatrix
@@ -348,6 +373,12 @@ class TestPartition:
     def test_rejects_indices_out_of_range(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_rejects_splits_that_are_not_whole(self):
+        for spl in ([0, 1.5, 3], np.array([0, 1.5, 3], dtype=object), [0, Fraction(3, 2), 3]):
+            with pytest.raises(ValueError, match=r"^split points: 1\.5 at 1 is not a whole number$"):
+                Partition(spl)
+        assert Partition(np.array([0.0, 2.0, 3.0])) == Partition([0, 2, 3])
 
     def test_rejects_bad_splits(self):
         with pytest.raises(ValueError):
