@@ -9,7 +9,7 @@ row is u x 1 and the value stride within the block row is constant.
 import numpy as np
 
 from . import kernels
-from .sparse import _block_pattern, _first_fall, _frozen, _offsets, Partition, trivial_partition
+from .sparse import _block_pattern, _dimension, _first_fall, _frozen, _offsets, Partition, trivial_partition
 
 __all__ = [
     "VbrMatrix",
@@ -90,7 +90,7 @@ class OneDVbrMatrix(VbrMatrix):
     __slots__ = ()
 
     def __init__(self, n, spl_rows, pos, idx, ofs, val):
-        super().__init__(spl_rows, trivial_partition(n).spl, pos, idx, ofs, val)
+        super().__init__(spl_rows, trivial_partition(_dimension(n, "n")).spl, pos, idx, ofs, val)
 
 
 def _value_starts(heights, widths):

@@ -10,11 +10,12 @@ dense u x c matrix. The plan groups the non-empty block rows by height u
 and a padded column count c_pad, and holds, per group of G block rows,
 their values as a read-only (G, u, c_pad) array, the x index of every
 column as (G, c_pad) and the y rows: ``slice(lo, hi)`` when they are lo,
-lo + 1, ..., hi - 1 in plan order, else their (G, u) array. The values
-are copied once, but for a group of 1 x c blocks already where the plan
-puts them, whose values are a view of ``B.val``. Pad columns hold 0.0
-and read a zero slot appended to a copy of x, so they add exactly +0.0
-whatever x holds.
+lo + 1, ..., hi - 1 in plan order, else their (G, u) array. A group
+whose block rows are consecutive and unpadded holds slices of the
+container: its values are a view of ``B.val`` when u = 1 and one copy in
+(G, u, c_pad) order otherwise. Every other group holds copies. Pad
+columns hold 0.0 and read a zero slot appended to a copy of x, so they
+add exactly +0.0 whatever x holds.
 
 Each group costs one Python-level call per multiply and each pad column
 one more x gather and u multiply-adds, so each height's padded counts
@@ -23,9 +24,10 @@ are chosen by the paper's own 1-D problem on a few dozen points:
 contiguous classes, pads every block row of a class to the class's
 largest count c, and minimises the sum over classes of ``_GROUP + c *
 (block rows in the class)``.
-Heights with a single count skip the DP, so a calibration grid, whose
-block rows all store the same number of columns, is one group with no
-pad, and calibration times exactly the values the model prices. On the
+A height with a single count is one class with no pad, and a container
+whose heights all have one count skips the DP, so a calibration grid,
+whose block rows all store the same number of columns, is one group with
+no pad, and calibration times exactly the values the model prices. On the
 seed-1234 benchmark containers this replaced padding every count to a
 multiple of 4 as follows (groups, padded / stored values, change of the
 multiply in interleaved medians, 2 vCPUs):
@@ -46,13 +48,29 @@ the values plus int64 x indices and y rows, and builds in about 3-5 ms,
 the time of some 10 of its 0.34 ms multiplies (min of 20 and 200 runs,
 2 vCPUs). On scatter-heuristic's two 1 x 1 containers (100,000 values)
 each plan holds no array of its own, and on calibrate-fit's aligned
-3 x 3 container 0.46 MB. The build moves each block row's values and x
-columns into its group's slots by one scatter each, and skips a scatter
-that would move nothing: a container of one block-row height and one
-stored column count with no empty block row, such as every calibration
-grid, has its values and x columns in place already. That halves the
-build of a 256 KiB calibration grid of 3 x 3 or 8 x 8 blocks (0.26-0.49
-to 0.13-0.25 ms, min of 70 runs, 2 vCPUs).
+3 x 3 container 0.46 MB. The build reads each group straight off the
+container, by one rule. A group of consecutive block rows with no pad
+takes its values and x indices as slices: block rows k0..k1 - 1 are
+``B.val[ofs[k0]:ofs[k1]]`` viewed as (G, c, u) and transposed. This is
+the case for every group of a container with one height and one stored
+count, such as every calibration grid. Any other group takes its values
+and x indices by one gather each, in which a pad slot reads past its
+block row, and then sets its pad slots to 0.0 and x index n. Against a
+build that scattered the whole container into one laid-out buffer and
+copied each group out of it, the plans are the same byte for byte and
+the build times are (interleaved medians of 101, seeds 1234 and 7,
+2 vCPUs):
+
+    rowruns-1d, 1D-VBR           3.2-3.4 -> 3.6-3.8 ms      +10 to +11 %
+    blocks-2d, VBR               2.4-2.6 -> 2.6-2.7 ms        0 to +14 %
+    planned CSR on rowruns       4.3-4.8 -> 3.9-4.3 ms      -10 %
+    scatter-heuristic, 1 x 1     0.44-0.62 -> 0.22-0.34 ms  -45 to -49 %
+    calibrate-fit, VBR           0.20-0.22 -> 0.16-0.18 ms  -16 to -22 %
+    16 KiB calibration grids     0.06-0.12 -> 0.04-0.09 ms  -23 to -37 %
+
+In a whole ``to_1dvbr`` or ``to_vbr`` call that is +0.6 ms (+4 %) on
+rowruns-1d, +0.2 ms (+2 to 3 %) on blocks-2d and -0.3 ms (-15 %) on each
+scatter container (medians of 61).
 Under a trivial column partition, as in every 1D-VBR container and
 calibration's w = 1 grids, every stored block is one column wide, so the
 x indices are ``idx`` itself and are read from it rather than rebuilt
@@ -145,30 +163,16 @@ def _starts(*keys):
     return np.flatnonzero(change)
 
 
-def _shifted(src, lengths, shift, size, fill):
-    """``src`` cut into runs of ``lengths``, each run moved ``shift`` places
-    along an array of ``size`` slots that otherwise hold ``fill``.
-
-    A layout that moves no run and adds no slot is ``src`` itself: the
-    block rows of a container with one height, one stored column count and
-    no empty block row already sit where the plan puts them.
-    """
-    if size == len(src) and not shift.any():
-        return src
-    out = np.full(size, fill, dtype=src.dtype)
-    out[np.arange(len(src)) + np.repeat(shift, lengths)] = src
-    return out
-
-
 def _build_plan(B):
     """Blocked-ELL groups of B as ((values, x columns, y rows), ...).
 
     Groups go in ascending (u, c_pad), block rows by stored column count and
     then in storage order within a group. A group whose y rows are lo, lo +
     1, ..., hi - 1 in plan order targets ``slice(lo, hi)``, any other its
-    (G, u) row array. Values are copied into (G, u, c_pad) order, but a
-    u = 1 group whose values ``_shifted`` left in place keeps a read-only
-    view of ``B.val``.
+    (G, u) row array. A group of consecutive block rows with no pad takes
+    its values and x columns as slices of ``B.val`` and the x indices, the
+    values copied into (G, u, c_pad) order only when u > 1. Any other group
+    gathers each once, then sets its pad slots to 0.0 and x index n.
     """
     heights = np.diff(B.spl_rows)
     # first[q]: the stored columns before block q; column: the x index of
@@ -180,7 +184,8 @@ def _build_plan(B):
         widths = np.diff(B.spl_cols)[B.idx]
         first = _offsets(widths)
         column = np.arange(first[-1]) + np.repeat(B.spl_cols[B.idx] - first[:-1], widths)
-    stored = np.diff(first[B.pos])  # stored columns of each block row
+    at = first[B.pos]  # the stored columns before each block row
+    stored = np.diff(at)
     kept = np.flatnonzero(stored)
     order = kept[np.lexsort((stored[kept], heights[kept]))]
     u, c = heights[order], stored[order]
@@ -189,33 +194,30 @@ def _build_plan(B):
     if len(first_runs) < len(runs):  # some height has several counts: pad them by class
         sizes = np.diff(runs, append=len(order)).tolist()
         counts = c[runs].tolist()
-        for a, b in zip(first_runs.tolist(), [*first_runs[1:].tolist(), len(runs)]):
-            if b - a > 1:
-                counts[a:b] = _pad_classes(counts[a:b], sizes[a:b])
+        for a, b in itertools.pairwise([*first_runs.tolist(), len(runs)]):
+            counts[a:b] = _pad_classes(counts[a:b], sizes[a:b])
         c = np.repeat(counts, sizes)
         runs = _starts(u, c)  # now runs of equal height and padded count
-    at_val, at_col = _offsets(u * c), _offsets(c)
-    # block row order[g] fills by_column[at_val[g]:at_val[g + 1]], column by
-    # column as in val, and cols[at_col[g]:at_col[g + 1]], pad slots last
-    shift = np.zeros(len(heights), dtype=np.int64)
-    shift[order] = at_val[:-1] - B.ofs[order]
-    by_column = _shifted(B.val, np.diff(B.ofs), shift, int(at_val[-1]), 0.0)
-    shift[order] = at_col[:-1] - first[B.pos[order]]
-    # pad slots read x[n] = 0.0
-    cols = _frozen(_shifted(column, stored, shift, int(at_col[-1]), B.n), np.int64)
     follows = np.diff(order) == 1  # block row order[g + 1] is order[g] + 1
-    lo = runs.tolist()
     groups = []
-    for a, b in zip(lo, [*lo[1:], len(order)]):
-        g, gu, gc = b - a, int(u[a]), int(c[a])
-        values = by_column[at_val[a]:at_val[b]].reshape(g, gc, gu).transpose(0, 2, 1)
-        if by_column is not B.val:  # hold no view of the whole laid-out copy
-            values = values.copy()
+    for a, b in itertools.pairwise([*runs.tolist(), len(order)]):
+        k, gu, gc = order[a:b], int(u[a]), int(c[a])
+        k0, k1 = int(k[0]), int(k[-1]) + 1  # the block rows are k0..k1 - 1 if they follow
         if follows[a:b - 1].all():
-            rows = slice(int(B.spl_rows[order[a]]), int(B.spl_rows[order[b - 1] + 1]))
+            rows = slice(int(B.spl_rows[k0]), int(B.spl_rows[k1]))
         else:
-            rows = _frozen(B.spl_rows[order[a:b], None] + np.arange(gu), np.int64)
-        groups.append((_frozen(values, np.float64), cols[at_col[a]:at_col[b]].reshape(g, gc), rows))
+            rows = _frozen(B.spl_rows[k, None] + np.arange(gu), np.int64)
+        if isinstance(rows, slice) and stored[k0] == gc:  # k0 stores fewest: no pad
+            values = B.val[B.ofs[k0]:B.ofs[k1]].reshape(b - a, gc, gu).transpose(0, 2, 1)
+            cols = column[at[k0]:at[k1]].reshape(b - a, gc)
+        else:  # a pad slot gathers past its block row (clipped at the end), then is reset
+            j = np.arange(gc)
+            pad = j >= stored[k, None]
+            values = B.val.take(B.ofs[k, None, None] + gu * j + np.arange(gu)[:, None], mode="clip")
+            np.copyto(values, 0.0, where=pad[:, None])
+            cols = column.take(at[k, None] + j, mode="clip")
+            np.copyto(cols, B.n, where=pad)
+        groups.append((_frozen(values, np.float64), _frozen(cols, np.int64), rows))
     return tuple(groups)
 
 

@@ -10,6 +10,9 @@ int64 col and float64 val columns, one (row, col, value) triple per
 record, which ``build_csr`` takes as is.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -56,6 +59,13 @@ def _check_whole(a, name):
         raise ValueError(f"{name}: {float(a.flat[at])!r} at {at} is not a whole number")
 
 
+def _dimension(value, name):
+    """``value`` as an int if it is a whole number, else a ValueError naming ``name``."""
+    if isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 class CsrMatrix:
     """Immutable sparse matrix in compressed sparse row form.
 
@@ -75,6 +85,7 @@ class CsrMatrix:
     __slots__ = ("m", "n", "pos", "idx", "val")
 
     def __init__(self, m, n, pos, idx, val):
+        m, n = _dimension(m, "m"), _dimension(n, "n")
         pos = _frozen(pos, np.int64, "pos")
         idx = _frozen(idx, np.int64, "idx")
         val = _frozen(val, np.float64)
@@ -90,8 +101,8 @@ class CsrMatrix:
             raise ValueError("column index out of range")
         if _first_fall(pos, idx) is not None:
             raise ValueError("column indices must be strictly increasing within a row")
-        self.m = int(m)
-        self.n = int(n)
+        self.m = m
+        self.n = n
         self.pos = pos
         self.idx = idx
         self.val = val
@@ -102,6 +113,8 @@ class CsrMatrix:
 
     def row_cols(self, i):
         """Column indices stored in row ``i`` (sorted, read-only view)."""
+        if not 0 <= i < self.m:
+            raise IndexError(f"row {i} outside [0, {self.m})")
         return self.idx[self.pos[i]:self.pos[i + 1]]
 
     def entry_rows(self):
@@ -195,6 +208,7 @@ def _first_fall(pos, idx):
 
 def trivial_partition(r):
     """Partition of ``range(r)`` with every index in its own part."""
+    r = _dimension(r, "range size")
     if r < 0:
         raise ValueError(f"negative range size {r}")
     return Partition(np.arange(r + 1, dtype=np.int64))
@@ -213,6 +227,7 @@ def build_csr(m, n, entries):
     finds them. Any other input is sorted by a sort that assumes no order.
     Out-of-range coordinates are rejected, naming the offending entry.
     """
+    m, n = _dimension(m, "m"), _dimension(n, "n")
     if not (isinstance(entries, np.ndarray) and entries.dtype == ENTRY_DTYPE):
         triples = list(map(tuple, entries))
         given = np.fromiter(triples, _FLOAT_ENTRY, len(triples))

@@ -102,6 +102,32 @@ def near_uniform_vbr(draw):
         count = {"count": draw(st.integers(0, n_parts)), "empty": 0}.get(kind, b)
         blocks.append(sorted(draw(st.sets(st.integers(0, n_parts - 1),
                                           min_size=count, max_size=count))))
+    return _numbered_vbr(heights, widths, blocks)
+
+
+@st.composite
+def mixed_vbr(draw):
+    """A VBR container built of runs of block rows, each run of one height
+    and one stored block pattern, some of them empty: a run can be a plan
+    group on its own, consecutive and unpadded, while the container as a
+    whole is not laid out as its plan. The column parts are one wide one
+    time in two, so the columns are trivial."""
+    n_parts = draw(st.integers(1, 4))
+    widths = [1] * n_parts if draw(st.booleans()) else draw(
+        st.lists(st.integers(1, 3), min_size=n_parts, max_size=n_parts))
+    patterns = draw(st.lists(st.sets(st.integers(0, n_parts - 1), min_size=1),
+                             min_size=1, max_size=3))
+    heights, blocks = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        size, u = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        heights += [u] * size
+        blocks += [sorted(draw(st.sampled_from([set(), *patterns])))] * size
+    return _numbered_vbr(heights, widths, blocks)
+
+
+def _numbered_vbr(heights, widths, blocks):
+    """The VbrMatrix of block rows of ``heights`` storing the column parts
+    ``blocks`` of ``widths``, its values 1, 2, 3, ... in storage order."""
     values = [h * sum(widths[l] for l in row) for h, row in zip(heights, blocks)]
     ofs = _offsets(values)
     return VbrMatrix(_offsets(heights), _offsets(widths), _offsets([len(r) for r in blocks]),
@@ -386,10 +412,10 @@ class TestMultiplyPlan:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.data())
     def test_plan_matches_the_scattering_build(self, data):
-        # the plan lays a container's block rows out in place when they are
-        # already where it puts them, and scatters them otherwise; both must
+        # the plan takes a group of consecutive, unpadded block rows as
+        # slices of the container and gathers any other group; both must
         # give the groups of the build that always scatters, bit for bit
-        kind = data.draw(st.sampled_from(["drawn", "grid", "near-uniform"]))
+        kind = data.draw(st.sampled_from(["drawn", "grid", "near-uniform", "mixed"]))
         if kind == "drawn":
             A, rows, cols = data.draw(blocked_inputs())
             containers = blocked_pair(A, rows, cols)
@@ -399,8 +425,10 @@ class TestMultiplyPlan:
                                 data.draw(st.sampled_from(VARIANTS)))
             containers = [_grid_vbr(u, w, *shape, np.random.default_rng(
                 data.draw(st.integers(0, 2**32 - 1))))]
-        else:
+        elif kind == "near-uniform":
             containers = [data.draw(near_uniform_vbr())]
+        else:
+            containers = [data.draw(mixed_vbr())]
         for B in containers:
             got, want = plan_groups(kernels._build_plan(B)), _scattering_plan(B)
             assert len(got) == len(want)
@@ -451,6 +479,27 @@ class TestMultiplyPlan:
             ((values, cols, rows),) = B._plan
             assert (rows, values.shape) == (slice(0, 4), (4, 1, 2)) and B.n not in cols
             assert np.shares_memory(values, B.val) and not values.flags.writeable
+
+    @pytest.mark.parametrize("spl, view", [
+        # heights 2, 1, 1: block rows 1 and 2 form the u = 1 group, consecutive
+        # and unpadded, though the container as a whole is not laid out as
+        # its plan, having two heights
+        ([0, 2, 3, 4], (2, 4)),
+        # heights 1, 1, 2: the u = 1 group is block rows 0 and 1
+        ([0, 1, 2, 4], (0, 2)),
+    ], ids=["heights-2-1-1", "heights-1-1-2"])
+    def test_consecutive_unpadded_group_is_a_view(self, spl, view):
+        # every row stores columns 0 and 2: each group is read off the
+        # container, and the u = 1 group's values are a view of B.val
+        A = build_csr(4, 3, [(i, j, float(3 * i + j + 1)) for i in range(4) for j in (0, 2)])
+        B = to_1dvbr(A, Partition(spl))
+        x = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(spmv_vbr(np.zeros(4), B, x), spmv_csr(A, x))
+        (ones, ones_cols, ones_rows), (twos, twos_cols, twos_rows) = B._plan
+        assert (ones.shape, ones_rows, ones_cols.tolist()) == ((2, 1, 2), slice(*view), [[0, 2]] * 2)
+        assert np.shares_memory(ones, B.val) and not ones.flags.writeable
+        assert (twos.shape, twos_cols.tolist()) == ((1, 2, 2), [[0, 2]])
+        assert isinstance(twos_rows, slice) and not np.shares_memory(twos, B.val)
 
     @pytest.mark.parametrize("entries, pad, rows", [
         # rows 0 and 2 store 2 entries each and row 1 none: one unpadded

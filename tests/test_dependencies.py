@@ -1,7 +1,8 @@
 """The package declares numpy as its only dependency; scipy and hypothesis
 may be installed next to it, so an import of either from ``src`` would
 otherwise pass every other test. No module calls ``np.dot`` either, which
-would reach BLAS, and only ``VbrMatrix.__init__`` stores a multiply plan."""
+would reach BLAS, only ``VbrMatrix.__init__`` stores a multiply plan, and
+every module-level def and class is used somewhere in the package."""
 
 import ast
 import pathlib
@@ -45,6 +46,40 @@ def test_no_blas_dot(path):
     # np.dot is a BLAS call, which took about 8 ms in some processes whose
     # BLAS threads were not pinned; nothing in the package needs one
     assert list(dot_calls(path)) == []
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(tree):
+    """(enclosing module-level def or class, or None; name) of every Name,
+    Attribute, imported name and ``__all__`` entry in the module ``tree``."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+            elif isinstance(node, ast.alias):
+                yield owner, node.name
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                yield from ((owner, leaf.value) for leaf in ast.walk(node.value)
+                            if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str))
+
+
+def test_every_module_level_def_is_used():
+    # a def or class that nothing else in the package names is dead code;
+    # its own body naming it (recursion, isinstance) does not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    used = {(module, owner, name) for module, tree in trees.items()
+            for owner, name in references(tree)}
+    unused = [f"{module}:{top.name}" for module, tree in trees.items() for top in tree.body
+              if isinstance(top, DEFS)
+              and not any(name == top.name and (where, owner) != (module, top.name)
+                          for where, owner, name in used)]
+    assert unused == []
 
 
 def plan_writes(path):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import blockpart.sparse as sparse
 from blockpart import (
+    CsrMatrix,
+    OneDVbrMatrix,
     build_csr,
     csr_memory_bits,
     row_pattern,
@@ -165,6 +167,39 @@ class TestInvariantValidation:
             CsrMatrix(4, 3, pos, idx, [1.0] * 3)
 
 
+class TestDimensions:
+    # a dimension is read as an int before any check uses it, so one that
+    # is not a whole number is refused rather than cut down after the checks
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CsrMatrix(2.5, 2, [0, 0, 0], [], []), "m must be a whole number, got 2.5"),
+        (lambda: CsrMatrix(2, None, [0, 0, 0], [], []), "n must be a whole number, got None"),
+        (lambda: build_csr(2, 2.5, [(0, 2, 1.0)]), "n must be a whole number, got 2.5"),
+        (lambda: build_csr(float("nan"), 2, []), "m must be a whole number, got nan"),
+        (lambda: trivial_partition(2.5), "range size must be a whole number, got 2.5"),
+        (lambda: trivial_partition("3"), "range size must be a whole number, got '3'"),
+        (lambda: OneDVbrMatrix(2.5, [0, 1], [0, 0], [], [0, 0], []),
+         "n must be a whole number, got 2.5"),
+    ], ids=["csr-m", "csr-n-none", "build-n", "build-m-nan", "trivial", "trivial-str", "1dvbr-n"])
+    def test_rejects_dimensions_that_are_not_whole(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("two", [2.0, np.float64(2.0), np.int32(2), Fraction(4, 2)],
+                             ids=["float", "float64", "int32", "fraction"])
+    def test_whole_dimensions_become_int(self, two):
+        for A in (CsrMatrix(two, two, [0, 0, 1], [1], [1.0]), build_csr(two, two, [(1, 1, 1.0)])):
+            assert (A.m, A.n, type(A.m), type(A.n)) == (2, 2, int, int)
+            assert A.to_dense().tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        assert trivial_partition(two) == Partition([0, 1, 2])
+        B = OneDVbrMatrix(two, [0, 1], [0, 0], [], [0, 0], [])
+        assert (B.n, type(B.n)) == (2, int)
+
+    def test_bool_dimension_reads_as_its_int(self):
+        # as bool index arrays do: True is the whole number 1
+        A = CsrMatrix(True, 1, [0, 1], [0], [1.0])
+        assert (A.m, type(A.m), A.to_dense().tolist()) == (1, int, [[1.0]])
+
+
 class TestTranspose:
     def test_identity(self):
         A = build_csr(3, 3, [(i, i, 1.0) for i in range(3)])
@@ -297,6 +332,17 @@ class TestRowPattern:
     def test_trivial_partition_gives_columns(self):
         A = build_csr(1, 3, [(0, 0, 1.0), (0, 1, 1.0)])
         assert row_pattern(A, 0, trivial_partition(3)).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("i", [-3, -1, 3])
+    def test_rejects_rows_out_of_range(self, i):
+        # a negative i would otherwise slice pos[i]:pos[i + 1] from the end
+        A = build_csr(3, 3, [(0, 0, 1.0), (1, 2, 2.0), (2, 1, 3.0)])
+        message = f"^{re.escape(f'row {i} outside [0, 3)')}$"
+        with pytest.raises(IndexError, match=message):
+            A.row_cols(i)
+        with pytest.raises(IndexError, match=message):
+            row_pattern(A, i, trivial_partition(3))
+        assert [A.row_cols(r).tolist() for r in range(3)] == [[0], [2], [1]]
 
     def test_merged_columns(self):
         A = build_csr(1, 2, [(0, 0, 1.0), (0, 1, 1.0)])
