@@ -9,7 +9,9 @@ the sweep continues.
 
 import json
 import math
+import numbers
 import os
+import re
 from dataclasses import dataclass, asdict
 from functools import partial
 
@@ -71,10 +73,19 @@ class BenchReport:
 
 
 def resolve_seed(seed=None):
-    """Explicit seed, else BLOCKPART_SEED from the environment, else 0."""
-    if seed is not None:
+    """Explicit seed, else BLOCKPART_SEED from the environment, else 0.
+
+    A seed must be a non-negative whole number; any other value raises
+    ValueError naming where it came from, the argument or the variable.
+    """
+    name = "seed"
+    if seed is None:
+        name, seed = "BLOCKPART_SEED", os.environ.get("BLOCKPART_SEED", "0")
+        if re.fullmatch(r"\s*[0-9]+\s*", seed):
+            seed = int(seed)
+    if isinstance(seed, numbers.Real) and math.isfinite(seed) and seed == int(seed) and seed >= 0:
         return int(seed)
-    return int(os.environ.get("BLOCKPART_SEED", "0"))
+    raise ValueError(f"{name} must be a non-negative whole number, got {seed!r}")
 
 
 def _resolve_model(spec, fmt, u_max, w_max):

@@ -121,9 +121,10 @@ def _cmd_convert(args):
 
 def _cmd_spmv_bench(args):
     spec, u_max, w_max = _request(args)
+    seed = resolve_seed()
     A = mmio.read_matrix_market(args.matrix)
     reports = run_sweep(A, args.matrix, [spec], formats=(args.format,) if args.format != "csr" else (),
-                        u_max=u_max, w_max=w_max, trials=args.trials)
+                        u_max=u_max, w_max=w_max, trials=args.trials, seed=seed)
     for row in reports:
         print(row.to_json())
 
@@ -151,12 +152,13 @@ def _cmd_sweep(args):
     _check_distinct("--matrix", args.matrix, map(os.path.realpath, args.matrix), "the file")
     if args.wmax is not None and "vbr" not in formats:
         raise ValueError("--wmax bounds the widths of column parts, so it needs vbr in --formats")
+    seed = resolve_seed()
     all_reports = []
     for path in args.matrix:
         A = mmio.read_matrix_market(path)
         all_reports += run_sweep(A, path, specs, formats=formats, u_max=args.umax,
                                  w_max=8 if args.wmax is None else args.wmax,
-                                 trials=args.trials)
+                                 trials=args.trials, seed=seed)
     _emit(bench.reports_to_jsonl(all_reports), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

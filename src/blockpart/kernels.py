@@ -12,10 +12,27 @@ their values as a read-only (G, u, c_pad) array, the x index of every
 column as (G, c_pad) and the y rows: ``slice(lo, hi)`` when they are lo,
 lo + 1, ..., hi - 1 in plan order, else their (G, u) array. A group
 whose block rows are consecutive and unpadded holds slices of the
-container: its values are a view of ``B.val`` when u = 1 and one copy in
-(G, u, c_pad) order otherwise. Every other group holds copies. Pad
-columns hold 0.0 and read a zero slot appended to a copy of x, so they
-add exactly +0.0 whatever x holds.
+container: its values are a view of ``B.val`` when u = 1 (or c_pad = 1),
+where the slice is already in (G, u, c_pad) order. Every other group
+holds copies. Pad columns hold 0.0 and read a zero slot appended to a
+copy of x, so they add exactly +0.0 whatever x holds.
+
+A copy is stored with its block rows fastest: its values, x indices and
+y rows are Fortran-ordered, so the same slot of consecutive block rows
+sits side by side. This is ELLPACK's column-major layout, on which
+SELL-C-sigma and BELLPACK rely too. ``np.einsum`` and the gather of x
+follow their operands' memory order, so the multiply's inner loop then
+runs over the G block rows; in C order it ran over the c_pad stored
+columns of one block row, 11 to 15 on rowruns-1d, and started a loop
+for every (block row, row) pair. Against C-ordered copies of the same
+plans the multiply changed by (interleaved medians of 700, each call
+after a ``spmv_csr``, two runs at each of seeds 1234 and 7, 2 vCPUs):
+
+    rowruns-1d, 1D-VBR          10 groups, all copied    -8 to -13 %
+    blocks-2d, VBR              12 groups, all copied    -2 to -5 %
+    planned CSR on rowruns       2 groups, both copied   -1 to -6 %
+    calibrate-fit, VBR           1 group of u = 3, copied  -2 to +3 %
+    scatter-heuristic, 1 x 1     1 view each, unchanged   0 to +1 %
 
 Each group costs one Python-level call per multiply and each pad column
 one more x gather and u multiply-adds, so each height's padded counts
@@ -51,26 +68,30 @@ each plan holds no array of its own, and on calibrate-fit's aligned
 3 x 3 container 0.46 MB. The build reads each group straight off the
 container, by one rule. A group of consecutive block rows with no pad
 takes its values and x indices as slices: block rows k0..k1 - 1 are
-``B.val[ofs[k0]:ofs[k1]]`` viewed as (G, c, u) and transposed. This is
-the case for every group of a container with one height and one stored
-count, such as every calibration grid. Any other group takes its values
-and x indices by one gather each, in which a pad slot reads past its
-block row, and then sets its pad slots to 0.0 and x index n. Against a
-build that scattered the whole container into one laid-out buffer and
-copied each group out of it, the plans are the same byte for byte and
-the build times are (interleaved medians of 101, seeds 1234 and 7,
+``B.val[ofs[k0]:ofs[k1]]`` viewed as (G, c, u) and transposed, and
+copied with block rows fastest when u > 1 < c. This is the case for
+every group of a container with one height and one stored count, such
+as every calibration grid. Any other group takes its values and x
+indices by one gather each, whose (c_pad * u, G) index is a single
+broadcast add of the slots 0 .. c_pad * u - 1 to each block row's start;
+a pad slot reads past its block row and is then set to 0.0 and x index
+n. The gather comes out in (c_pad, u, G) order, whose transpose is the
+Fortran-ordered group. Against the same gather into C order, with a
+(G, u, c_pad) index built by two broadcast adds whose inner length is
+c_pad, the plans are equal in C order (``tobytes``) and the build times
+are (interleaved medians of 101, two runs at each of seeds 1234 and 7,
 2 vCPUs):
 
-    rowruns-1d, 1D-VBR           3.2-3.4 -> 3.6-3.8 ms      +10 to +11 %
-    blocks-2d, VBR               2.4-2.6 -> 2.6-2.7 ms        0 to +14 %
-    planned CSR on rowruns       4.3-4.8 -> 3.9-4.3 ms      -10 %
-    scatter-heuristic, 1 x 1     0.44-0.62 -> 0.22-0.34 ms  -45 to -49 %
-    calibrate-fit, VBR           0.20-0.22 -> 0.16-0.18 ms  -16 to -22 %
-    16 KiB calibration grids     0.06-0.12 -> 0.04-0.09 ms  -23 to -37 %
+    rowruns-1d, 1D-VBR           3.3-4.1 -> 2.4-3.0 ms    -27 to -28 %
+    blocks-2d, VBR               2.1-3.2 -> 1.9-2.8 ms    -11 to -17 %
+    planned CSR on rowruns       3.5-4.1 -> 2.8-3.2 ms    -20 to -23 %
+    scatter-heuristic, both      0.36-0.68 ms             -2 to -3 %
+    calibrate-fit, VBR           0.13-0.24 ms              +4 to +8 %
+    36 16-KiB grids, in all      1.7-2.7 ms                -2 to 0 %
 
-In a whole ``to_1dvbr`` or ``to_vbr`` call that is +0.6 ms (+4 %) on
-rowruns-1d, +0.2 ms (+2 to 3 %) on blocks-2d and -0.3 ms (-15 %) on each
-scatter container (medians of 61).
+In a whole ``to_1dvbr`` or ``to_vbr`` call (medians of 61) that is -0.8
+to -1.2 ms (-3 to -6 %) on rowruns-1d and -0.1 to -0.6 ms (-2 to -7 %)
+on blocks-2d.
 Under a trivial column partition, as in every 1D-VBR container and
 calibration's w = 1 grids, every stored block is one column wide, so the
 x indices are ``idx`` itself and are read from it rather than rebuilt
@@ -96,7 +117,7 @@ import itertools
 
 import numpy as np
 
-from .sparse import _frozen, _offsets
+from .sparse import _offsets
 
 __all__ = ["spmv_csr", "spmv_vbr", "spmv_1dvbr"]
 
@@ -170,9 +191,11 @@ def _build_plan(B):
     then in storage order within a group. A group whose y rows are lo, lo +
     1, ..., hi - 1 in plan order targets ``slice(lo, hi)``, any other its
     (G, u) row array. A group of consecutive block rows with no pad takes
-    its values and x columns as slices of ``B.val`` and the x indices, the
-    values copied into (G, u, c_pad) order only when u > 1. Any other group
-    gathers each once, then sets its pad slots to 0.0 and x index n.
+    its values and x columns as slices of ``B.val`` and the x indices, and
+    copies both when the values are not a view in (G, u, c_pad) order, that
+    is when u > 1 < c_pad. Any other group gathers each once, then sets its
+    pad slots to 0.0 and x index n. Every copied array, row arrays too, is
+    Fortran-ordered: block rows fastest, as ELLPACK stores its columns.
     """
     heights = np.diff(B.spl_rows)
     # first[q]: the stored columns before block q; column: the x index of
@@ -206,18 +229,24 @@ def _build_plan(B):
         if follows[a:b - 1].all():
             rows = slice(int(B.spl_rows[k0]), int(B.spl_rows[k1]))
         else:
-            rows = _frozen(B.spl_rows[k, None] + np.arange(gu), np.int64)
+            rows = (np.arange(gu)[:, None] + B.spl_rows[k]).T
+            rows.flags.writeable = False
         if isinstance(rows, slice) and stored[k0] == gc:  # k0 stores fewest: no pad
             values = B.val[B.ofs[k0]:B.ofs[k1]].reshape(b - a, gc, gu).transpose(0, 2, 1)
             cols = column[at[k0]:at[k1]].reshape(b - a, gc)
+            if not values.flags.c_contiguous:  # u > 1 < c: copy with block rows fastest
+                values, cols = np.array(values, order="F"), np.array(cols, order="F")
         else:  # a pad slot gathers past its block row (clipped at the end), then is reset
-            j = np.arange(gc)
-            pad = j >= stored[k, None]
-            values = B.val.take(B.ofs[k, None, None] + gu * j + np.arange(gu)[:, None], mode="clip")
+            j = np.arange(gc)[:, None]
+            pad = j >= stored[k]
+            values = B.val.take(np.arange(gc * gu)[:, None] + B.ofs[k], mode="clip")
+            values = values.reshape(gc, gu, b - a)
             np.copyto(values, 0.0, where=pad[:, None])
-            cols = column.take(at[k, None] + j, mode="clip")
+            cols = column.take(j + at[k], mode="clip")
             np.copyto(cols, B.n, where=pad)
-        groups.append((_frozen(values, np.float64), _frozen(cols, np.int64), rows))
+            values, cols = values.T, cols.T
+        values.flags.writeable = cols.flags.writeable = False
+        groups.append((values, cols, rows))
     return tuple(groups)
 
 

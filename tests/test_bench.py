@@ -401,6 +401,38 @@ class TestRunSweep:
         assert resolve_seed() == 41
         assert resolve_seed(7) == 7
 
+    @pytest.mark.parametrize("seed", [1.5, -1, math.nan, math.inf, "7", None])
+    def test_resolve_seed_refuses_what_is_not_a_seed(self, monkeypatch, seed):
+        from blockpart.bench import resolve_seed
+
+        if seed is None:  # read from the environment
+            for text in ("abc", "-3", "1.5", ""):
+                monkeypatch.setenv("BLOCKPART_SEED", text)
+                with pytest.raises(ValueError, match=re.escape(
+                        f"BLOCKPART_SEED must be a non-negative whole number, got {text!r}")):
+                    resolve_seed()
+        else:
+            monkeypatch.setenv("BLOCKPART_SEED", "41")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"seed must be a non-negative whole number, got {seed!r}")):
+                resolve_seed(seed)
+        monkeypatch.setenv("BLOCKPART_SEED", " 12 ")
+        assert resolve_seed() == 12 and resolve_seed(np.int64(3)) == 3 and resolve_seed(2.0) == 2
+
+    @pytest.mark.parametrize("command", [["sweep"], ["spmv-bench"], ["calibrate", "--umax", "1",
+                                                                     "--wmax", "1", "--rank", "1"]])
+    @pytest.mark.parametrize("text", ["abc", "-3"])
+    def test_bad_seed_refused_before_any_work(self, monkeypatch, tmp_path, command, text):
+        # the matrix does not exist, so only a check made before the read can
+        # name the variable; calibrate writes no model
+        monkeypatch.setenv("BLOCKPART_SEED", text)
+        out, matrix = tmp_path / "model.csv", ["--matrix", str(tmp_path / "missing.mtx")]
+        args = [*command, *(matrix if command[0] != "calibrate" else ["--out", str(out)])]
+        with pytest.raises(SystemExit, match=rf"^blockpart {command[0]}: BLOCKPART_SEED must be a "
+                                             rf"non-negative whole number, got '{text}'$"):
+            cli_main(args)
+        assert not out.exists()
+
     def test_deterministic_json_under_fake_clock(self):
         A = block_pair_matrix()
         kwargs = dict(formats=("1dvbr", "vbr"), u_max=4, w_max=4, trials=2, seed=5)

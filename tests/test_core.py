@@ -125,6 +125,15 @@ def mixed_vbr(draw):
     return _numbered_vbr(heights, widths, blocks)
 
 
+@st.composite
+def calibration_grids(draw):
+    """A calibration grid of blocks up to 4 x 4, of any variant."""
+    u, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = _grid_shape(u, w, draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+                        draw(st.sampled_from(VARIANTS)))
+    return _grid_vbr(u, w, *shape, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
 def _numbered_vbr(heights, widths, blocks):
     """The VbrMatrix of block rows of ``heights`` storing the column parts
     ``blocks`` of ``widths``, its values 1, 2, 3, ... in storage order."""
@@ -420,11 +429,7 @@ class TestMultiplyPlan:
             A, rows, cols = data.draw(blocked_inputs())
             containers = blocked_pair(A, rows, cols)
         elif kind == "grid":
-            u, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-            shape = _grid_shape(u, w, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)),
-                                data.draw(st.sampled_from(VARIANTS)))
-            containers = [_grid_vbr(u, w, *shape, np.random.default_rng(
-                data.draw(st.integers(0, 2**32 - 1))))]
+            containers = [data.draw(calibration_grids())]
         elif kind == "near-uniform":
             containers = [data.draw(near_uniform_vbr())]
         else:
@@ -436,6 +441,27 @@ class TestMultiplyPlan:
                 for a, b in zip(got_group, want_group):
                     assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
                     assert a.tobytes() == b.tobytes()
+
+    @PROPERTY
+    @given(st.data())
+    def test_copied_groups_run_block_rows_fastest(self, data):
+        # a group the plan copies keeps the same slot of its block rows side by
+        # side (ELLPACK's column-major order), so the multiply's inner loop runs
+        # over the block rows; a group of consecutive, unpadded block rows one
+        # row tall stays a view of the container's values
+        kind = data.draw(st.sampled_from(["drawn", "grid", "mixed"]))
+        if kind == "drawn":
+            containers = blocked_pair(*data.draw(blocked_inputs()))
+        else:
+            containers = [data.draw(calibration_grids() if kind == "grid" else mixed_vbr())]
+        for B in containers:
+            for values, cols, rows in B._plan:
+                view = np.shares_memory(values, B.val)
+                if values.shape[1] == 1 and isinstance(rows, slice) and B.n not in cols:
+                    assert view
+                if not view:
+                    arrays = (values, cols) if isinstance(rows, slice) else (values, cols, rows)
+                    assert all(array.flags.f_contiguous for array in arrays)
 
     @pytest.mark.parametrize("m, n, entries, spl, shapes", [
         (0, 0, [], [0], []),
