@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from .costs import _alpha_sum, _check_sizes, evaluate, CostModel
-from .sparse import _INT64_MAX, _block_pattern, _offsets, _stable_order, Partition, transpose, trivial_partition
+from .sparse import (_INT64_MAX, _block_pattern, _dimension, _offsets, _stable_order, Partition,
+                     transpose, trivial_partition)
 
 __all__ = [
     "optimal_partition",
@@ -81,8 +82,7 @@ def optimal_partition(A, col_partition, model, u_max):
     returned partition carries the minimum found, without that term, as
     ``cost``, from which ``alternating_partition`` reports its objective.
     """
-    if u_max < 1:
-        raise ValueError(f"u_max must be at least 1, got {u_max}")
+    u_max = _dimension(u_max, "u_max", 1)
     if u_max > model.u_max:
         raise ValueError(f"u_max {u_max} exceeds model table range {model.u_max}")
     _check_sizes(col_partition, model.w_max, "column", "width")
@@ -195,8 +195,7 @@ def brute_force_partition(A, col_partition, model, u_max):
     """
     if A.m > 20:
         raise ValueError(f"brute force limited to 20 rows, got {A.m}")
-    if u_max < 1:
-        raise ValueError(f"u_max must be at least 1, got {u_max}")
+    u_max = _dimension(u_max, "u_max", 1)
 
     m = A.m
     best_obj = None
@@ -230,8 +229,8 @@ def strict_partition(A, u_max=None):
     heuristic has no height cap; pass ``u_max`` to cut every run each
     ``u_max`` rows from its first row. O(nnz + m) time and space.
     """
-    if u_max is not None and u_max < 1:
-        raise ValueError(f"u_max must be at least 1, got {u_max}")
+    if u_max is not None:
+        u_max = _dimension(u_max, "u_max", 1)
     m = A.m
     if m == 0:
         return Partition([0])
@@ -273,8 +272,7 @@ def overlap_partition(A, rho, u_max):
     """
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    if u_max < 1:
-        raise ValueError(f"u_max must be at least 1, got {u_max}")
+    u_max = _dimension(u_max, "u_max", 1)
     m = A.m
     if m == 0:
         return Partition([0])
@@ -346,11 +344,8 @@ def alternating_partition(A, model, u_max, w_max, rounds=3, objective_trace=None
     ``evaluate`` of the pair (exactly so for an integer model). The
     transpose is built only when a column half-step runs.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be at least 1, got {rounds}")
-    for name, bound in (("u_max", u_max), ("w_max", w_max)):
-        if bound < 1:
-            raise ValueError(f"{name} must be at least 1, got {bound}")
+    rounds = _dimension(rounds, "rounds", 1)
+    u_max, w_max = _dimension(u_max, "u_max", 1), _dimension(w_max, "w_max", 1)
     if w_max > model.w_max or u_max > model.u_max:
         raise ValueError("u_max/w_max exceed the model's table ranges")
     At = transpose(A) if rounds > 1 else None

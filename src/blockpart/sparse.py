@@ -59,11 +59,14 @@ def _check_whole(a, name):
         raise ValueError(f"{name}: {float(a.flat[at])!r} at {at} is not a whole number")
 
 
-def _dimension(value, name):
-    """``value`` as an int if it is a whole number, else a ValueError naming ``name``."""
-    if isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+def _dimension(value, name, least=None):
+    """``value`` as an int if it is a whole number, and at least ``least``
+    when that is given, else a ValueError naming ``name``."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {int(value)}")
+    return int(value)
 
 
 class CsrMatrix:
@@ -221,11 +224,14 @@ def build_csr(m, n, entries):
     any iterable of triples (tuples, lists, a generator), converted by
     ``np.fromiter`` once the coordinates, read as floats, are found to be
     whole numbers. Entries are sorted row-major; duplicate coordinates are
-    summed in input order. Entries already in that order without
-    duplicates, as ``write_matrix_market`` writes them, skip the sort,
-    about half the build on the benchmark files: one pass over their keys
-    finds them. Any other input is sorted by a sort that assumes no order.
-    Out-of-range coordinates are rejected, naming the offending entry.
+    summed in input order. Each entry's int64 key (``_pair_keys``) is
+    built once, and the keys are sorted only when they are out of order,
+    a repeated key counting as out of order here since CSR stores each
+    coordinate once: entries already in CSR order, as
+    ``write_matrix_market`` writes them, skip the sort, about half the
+    build on the benchmark files. Any other input goes through one
+    ``np.unique`` of the same keys. Out-of-range coordinates are
+    rejected, naming the offending entry.
     """
     m, n = _dimension(m, "m"), _dimension(n, "n")
     if not (isinstance(entries, np.ndarray) and entries.dtype == ENTRY_DTYPE):
@@ -249,8 +255,9 @@ def build_csr(m, n, entries):
         with np.errstate(invalid="ignore"):
             val = entries["val"] + 0.0
         return CsrMatrix(m, n, _offsets(np.bincount(rows, minlength=m)), cols, val)
-    urows, ucols, inverse = _unique_pairs(rows, cols, m, n)
-    summed = np.bincount(inverse, weights=entries["val"], minlength=len(urows))
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    urows, ucols = np.divmod(uniq, n)
+    summed = np.bincount(inverse, weights=entries["val"], minlength=len(uniq))
     return CsrMatrix(m, n, _offsets(np.bincount(urows, minlength=m)), ucols, summed)
 
 
@@ -273,16 +280,6 @@ def _pair_keys(a, b, na, nb):
     return a * nb + b
 
 
-def _unique_pairs(a, b, na, nb):
-    """Sorted distinct pairs of ``a`` in [0, na) and ``b`` in [0, nb).
-
-    Returns ``(a_pairs, b_pairs, inverse)``, with ``inverse`` giving each
-    input's pair index. Pairs are ranked by their ``_pair_keys``.
-    """
-    uniq, inverse = np.unique(_pair_keys(a, b, na, nb), return_inverse=True)
-    return uniq // nb, uniq % nb, inverse
-
-
 def _block_pattern(A, rows, cols):
     """Nonzero blocks of ``A`` under a row and a column partition.
 
@@ -295,35 +292,33 @@ def _block_pattern(A, rows, cols):
     converters need each entry's pair index, so they expand it
     themselves.
 
-    Under a trivial row partition the pairs are read off CSR order with
-    no keys and no sort: a row's repeated parts are adjacent, so a pair
-    starts wherever an entry's part differs from the previous entry's,
-    or a row starts, and under two trivial partitions every entry is its
-    own pair. Otherwise a block row's entries are a few ascending runs of
-    int64 keys in CSR order, one per row, which a stable sort (Timsort)
-    merges.
+    Each entry's pair is its int64 key (``_pair_keys``), and the keys are
+    sorted only when they are out of order. Under a trivial row partition
+    CSR order is pair order, so the DP, and the counters and ``evaluate``
+    there, never sort; when every entry is also its own pair, ``k`` and
+    ``l`` come back uncopied. Otherwise a block row's entries are a few
+    ascending runs of keys in CSR order, one per row, which a stable sort
+    (Timsort) merges, unless each block row holds one non-empty row.
     """
     if rows.size != A.m:
         raise ValueError(f"row partition covers {rows.size} rows, matrix has {A.m}")
     if cols.size != A.n:
         raise ValueError(f"column partition covers {cols.size} columns, matrix has {A.n}")
     l = A.idx if cols.is_trivial() else cols.assignments()[A.idx]
-    if rows.is_trivial():
-        if cols.is_trivial():
-            return A.entry_rows(), l, np.ones(len(l), dtype=bool), None
-        fresh = np.ones(len(l) + 1, dtype=bool)
-        np.not_equal(l[1:], l[:-1], out=fresh[1:-1])
-        fresh[A.pos] = True  # a row's first entry
-        # gathering at the kept indices beats a boolean mask several times over
-        first = np.flatnonzero(fresh[:-1])
-        return A.entry_rows()[first], l[first], fresh[:-1], None
     k = np.repeat(rows.assignments(), np.diff(A.pos))
     keys = _pair_keys(k, l, rows.num_parts, cols.num_parts)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    order = None
+    if (keys[1:] < keys[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
     fresh = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    first = order[np.flatnonzero(fresh)]
+    if order is None and fresh.all():
+        return k, l, fresh, None
+    # gathering at the kept indices beats a boolean mask several times over
+    first = np.flatnonzero(fresh)
+    if order is not None:
+        first = order[first]
     return k[first], l[first], fresh, order
 
 

@@ -48,7 +48,7 @@ from blockpart import (
     vbr_memory_bits,
 )
 from blockpart.calibrate import VARIANTS, _grid_shape, _grid_vbr
-from blockpart.sparse import _frozen, _offsets
+from blockpart.sparse import _block_pattern, _frozen, _offsets
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 _EYE3 = build_csr(3, 3, [(i, i, 1.0) for i in range(3)])
@@ -291,6 +291,41 @@ class TestConverterProperties:
             assert np.shares_memory(B.pos, A.pos) and np.shares_memory(B.ofs, A.pos)
             if A.nnz:
                 assert np.shares_memory(B.val, A.val) and np.shares_memory(B.idx, A.idx)
+
+    @PROPERTY
+    @given(st.data())
+    def test_one_filled_row_per_block_row_lists_entries_in_csr_order(self, data):
+        # under a non-trivial row partition whose block rows each hold at
+        # most one non-empty row, the pair keys arrive in order: no sort
+        m, n = data.draw(st.integers(2, 7)), data.draw(st.integers(1, 7))
+        rows = data.draw(partitions(m))
+        if rows.is_trivial():
+            rows = Partition(np.delete(rows.spl, 1))
+        cols = data.draw(partitions_or_trivial(n))
+        entries = []
+        for a, b in zip(rows.spl[:-1].tolist(), rows.spl[1:].tolist()):
+            if data.draw(st.booleans()):
+                i = data.draw(st.integers(a, b - 1))
+                row = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+                entries += [(i, j, data.draw(st.sampled_from(VALUES))) for j in sorted(row)]
+        A = build_csr(m, n, entries)
+        assert _block_pattern(A, rows, cols)[3] is None
+        B, D = blocked_pair(A, rows, cols)
+        dense = A.to_dense()
+        K, L = rows.num_parts, cols.num_parts
+        for C, part in ((B, cols), (D, trivial_partition(n))):
+            blocks = [(k, int(l)) for k in range(K) for l in C.idx[C.pos[k]:C.pos[k + 1]]]
+            assert blocks == sorted(ref_blocks(A, rows, part))
+            assert all(vbr_get(C, i, j) == dense[i, j] for i in range(m) for j in range(n))
+        # the storage formulas, as test_serialized_bits_equal_formulas writes them
+        heights, widths = rows.widths().tolist(), cols.widths().tolist()
+        blocks = ref_blocks(A, rows, cols)
+        n_value = sum(heights[k] * widths[l] for k, l in blocks)
+        bits = (3 * (K + 1) + (L + 1) + len(blocks)) * 64 + n_value * 64
+        assert vbr_memory_bits(A, rows, cols, 64, 64) == 8 * len(serialize_vbr(B)) == bits
+        blocks_1d = ref_blocks(A, rows, trivial_partition(n))
+        bits_1d = (3 * (K + 1) + len(blocks_1d)) * 64 + sum(heights[k] for k, _ in blocks_1d) * 64
+        assert onedvbr_memory_bits(A, rows, 64, 64) == 8 * len(serialize_1dvbr(D)) == bits_1d
 
 
 class TestMultiplyPlan:

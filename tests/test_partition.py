@@ -459,6 +459,33 @@ class TestAlternating:
                                   rounds=rounds)
 
 
+# each partitioner's cap, called on a matrix and a value for it
+_CAPS = {
+    "strict": (lambda A, v: strict_partition(A, v), "u_max"),
+    "overlap": (lambda A, v: overlap_partition(A, 0.9, v), "u_max"),
+    "optimal": (lambda A, v: optimal_partition(A, trivial_partition(2), model_block_count(4, 1),
+                                               v), "u_max"),
+    "brute-force": (lambda A, v: brute_force_partition(A, trivial_partition(2),
+                                                       model_block_count(4, 1), v), "u_max"),
+    "alternating-u_max": (lambda A, v: alternating_partition(A, model_block_count(4, 4), v, 2),
+                          "u_max"),
+    "alternating-w_max": (lambda A, v: alternating_partition(A, model_block_count(4, 4), 2, v),
+                          "w_max"),
+    "alternating-rounds": (lambda A, v: alternating_partition(A, model_block_count(4, 4), 2, 2,
+                                                              rounds=v), "rounds"),
+}
+
+
+class TestWholeCaps:
+    @pytest.mark.parametrize("call, name", _CAPS.values(), ids=_CAPS.keys())
+    def test_caps_must_be_whole_numbers(self, call, name):
+        A = build_csr(10, 2, [(i, j, 1.0) for i in range(10) for j in (0, 1)])
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number, got 2.5$"):
+            call(A, 2.5)
+        assert call(A, 2.0) == call(A, 2)
+        assert call(A, np.int64(3)) == call(A, 3)
+
+
 def _partitions_capped(r, cap):
     def extend(splits):
         if splits[-1] == r:
