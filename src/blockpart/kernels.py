@@ -9,17 +9,17 @@ by column, so block row k of height u with c stored columns is already a
 dense u x c matrix. The plan groups the non-empty block rows by height u
 and a padded column count c_pad, and holds, per group of G block rows,
 their values as a read-only (G, u, c_pad) array, the x index of every
-column as (G, c_pad) and the y rows: ``slice(lo, hi)`` when they are lo,
-lo + 1, ..., hi - 1 in plan order, else their (G, u) array. A group
-whose block rows are consecutive and unpadded holds slices of the
-container: its values are a view of ``B.val`` when u = 1 (or c_pad = 1),
-where the slice is already in (G, u, c_pad) order. Every other group
-holds copies. Pad columns hold 0.0 and read a zero slot appended to a
-copy of x, so they add exactly +0.0 whatever x holds.
+column as (G, c_pad) and the group's stretch of z, the multiply's buffer
+of products. A group whose block rows are consecutive and unpadded
+holds slices of the container: its values are a view of ``B.val`` when
+u = 1 (or c_pad = 1), where the slice is already in (G, u, c_pad) order.
+Every other group holds copies. Pad columns hold 0.0 and read a zero
+slot appended to a copy of x, so they add exactly +0.0 whatever x holds;
+the plan's ``pad`` flag says whether any group has one.
 
-A copy is stored with its block rows fastest: its values, x indices and
-y rows are Fortran-ordered, so the same slot of consecutive block rows
-sits side by side. This is ELLPACK's column-major layout, on which
+A copy is stored with its block rows fastest: its values and x indices
+are Fortran-ordered, so the same slot of consecutive block rows sits
+side by side. This is ELLPACK's column-major layout, on which
 SELL-C-sigma and BELLPACK rely too. ``np.einsum`` and the gather of x
 follow their operands' memory order, so the multiply's inner loop then
 runs over the G block rows; in C order it ran over the c_pad stored
@@ -54,14 +54,41 @@ multiply in interleaved medians, 2 vCPUs):
     calibrate-fit, VBR               1, 1.11 ->  1, 1.00     -4 to -6 %
     rowruns-1d, 1D-VBR              10, 1.11 -> 10, 1.08    within noise
 
-Writing every group's products into one buffer and adding that to y
-with a single ``y[rows] +=`` moved the multiply by -2.4 to +2.1 % on the
-same containers, which is noise, so each group adds into its own rows.
+Every group writes its products, through ``out=``, into its own stretch
+of one buffer z per multiply, and the multiply ends with one ``y[target]
++= z[where]``. ``where`` holds the z position of every row of a
+non-empty block row, in row order, and ``target`` those rows. A stretch
+runs in its values' memory order, Fortran for a copy and C for a view:
+einsums writing C order from Fortran-ordered values ran 1.9-3.3x slower
+on calibrate-fit's 3 x 3 group and 2.1-2.3x on the groups of rowruns-1d
+and blocks-2d (min of 7 x 200 calls, two runs). ``where`` is
+``slice(None)`` when plan order is row order, as in 1 x 1 containers and
+consecutive u = 1 groups, and ``target`` is ``slice(0, m)`` when every
+block row stores a block. Otherwise ``target`` lists only the rows of
+non-empty block rows, and a non-empty block row of height u stores at
+least u values, so neither array is longer than ``len(B.val)``, however
+tall an empty block row is. ``where`` is built by one scatter per group,
+with no sort. Against a y update per group (``y[rows] += products``: a
+fancy read, an add and a fancy write for every group whose rows are not
+one range) the multiply changed by (interleaved medians of 800 calls,
+each after a ``spmv_csr``, three runs at seed 1234 and one at seed 7,
+2 vCPUs):
+
+    rowruns-1d, 1D-VBR          10 groups, where an array   -5 to -8 %
+    planned CSR on rowruns       2 groups, where an array   -8 to -10 %
+    blocks-2d, VBR              12 groups, where an array   -4 to -6 %
+    calibrate-fit, VBR           1 group of u = 3, copied   -7 to -12 %
+    scatter-heuristic, 1 x 1     1 view each, both slices   -1 to +1 %
+
+and the benchmark's ``spmv_s``, in medians of ten alternating 20 s
+pairs, by -12.1 and -10.9 % on rowruns-1d (two series), -6.0 % on
+blocks-2d, -9.0 % on calibrate-fit and -1.2 % on scatter-heuristic.
+
 Building the plan loops in Python only over the groups and over the
 distinct counts of heights that have several. On the 20000-row rowruns
 benchmark matrix (225,891 stored values in 10 groups) the plan holds
 2.65 MB (2.73 MB under the pad to a multiple of 4), one padded copy of
-the values plus int64 x indices and y rows, and builds in about 3-5 ms,
+the values plus int64 x indices and ``where``, and builds in about 3-5 ms,
 the time of some 10 of its 0.34 ms multiplies (min of 20 and 200 runs,
 2 vCPUs). On scatter-heuristic's two 1 x 1 containers (100,000 values)
 each plan holds no array of its own, and on calibrate-fit's aligned
@@ -98,22 +125,22 @@ x indices are ``idx`` itself and are read from it rather than rebuilt
 from block widths.
 
 A multiply loops in Python only over the groups: one gather of x and one
-batched product per group, added straight into that group's rows of y,
-in place through ``y[lo:hi]`` for a slice and by fancy index otherwise.
-Every row of y belongs to exactly one block row, so there is no
-scatter-add: a row's products over its stored columns and its pad are
-summed by one ``np.einsum`` reduction, in an order fixed by the plan, so
-repeated calls are bit-identical, and added to y once. The slice adds
-the same products in the same order as the fancy-index update, so y is
-the same to the bit. Every group reads the copy of x, so
-``spmv_vbr(v, B, v)`` reads the old v even after an earlier group has
-written to it. 1D-VBR is VBR with a trivial column partition, so
-``spmv_1dvbr`` is the same kernel. Pass a dict as ``counter`` to tally
+batched product per group, written into its stretch of z, then one
+gather of z added into y. Every row of y belongs to exactly one block
+row, so there is no scatter-add: a row's products over its stored
+columns and its pad are summed by one ``np.einsum`` reduction, in an
+order fixed by the plan, so repeated calls are bit-identical, and added
+to y once; y is the same to the bit as under a y update per group. x is
+copied with its zero slot only when ``pad`` is set; otherwise each group
+gathers from x itself. y is written only after every read of x, so
+``spmv_vbr(v, B, v)`` reads the old v either way. 1D-VBR is VBR with a
+trivial column partition, so ``spmv_1dvbr`` is the same kernel. Pass a dict as ``counter`` to tally
 multiply-adds (key ``"madds"``); it counts the stored values,
 ``len(B.val)``, not the pad.
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -123,15 +150,21 @@ __all__ = ["spmv_csr", "spmv_vbr", "spmv_1dvbr"]
 
 # What one plan group costs per multiply, in padded block-row columns; the
 # class DP trades groups against pad by it. Timing one group's step (x
-# gather, einsum, y update) for 1-1000 block rows of 4-48 columns on a
-# 2-vCPU Xeon gave 4-10 us per group and 1.3-1.4, 2.4-2.6 and 4.0-5.1 ns
-# per padded column at u = 1, 3 and 6: ratios of 1,900-4,300, lower for
-# taller blocks. Another 2-vCPU measurement gave 5 us and 3.4-4.4 ns at
-# every u, about 1,250. On the seed-1234 benchmark containers values from
-# 600 to 5,000 gave multiplies equal within noise (blocks-2d 23-33 % faster
-# than with a pad to 4 at each); this one keeps rowruns-1d at 10 groups and
-# takes blocks-2d from 39 groups to 12.
+# gather and einsum into its stretch of z; y is updated once per multiply)
+# for 1-1000 block rows of 4-48 columns on a 2-vCPU Xeon, in two runs of a
+# fit weighted by relative error, gave 3-6 us per group and 1.6-2.7,
+# 2.3-4.0 and 3.6-4.1 ns per padded column at u = 1, 3 and 6: ratios of
+# 900-2,300, lower for taller blocks. With the y update in the step, two
+# earlier measurements gave 1,900-4,300 and about 1,250. On the seed-1234
+# benchmark containers values from 600 to 5,000 gave multiplies equal within
+# noise (blocks-2d 23-33 % faster than with a pad to 4 at each); this one
+# keeps rowruns-1d at 10 groups and takes blocks-2d from 39 groups to 12.
 _GROUP = 1250
+
+# groups: (values, x columns, stretch of z, its order "C" or "F") per group;
+# size: len(z); y[target] += z[where] adds the products to their rows;
+# pad: whether any x column is the zero slot n
+_Plan = namedtuple("_Plan", "groups size where target pad")
 
 
 def _pad_classes(counts, sizes):
@@ -185,17 +218,17 @@ def _starts(*keys):
 
 
 def _build_plan(B):
-    """Blocked-ELL groups of B as ((values, x columns, y rows), ...).
+    """The blocked-ELL multiply plan of B (see the module docstring).
 
     Groups go in ascending (u, c_pad), block rows by stored column count and
-    then in storage order within a group. A group whose y rows are lo, lo +
-    1, ..., hi - 1 in plan order targets ``slice(lo, hi)``, any other its
-    (G, u) row array. A group of consecutive block rows with no pad takes
-    its values and x columns as slices of ``B.val`` and the x indices, and
-    copies both when the values are not a view in (G, u, c_pad) order, that
-    is when u > 1 < c_pad. Any other group gathers each once, then sets its
-    pad slots to 0.0 and x index n. Every copied array, row arrays too, is
-    Fortran-ordered: block rows fastest, as ELLPACK stores its columns.
+    then in storage order within a group. A group of consecutive block rows
+    with no pad takes its values and x columns as slices of ``B.val`` and
+    the x indices, and copies both when the values are not a view in (G, u,
+    c_pad) order, that is when u > 1 < c_pad. Any other group gathers each
+    once, then sets its pad slots to 0.0 and x index n. Every copied array
+    is Fortran-ordered: block rows fastest, as ELLPACK stores its columns.
+    A group's stretch of z follows its values' memory order, Fortran for a
+    copy and C for a view, and ``where`` is filled by one scatter per group.
     """
     heights = np.diff(B.spl_rows)
     # first[q]: the stored columns before block q; column: the x index of
@@ -221,33 +254,50 @@ def _build_plan(B):
             counts[a:b] = _pad_classes(counts[a:b], sizes[a:b])
         c = np.repeat(counts, sizes)
         runs = _starts(u, c)  # now runs of equal height and padded count
+    covers_all = len(kept) == len(heights)  # every row gets products
+    # covered[k]: the rows of non-empty block rows before block row k
+    covered = B.spl_rows if covers_all else _offsets(np.where(stored, heights, 0))
+    where = np.empty(int(covered[-1]), dtype=np.int64)
     follows = np.diff(order) == 1  # block row order[g + 1] is order[g] + 1
-    groups = []
+    groups, lo, pad = [], 0, False
     for a, b in itertools.pairwise([*runs.tolist(), len(order)]):
         k, gu, gc = order[a:b], int(u[a]), int(c[a])
         k0, k1 = int(k[0]), int(k[-1]) + 1  # the block rows are k0..k1 - 1 if they follow
-        if follows[a:b - 1].all():
-            rows = slice(int(B.spl_rows[k0]), int(B.spl_rows[k1]))
-        else:
-            rows = (np.arange(gu)[:, None] + B.spl_rows[k]).T
-            rows.flags.writeable = False
-        if isinstance(rows, slice) and stored[k0] == gc:  # k0 stores fewest: no pad
+        if follows[a:b - 1].all() and stored[k0] == gc:  # k0 stores fewest: no pad
             values = B.val[B.ofs[k0]:B.ofs[k1]].reshape(b - a, gc, gu).transpose(0, 2, 1)
             cols = column[at[k0]:at[k1]].reshape(b - a, gc)
+            layout = "C"
             if not values.flags.c_contiguous:  # u > 1 < c: copy with block rows fastest
                 values, cols = np.array(values, order="F"), np.array(cols, order="F")
+                layout = "F"
+            rows = slice(covered[k0], covered[k1])
         else:  # a pad slot gathers past its block row (clipped at the end), then is reset
             j = np.arange(gc)[:, None]
-            pad = j >= stored[k]
+            slot = j >= stored[k]
+            pad = pad or bool(slot.any())
             values = B.val.take(np.arange(gc * gu)[:, None] + B.ofs[k], mode="clip")
             values = values.reshape(gc, gu, b - a)
-            np.copyto(values, 0.0, where=pad[:, None])
+            np.copyto(values, 0.0, where=slot[:, None])
             cols = column.take(j + at[k], mode="clip")
-            np.copyto(cols, B.n, where=pad)
-            values, cols = values.T, cols.T
+            np.copyto(cols, B.n, where=slot)
+            values, cols, layout = values.T, cols.T, "F"
+            rows = (covered[k][:, None] + np.arange(gu)).ravel()
         values.flags.writeable = cols.flags.writeable = False
-        groups.append((values, cols, rows))
-    return tuple(groups)
+        hi = lo + (b - a) * gu
+        # the z position of each of the group's rows, in row order
+        where[rows] = np.arange(lo, hi).reshape((b - a, gu), order=layout).ravel()
+        groups.append((values, cols, slice(lo, hi), layout))
+        lo = hi
+    if (where[1:] > where[:-1]).all():  # plan order is row order
+        where = slice(None)
+    else:
+        where.flags.writeable = False
+    if covers_all:
+        target = slice(0, B.m)
+    else:
+        target = np.repeat(B.spl_rows[kept] - covered[kept], heights[kept]) + np.arange(lo)
+        target.flags.writeable = False
+    return _Plan(tuple(groups), lo, where, target, pad)
 
 
 def spmv_vbr(y, B, x, counter=None):
@@ -257,10 +307,14 @@ def spmv_vbr(y, B, x, counter=None):
         raise ValueError(f"x has shape {x.shape}, expected ({B.n},)")
     if y.shape != (B.m,):
         raise ValueError(f"y has shape {y.shape}, expected ({B.m},)")
-    x_pad = np.append(x, 0.0)  # pad slots read x_pad[n]
-    for values, cols, rows in B._plan:
-        products = np.einsum("guc,gc->gu", values, x_pad[cols])
-        y[rows] += products.ravel() if isinstance(rows, slice) else products
+    plan = B._plan
+    if plan.pad:
+        x = np.append(x, 0.0)  # pad slots read x[n]
+    z = np.empty(plan.size)
+    for values, cols, span, layout in plan.groups:
+        out = z[span].reshape(values.shape[:2], order=layout)
+        np.einsum("guc,gc->gu", values, x[cols], out=out)
+    y[plan.target] += z[plan.where]  # y is written only after every read of x
     if counter is not None:
         counter["madds"] = counter.get("madds", 0) + len(B.val)
     return y

@@ -292,13 +292,19 @@ def _block_pattern(A, rows, cols):
     converters need each entry's pair index, so they expand it
     themselves.
 
-    Each entry's pair is its int64 key (``_pair_keys``), and the keys are
-    sorted only when they are out of order. Under a trivial row partition
-    CSR order is pair order, so the DP, and the counters and ``evaluate``
-    there, never sort; when every entry is also its own pair, ``k`` and
-    ``l`` come back uncopied. Otherwise a block row's entries are a few
-    ascending runs of keys in CSR order, one per row, which a stable sort
-    (Timsort) merges, unless each block row holds one non-empty row.
+    The entries are sorted by their pairs' int64 keys (``_pair_keys``)
+    only when they are out of pair order. In CSR order the block rows
+    arrive in order, each starting at ``A.pos[rows.spl[k]]``, so the pairs
+    are out of order only where ``l`` falls inside a block row, and a run
+    of one pair ends where ``l`` changes or a block row starts: the order
+    test and ``fresh`` read ``l`` and those starts, and the keys are built
+    only for the sort, which keeps every block row's entries in place.
+    Under a trivial row partition CSR order is pair order, so the DP, and
+    the counters and ``evaluate`` there, never sort; when every entry is
+    also its own pair, ``k`` and ``l`` come back uncopied. Otherwise a
+    block row's entries are a few ascending runs in CSR order, one per
+    row, which a stable sort (Timsort) merges, unless each block row holds
+    one non-empty row.
     """
     if rows.size != A.m:
         raise ValueError(f"row partition covers {rows.size} rows, matrix has {A.m}")
@@ -306,13 +312,20 @@ def _block_pattern(A, rows, cols):
         raise ValueError(f"column partition covers {cols.size} columns, matrix has {A.n}")
     l = A.idx if cols.is_trivial() else cols.assignments()[A.idx]
     k = np.repeat(rows.assignments(), np.diff(A.pos))
-    keys = _pair_keys(k, l, rows.num_parts, cols.num_parts)
+    # the entry at which each block row starts, then the entry count; one
+    # slot past the entries takes the starts at the end
+    starts = A.pos[rows.spl]
+    falls = np.zeros(len(l) + 1, dtype=bool)  # l falls from entry j - 1 to entry j
+    np.less(l[1:], l[:-1], out=falls[1:-1])
+    falls[starts] = False
     order = None
-    if (keys[1:] < keys[:-1]).any():
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-    fresh = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    if falls.any():
+        order = np.argsort(_pair_keys(k, l, rows.num_parts, cols.num_parts), kind="stable")
+    listed = l if order is None else l[order]
+    fresh = np.ones(len(l) + 1, dtype=bool)
+    np.not_equal(listed[1:], listed[:-1], out=fresh[1:-1])
+    fresh[starts] = True
+    fresh = fresh[:-1]
     if order is None and fresh.all():
         return k, l, fresh, None
     # gathering at the kept indices beats a boolean mask several times over

@@ -357,7 +357,7 @@ class TestMeasurement:
                                   clock=iter(range(0, 10**12, 10**6)).__next__)
         assert len({id(B) for B in timed}) == len(samples) == 36
         for B in timed:
-            (values, _, _), = B._plan
+            (values, *_), = B._plan.groups
             assert values.size == len(B.val)
 
     def test_every_timed_container_is_pinned(self, monkeypatch):

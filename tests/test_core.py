@@ -134,6 +134,16 @@ def calibration_grids(draw):
     return _grid_vbr(u, w, *shape, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
+@st.composite
+def plan_containers(draw):
+    """Both containers of ``blocked_inputs()``, or a calibration grid, or a
+    ``mixed_vbr()`` container."""
+    kind = draw(st.sampled_from(["drawn", "grid", "mixed"]))
+    if kind == "drawn":
+        return blocked_pair(*draw(blocked_inputs()))
+    return [draw(calibration_grids() if kind == "grid" else mixed_vbr())]
+
+
 def _numbered_vbr(heights, widths, blocks):
     """The VbrMatrix of block rows of ``heights`` storing the column parts
     ``blocks`` of ``widths``, its values 1, 2, 3, ... in storage order."""
@@ -378,7 +388,7 @@ class TestMultiplyPlan:
         A = example_matrix
         for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
             plan = B._plan
-            assert builds.count(B) == 1 and isinstance(plan, tuple) and plan
+            assert builds.count(B) == 1 and plan.groups
             spmv_vbr(np.zeros(A.m), B, np.ones(A.n))
             spmv_1dvbr(np.zeros(A.m), B, np.arange(A.n, dtype=np.float64))
             assert B._plan is plan
@@ -398,15 +408,18 @@ class TestMultiplyPlan:
             assert B._plan is plan
 
     def test_plan_arrays_read_only(self, example_matrix):
+        # every group's values and x columns, and where and target when they
+        # are arrays; here where is one (the plan is not in row order)
         A = example_matrix
         for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
-            assert B._plan
-            for group in plan_groups(B._plan):
-                assert len(group) == 3
-                for array in group:
-                    assert not array.flags.writeable
-                    with pytest.raises(ValueError, match="read-only"):
-                        array[(0,) * array.ndim] = 1
+            plan = B._plan
+            assert plan.groups and isinstance(plan.where, np.ndarray)
+            arrays = [array for values, cols, _, _ in plan.groups for array in (values, cols)]
+            arrays += [a for a in (plan.where, plan.target) if isinstance(a, np.ndarray)]
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 1
 
     @PROPERTY
     @given(blocked_inputs(), st.sampled_from([0, 3, kernels._GROUP]))
@@ -416,8 +429,8 @@ class TestMultiplyPlan:
         # and read the zero slot x[n]; c is the group's largest stored count,
         # and one height's groups hold disjoint, ascending ranges of counts.
         # A small group cost splits heights these small matrices would merge.
-        # The y rows are a slice exactly when they are lo, lo + 1, ..., hi - 1
-        # in plan order.
+        # where is slice(None) exactly when the rows, in plan order, ascend,
+        # and target is a slice exactly when every block row stores a block.
         A, rows, cols = case
         dense = np.hstack([A.to_dense(), np.zeros((A.m, 1))])
         with mock.patch.object(kernels, "_GROUP", group):
@@ -431,10 +444,11 @@ class TestMultiplyPlan:
             shapes = [values.shape[1:] for values, _, _ in plan_groups(B._plan)]
             assert shapes == sorted(set(shapes))
             ranges = {}  # height -> (fewest, most) stored columns of each group, in plan order
-            for (values, x_cols, y_rows), (_, _, target) in zip(plan_groups(B._plan), B._plan):
+            in_plan_order = []  # the y row of each product, in the order of z
+            for (values, x_cols, y_rows), (_, _, _, layout) in zip(plan_groups(B._plan),
+                                                                   B._plan.groups):
                 g, u, c = values.shape
-                flat = y_rows.ravel().tolist()
-                assert isinstance(target, slice) == (flat == list(range(flat[0], flat[-1] + 1)))
+                in_plan_order += y_rows.ravel(layout).tolist()
                 assert x_cols.shape == (g, c) and y_rows.shape == (g, u)
                 assert np.array_equal(values, dense[y_rows[:, :, None], x_cols[:, None, :]])
                 counts = []
@@ -452,6 +466,8 @@ class TestMultiplyPlan:
                 assert all(most < fewest for (_, most), (fewest, _) in zip(spans, spans[1:]))
             # one y row per row of a non-empty block row, none per product
             assert sorted(got_rows) == want_rows
+            assert isinstance(B._plan.where, slice) == (in_plan_order == want_rows)
+            assert isinstance(B._plan.target, slice) == (len(want_rows) == A.m)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.data())
@@ -478,25 +494,47 @@ class TestMultiplyPlan:
                     assert a.tobytes() == b.tobytes()
 
     @PROPERTY
-    @given(st.data())
-    def test_copied_groups_run_block_rows_fastest(self, data):
+    @given(plan_containers())
+    def test_copied_groups_run_block_rows_fastest(self, containers):
         # a group the plan copies keeps the same slot of its block rows side by
         # side (ELLPACK's column-major order), so the multiply's inner loop runs
-        # over the block rows; a group of consecutive, unpadded block rows one
-        # row tall stays a view of the container's values
-        kind = data.draw(st.sampled_from(["drawn", "grid", "mixed"]))
-        if kind == "drawn":
-            containers = blocked_pair(*data.draw(blocked_inputs()))
-        else:
-            containers = [data.draw(calibration_grids() if kind == "grid" else mixed_vbr())]
+        # over the block rows, and so does its stretch of z; a group of
+        # consecutive, unpadded block rows one row tall stays a view of the
+        # container's values, and its stretch of z runs row by row
         for B in containers:
-            for values, cols, rows in B._plan:
+            for (values, cols, rows), (_, _, _, layout) in zip(plan_groups(B._plan),
+                                                               B._plan.groups):
                 view = np.shares_memory(values, B.val)
-                if values.shape[1] == 1 and isinstance(rows, slice) and B.n not in cols:
+                if values.shape[1] == 1 and _consecutive(rows) and B.n not in cols:
                     assert view
+                assert layout == ("C" if view else "F")
                 if not view:
-                    arrays = (values, cols) if isinstance(rows, slice) else (values, cols, rows)
-                    assert all(array.flags.f_contiguous for array in arrays)
+                    assert values.flags.f_contiguous and cols.flags.f_contiguous
+
+    @PROPERTY
+    @given(plan_containers())
+    def test_target_and_where_add_each_row_once(self, containers):
+        # y[target] += z[where] adds each row of every non-empty block row
+        # once, from the z slot of its products, and touches no other row;
+        # where is slice(None) exactly when plan order is row order. The
+        # plan order comes from the scattering build, each group's stretch
+        # of z in C order for a view and Fortran order for a copy. No array
+        # is longer than the stored values.
+        for B in containers:
+            plan = B._plan
+            want = [i for k in range(len(B.spl_rows) - 1) if B.pos[k + 1] > B.pos[k]
+                    for i in range(B.spl_rows[k], B.spl_rows[k + 1])]
+            in_plan_order = []
+            for (values, *_), (_, _, rows) in zip(plan.groups, _scattering_plan(B)):
+                in_plan_order += rows.ravel("C" if np.shares_memory(values, B.val) else "F").tolist()
+            assert plan.size == len(in_plan_order) == len(want)
+            target = np.arange(B.m)[plan.target]
+            assert target.tolist() == want
+            assert np.array(in_plan_order, dtype=np.int64)[plan.where].tolist() == want
+            assert isinstance(plan.where, slice) == (in_plan_order == want)
+            assert isinstance(plan.target, slice) == (len(want) == B.m)
+            assert all(len(a) <= len(B.val) for a in (plan.where, plan.target)
+                       if isinstance(a, np.ndarray))
 
     @pytest.mark.parametrize("m, n, entries, spl, shapes", [
         (0, 0, [], [0], []),
@@ -519,13 +557,15 @@ class TestMultiplyPlan:
 
     def test_calibration_grid_gets_a_slice(self):
         # every block row of a grid stores the same columns: one group over
-        # all the rows in order, no pad, so y is updated through y[0:m]
+        # all the rows in order, no pad, so y is updated through y[0:m]; the
+        # group is a copy, so its stretch of z holds the rows block row fastest
         B = _grid_vbr(3, 2, *_grid_shape(3, 2, 5, 2, "base"), np.random.default_rng(0))
         x = np.arange(1.0, B.n + 1.0)
         y = spmv_vbr(np.zeros(B.m), B, x)
-        ((values, cols, rows),) = B._plan
-        assert rows == slice(0, B.m)
-        assert values.shape == (5, 3, 2 * 2) and B.n not in cols
+        ((values, cols, span, layout),) = B._plan.groups
+        assert (B._plan.target, span, layout) == (slice(0, B.m), slice(0, B.m), "F")
+        assert B._plan.where.tolist() == np.arange(B.m).reshape(3, 5).T.ravel().tolist()
+        assert values.shape == (5, 3, 2 * 2) and B.n not in cols and not B._plan.pad
         assert np.array_equal(y, np.einsum("guc,gc->gu", values, x[cols]).ravel())
 
     def test_equal_length_rows_get_a_slice(self):
@@ -537,8 +577,9 @@ class TestMultiplyPlan:
                   to_1dvbr(A, trivial_partition(4))):
             x = np.arange(1.0, 6.0)
             assert np.array_equal(spmv_vbr(np.zeros(4), B, x), spmv_csr(A, x))
-            ((values, cols, rows),) = B._plan
-            assert (rows, values.shape) == (slice(0, 4), (4, 1, 2)) and B.n not in cols
+            ((values, cols, span, _),) = B._plan.groups
+            assert (span, values.shape) == (slice(0, 4), (4, 1, 2)) and B.n not in cols
+            assert (B._plan.target, B._plan.where, B._plan.pad) == (slice(0, 4), slice(None), False)
             assert np.shares_memory(values, B.val) and not values.flags.writeable
 
     @pytest.mark.parametrize("spl, view", [
@@ -556,11 +597,12 @@ class TestMultiplyPlan:
         B = to_1dvbr(A, Partition(spl))
         x = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(spmv_vbr(np.zeros(4), B, x), spmv_csr(A, x))
-        (ones, ones_cols, ones_rows), (twos, twos_cols, twos_rows) = B._plan
-        assert (ones.shape, ones_rows, ones_cols.tolist()) == ((2, 1, 2), slice(*view), [[0, 2]] * 2)
+        (ones, ones_cols, ones_rows), (twos, twos_cols, twos_rows) = plan_groups(B._plan)
+        assert (ones.shape, ones_rows.ravel().tolist(), ones_cols.tolist()) == (
+            (2, 1, 2), list(range(*view)), [[0, 2]] * 2)
         assert np.shares_memory(ones, B.val) and not ones.flags.writeable
         assert (twos.shape, twos_cols.tolist()) == ((1, 2, 2), [[0, 2]])
-        assert isinstance(twos_rows, slice) and not np.shares_memory(twos, B.val)
+        assert _consecutive(twos_rows) and not np.shares_memory(twos, B.val)
 
     @pytest.mark.parametrize("entries, pad, rows", [
         # rows 0 and 2 store 2 entries each and row 1 none: one unpadded
@@ -571,13 +613,24 @@ class TestMultiplyPlan:
         ([(0, 0, 1.0), (0, 1, 2.0), (1, 2, 3.0)], True, [[1], [0]]),
     ])
     def test_rows_out_of_order_keep_an_index_array(self, entries, pad, rows):
+        # row 2 or 1 is empty, so target lists the rows that get products;
+        # where gives each row's z slot, and is an array exactly when the
+        # rows are out of order in the plan
         A = build_csr(3, 3, entries)
         B = to_1dvbr(A, trivial_partition(3))
         x = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(spmv_vbr(np.ones(3), B, x), 1.0 + spmv_csr(A, x))
-        ((_, cols, got_rows),) = B._plan
-        assert (B.n in cols) == pad and isinstance(got_rows, np.ndarray)
-        assert got_rows.tolist() == rows and not got_rows.flags.writeable
+        ((_, cols, got_rows),) = plan_groups(B._plan)
+        assert (B.n in cols) == pad == B._plan.pad
+        assert got_rows.tolist() == rows
+        flat = sum(rows, [])
+        target, where = B._plan.target, B._plan.where
+        assert isinstance(target, np.ndarray) and not target.flags.writeable
+        assert target.tolist() == sorted(flat)
+        if flat == sorted(flat):
+            assert where == slice(None)
+        else:
+            assert where.tolist() == np.argsort(flat).tolist() and not where.flags.writeable
 
     @PROPERTY
     @given(st.lists(st.integers(1, 3000), min_size=1, max_size=8, unique=True), st.data())
@@ -796,9 +849,16 @@ class TestContainerChecks:
         big = 2**62
         with pytest.raises(ValueError, match="64-bit"):
             VbrMatrix([0, big], [0, 4], [0, 1], [0], [0, 0], [])
-        # what is stored fits, however tall an empty block row is
+        # what is stored fits, however tall an empty block row is, and so
+        # does the plan: it lists only the rows of non-empty block rows, so
+        # no array in it is longer than the stored values
         B = VbrMatrix([0, big, big + 1], [0, 4], [0, 0, 1], [0], [0, 0, 4], [1.0] * 4)
         assert B.m == big + 1
+        plan = B._plan
+        arrays = [array for values, cols, _, _ in plan.groups for array in (values, cols)]
+        arrays += [a for a in (plan.where, plan.target) if isinstance(a, np.ndarray)]
+        assert max(array.size for array in arrays) <= len(B.val)
+        assert (plan.target.tolist(), plan.where, plan.size) == ([big], slice(None), 1)
 
 
 class TestModelAndDpChecks:
@@ -869,16 +929,26 @@ class TestPairKeyOverflow:
 
 
 def plan_groups(plan):
-    """The groups of a multiply plan as (values, x columns, y rows), each
-    slice target read as its row range: the read-only (G, u) array of rows
-    lo, ..., hi - 1, the row array a group that is not a range holds."""
+    """The groups of a multiply plan as (values, x columns, y rows): the
+    read-only (G, u) array of the y row each product adds into, read back
+    from ``target`` and ``where`` through the group's stretch of z."""
+    target = plan.target
+    if isinstance(target, slice):
+        target = np.arange(target.start, target.stop)
+    rows = np.empty(plan.size, dtype=np.int64)  # the y row of each slot of z
+    rows[plan.where] = target
     out = []
-    for values, cols, rows in plan:
-        if isinstance(rows, slice):
-            rows = np.arange(rows.start, rows.stop).reshape(values.shape[:2])
-            rows.flags.writeable = False
-        out.append((values, cols, rows))
+    for values, cols, span, layout in plan.groups:
+        group_rows = rows[span].reshape(values.shape[:2], order=layout)
+        group_rows.flags.writeable = False
+        out.append((values, cols, group_rows))
     return out
+
+
+def _consecutive(rows):
+    """Whether the (G, u) rows are lo, lo + 1, ..., hi - 1, block row after block row."""
+    flat = rows.ravel().tolist()
+    return flat == list(range(flat[0], flat[0] + len(flat)))
 
 
 def _scattering_plan(B):

@@ -111,7 +111,7 @@ class TestSpmvVbr:
         x = rng.standard_normal(n)
         y = spmv_1dvbr(np.zeros(m), B, x)
         assert np.abs(y - spmv_csr(A, x)).max() <= mixed_tolerance(A, x) * n
-        assert sum(values.size for values, _, _ in B._plan) <= 1.5 * len(B.val)
+        assert sum(values.size for values, *_ in B._plan.groups) <= 1.5 * len(B.val)
 
 
 def _square(rows):
@@ -134,8 +134,11 @@ def _in_place_error(A, B, x, y):
 
 
 def _padded(B):
-    """Whether the plan of B reads the zero slot x[n] anywhere."""
-    return any(B.n in cols for _, cols, _ in B._plan)
+    """Whether the plan of B reads the zero slot x[n] anywhere, which is
+    when it flags a pad and multiplies from a copy of x."""
+    padded = any(B.n in cols for _, cols, *_ in B._plan.groups)
+    assert padded == B._plan.pad
+    return padded
 
 
 class TestInPlace:
@@ -155,7 +158,7 @@ class TestInPlace:
         for B in (to_1dvbr(A, part), to_vbr(A, part, trivial_partition(A.n))):
             v = rng.standard_normal(A.m)
             assert _in_place_error(A, B, v, v) <= 0.0
-            assert (_padded(B), len(B._plan)) == (pad, groups)
+            assert (_padded(B), len(B._plan.groups)) == (pad, groups)
             buf = rng.standard_normal(A.m + 1)
             assert _in_place_error(A, B, buf[1:], buf[:-1]) <= 0.0
 
@@ -171,7 +174,7 @@ class TestInPlace:
                 assert _in_place_error(A, B, v, v) <= 0.0
                 buf = rng.standard_normal(n + 1)
                 assert _in_place_error(A, B, buf[1:], buf[:-1]) <= 0.0
-                kinds.add((_padded(B), min(len(B._plan), 2)))
+                kinds.add((_padded(B), min(len(B._plan.groups), 2)))
         assert kinds >= {(False, 1), (False, 2), (True, 1), (True, 2)}
 
 
