@@ -27,7 +27,7 @@ from .costs import CostModel
 # to_vbr and build_csr go unused here: perfbench's TRACE_TARGETS looks them up in this module
 from .formats import to_vbr, VbrMatrix
 from .kernels import spmv_vbr
-from .sparse import build_csr, CsrMatrix, Partition
+from .sparse import _dimension, build_csr, CsrMatrix, Partition
 
 __all__ = [
     "TimingSample",
@@ -54,7 +54,7 @@ VARIANTS = tuple(_DESIGN)
 # aligned 3x3 blocks got a 3x3 partition from 11/21 fits timing each sample
 # alone, 11/18 with 16 MiB batches, 18/21 with this cap (two batches) and
 # 17/21 in one batch. The other three peaked at 47, 106 and 324 MB RSS;
-# this cap peaks at 198 MB (ru_maxrss of ``blockpart calibrate`` with its
+# this cap peaks at 203 MB (ru_maxrss of ``blockpart calibrate`` with its
 # defaults, 5 fresh processes on a 2-vCPU Xeon).
 _BATCH_BYTES = 64 << 20
 
@@ -98,6 +98,7 @@ def time_min(fn, trials, clock=None):
     Every call is timed, with two clock reads each; there is no warm-up,
     so a caller that wants one makes it, usually as ``time_min(fn, 1)``.
     """
+    trials = _dimension(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
     clock = clock or default_clock
@@ -128,14 +129,13 @@ def _grid_vbr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
     tops = np.arange(n_block_cols - b, n_block_cols)
     picks = rng.integers(0, tops[:, None] + 1, size=(b, k))
     for i, top in enumerate(tops.tolist()):
-        picks[i, (picks[:i] == picks[i]).any(axis=0)] = top
-    picks = picks.T
+        np.putmask(picks[i], np.logical_or.reduce(picks[:i] == picks[i], axis=0), top)
     vals = rng.uniform(0.1, 1.0, picks.size * u * w).reshape(k * b, u, w)
-    order = np.argsort(picks, axis=1)
+    order = picks.T.argsort(axis=1)
     blocks = (order + np.arange(0, k * b, b)[:, None]).ravel()
     pos = np.arange(k + 1) * b
     return VbrMatrix(np.arange(k + 1) * u, np.arange(n_block_cols + 1) * w,
-                     pos, np.take_along_axis(picks, order, axis=1).ravel(), pos * (u * w),
+                     pos, picks.T.ravel()[blocks], pos * (u * w),
                      np.take(vals.transpose(0, 2, 1), blocks, axis=0).ravel())
 
 
@@ -150,9 +150,11 @@ def _grid_shape(u, w, k0, b0, variant):
 
 
 def _variant_shape(u, w, blocks_per_row, min_bytes, variant):
-    """``_grid_shape`` with the fewest base block rows holding ``min_bytes`` of values."""
-    k0 = max(1, math.ceil(min_bytes / (8 * u * w * blocks_per_row or 1)))  # _grid_shape rejects 0
-    return _grid_shape(u, w, k0, blocks_per_row, variant)
+    """``_grid_shape`` with the fewest base block rows holding ``min_bytes``
+    of values; both must be whole numbers, and ``min_bytes`` at least 0."""
+    b = _dimension(blocks_per_row, "blocks_per_row")  # _grid_shape rejects b, u or w below 1
+    k0 = max(1, math.ceil(_dimension(min_bytes, "min_bytes", 0) / (8 * u * w * b or 1)))
+    return _grid_shape(u, w, k0, b, variant)
 
 
 def synth_block_matrix(u, w, blocks_per_row=8, min_bytes=256 * 1024, seed=0):
@@ -185,12 +187,20 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
     two timed samples. Its sample is then ``time_min`` of ``trials``
     calls. Returns the samples to feed ``fit_cost_model``.
 
-    The CLI defaults make two batches, peak at 198 MB RSS (see
-    ``_BATCH_BYTES``) and take 0.56-1.0 s, median 0.70 s, on a 2-vCPU
-    Xeon (5 fresh processes), where assembling each grid as CSR and
-    converting it took 2.4-2.8 s, and drawing each block column and
-    building each plan with scatters 1.2 s, with the same draws.
+    ``trials`` must be at least 1, ``blocks_per_row`` at least 1 and
+    ``min_bytes`` at least 0, all whole numbers; any other value is
+    refused, by name, before the first grid is drawn.
+
+    The CLI defaults make two batches and peak at 203 MB RSS (see
+    ``_BATCH_BYTES``). ``blockpart calibrate`` with its defaults takes
+    0.36-0.38 s, median 0.37 s, on a 2-vCPU Xeon (5 fresh processes). With
+    the same draws it took 0.39-0.51 s, median 0.42 s, while the per-grid
+    checks, plan build and draws called numpy's Python-level wrappers
+    (``np.diff``, ``np.min``, ``np.take_along_axis``); 2.4-2.8 s when each
+    grid was assembled as CSR and converted; and 1.2 s when each block
+    column was drawn and each plan built with scatters.
     """
+    trials = _dimension(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     samples, batch, held = [], [], 0
 
@@ -200,19 +210,17 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
             samples.append(TimingSample(u, w, B.m, b, seconds, variant))
         batch.clear()
 
-    for u in range(1, u_max + 1):
-        for w in range(1, w_max + 1):
-            for variant in VARIANTS:
-                k, l, b = _variant_shape(u, w, blocks_per_row, min_bytes, variant)
-                B = _grid_vbr(u, w, k, l, b, rng)
-                x = rng.standard_normal(B.n)
-                y = np.zeros(B.m)
-                spmv_vbr(y, B, x)  # the warm-up call
-                batch.append((u, w, b, variant, B, x, y))
-                held += B.val.nbytes
-                if held >= _BATCH_BYTES:
-                    time_batch()
-                    held = 0
+    for u, w, variant in itertools.product(range(1, u_max + 1), range(1, w_max + 1), VARIANTS):
+        k, l, b = _variant_shape(u, w, blocks_per_row, min_bytes, variant)
+        B = _grid_vbr(u, w, k, l, b, rng)
+        x = rng.standard_normal(B.n)
+        y = np.zeros(B.m)
+        spmv_vbr(y, B, x)  # the warm-up call
+        batch.append((u, w, b, variant, B, x, y))
+        held += B.val.nbytes
+        if held >= _BATCH_BYTES:
+            time_batch()
+            held = 0
     time_batch()
     return samples
 

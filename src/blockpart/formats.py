@@ -39,19 +39,18 @@ class VbrMatrix:
     __slots__ = ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val", "_plan")
 
     def __init__(self, spl_rows, spl_cols, pos, idx, ofs, val):
-        self.spl_rows = Partition(spl_rows).spl
-        self.spl_cols = Partition(spl_cols).spl
+        rows, cols = Partition(spl_rows), Partition(spl_cols)
+        self.spl_rows, self.spl_cols = rows.spl, cols.spl
         self.pos = _frozen(pos, np.int64, "pos")
         self.idx = _frozen(idx, np.int64, "idx")
         self.ofs = _frozen(ofs, np.int64, "ofs")
         self.val = _frozen(val, np.float64)
-        k = len(self.spl_rows) - 1
-        n_parts = len(self.spl_cols) - 1
+        k, n_parts = rows.num_parts, cols.num_parts
         if len(self.pos) != k + 1 or len(self.ofs) != k + 1:
             raise ValueError("pos and ofs must have one entry per block row plus one")
         if self.pos[k] != len(self.idx) or self.ofs[k] != len(self.val):
             raise ValueError("pos/ofs must end at the stored block and value counts")
-        if self.pos[0] != 0 or np.any(np.diff(self.pos) < 0):
+        if self.pos[0] != 0 or (self.pos[1:] < self.pos[:-1]).any():
             raise ValueError("pos must start at 0 and be non-decreasing")
         if len(self.idx) and (self.idx.min() < 0 or self.idx.max() >= n_parts):
             raise ValueError(f"block column index outside [0, {n_parts})")
@@ -60,8 +59,8 @@ class VbrMatrix:
             raise ValueError("block column indices not increasing in block row "
                              f"{int(np.searchsorted(self.pos, q, side='right')) - 1}")
         # each block row's values: its height times the columns it stores
-        stored = _offsets(np.diff(self.spl_cols)[self.idx])[self.pos]
-        wrong = np.nonzero(_value_starts(np.diff(self.spl_rows), np.diff(stored)) != self.ofs)[0]
+        stored = _offsets(cols.widths()[self.idx])[self.pos]
+        wrong = (_value_starts(rows.widths(), stored[1:] - stored[:-1]) != self.ofs).nonzero()[0]
         if len(wrong):
             raise ValueError(f"block row {max(int(wrong[0]) - 1, 0)} disagrees with its pattern")
         self._plan = kernels._build_plan(self)

@@ -214,7 +214,7 @@ def _starts(*keys):
     change[:1] = True
     for key in keys:
         change[1:] |= key[1:] != key[:-1]
-    return np.flatnonzero(change)
+    return change.nonzero()[0]
 
 
 def _build_plan(B):
@@ -230,19 +230,18 @@ def _build_plan(B):
     A group's stretch of z follows its values' memory order, Fortran for a
     copy and C for a view, and ``where`` is filled by one scatter per group.
     """
-    heights = np.diff(B.spl_rows)
-    # first[q]: the stored columns before block q; column: the x index of
+    heights = B.spl_rows[1:] - B.spl_rows[:-1]
+    # at: the stored columns before each block row; column: the x index of
     # every stored column, block after block
     if len(B.spl_cols) == B.n + 1:  # trivial columns: block q is column idx[q]
-        first = np.arange(len(B.idx) + 1, dtype=np.int64)
-        column = B.idx
+        at, column = B.pos, B.idx
     else:
-        widths = np.diff(B.spl_cols)[B.idx]
-        first = _offsets(widths)
+        widths = (B.spl_cols[1:] - B.spl_cols[:-1])[B.idx]
+        first = _offsets(widths)  # the stored columns before each block
         column = np.arange(first[-1]) + np.repeat(B.spl_cols[B.idx] - first[:-1], widths)
-    at = first[B.pos]  # the stored columns before each block row
-    stored = np.diff(at)
-    kept = np.flatnonzero(stored)
+        at = first[B.pos]
+    stored = at[1:] - at[:-1]
+    kept = stored.nonzero()[0]
     order = kept[np.lexsort((stored[kept], heights[kept]))]
     u, c = heights[order], stored[order]
     runs = _starts(u, c)  # runs of block rows of equal height and stored count
@@ -258,7 +257,7 @@ def _build_plan(B):
     # covered[k]: the rows of non-empty block rows before block row k
     covered = B.spl_rows if covers_all else _offsets(np.where(stored, heights, 0))
     where = np.empty(int(covered[-1]), dtype=np.int64)
-    follows = np.diff(order) == 1  # block row order[g + 1] is order[g] + 1
+    follows = order[1:] - order[:-1] == 1  # block row order[g + 1] is order[g] + 1
     groups, lo, pad = [], 0, False
     for a, b in itertools.pairwise([*runs.tolist(), len(order)]):
         k, gu, gc = order[a:b], int(u[a]), int(c[a])

@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .costs import _alpha_sum, _check_sizes, evaluate, CostModel
-from .sparse import (_INT64_MAX, _block_pattern, _dimension, _offsets, _stable_order, Partition,
-                     transpose, trivial_partition)
+from .sparse import (_INT64_MAX, _block_pattern, _dimension, _offsets, _pair_keys, _stable_order,
+                     Partition, transpose, trivial_partition)
 
 __all__ = [
     "optimal_partition",
@@ -46,17 +46,19 @@ def optimal_partition(A, col_partition, model, u_max):
     [s, s + u) exactly when 0 <= t - s < min(u, t - prev). The P <= nnz
     distinct (row, column part) pairs are the nonzero blocks under the
     trivial row partition, which ``sparse._block_pattern`` reads off CSR
-    order with no sort; one stable radix sort by part
-    (``sparse._stable_order``) lists them by part, rows ascending within
-    each. With U = min(u_max, m), the step between consecutive keys
-    l * (m + U) + t, clipped to U, is then g = min(t - prev, U). One
-    ``np.bincount`` of each pair's (g, t, width class) and a reverse
-    cumulative sum over g give G[d, t], the pairs at row t that count in
-    a window starting d rows up. The pairs of [s, s + u) are those of
-    [s, s + u - 1) plus G[u - 1, s + u - 1], so a cumulative sum over d of
-    the skewed view G[d, s + d] and one product with each height's class
-    prices give every window cost in one (U, m) table: int64 or Python
-    ints for an integer model, float64 otherwise.
+    order with no sort. With U = min(u_max, m), one in-place sort of their
+    distinct int64 keys l * B + t, B the least power of two at least m + U
+    (``sparse._pair_keys`` checks that they fit), lists them by part, rows
+    ascending within each, and the step between consecutive keys, clipped
+    to U, is then g = min(t - prev, U); t, and l when there are several
+    column widths, are read back from the sorted keys by a mask and a
+    shift. One ``np.bincount`` of each pair's (g, t, width class) and a
+    reverse cumulative sum over g give G[d, t], the pairs at row t that
+    count in a window starting d rows up. The pairs of [s, s + u) are
+    those of [s, s + u - 1) plus G[u - 1, s + u - 1], so a cumulative sum
+    over d of the skewed view G[d, s + d] and one product with each
+    height's class prices give every window cost in one (U, m) table:
+    int64 or Python ints for an integer model, float64 otherwise.
 
     The backward pass best[i] = min over u of cost(i, u) + best[i + u] is
     linear in the min-plus semiring, so it runs on chunks of L =
@@ -70,12 +72,11 @@ def optimal_partition(A, col_partition, model, u_max):
     by pointer doubling (``_chain``). That is O(sqrt(m) + U + log m) numpy
     calls. Integer sums are exact: int64 is used only when every path sum,
     plus twice the "no part" sentinel, fits in it. With W <= w_max distinct
-    column widths and D = ceil(log2(n) / 16) radix digits the bound is
-    O(nnz * D + m * U * (U + W) + R * U * W + n) time and
-    O(m * U * W + nnz + n) space. The m * U^2 min-plus terms are numpy's,
-    where a scalar pass takes m * U Python steps, so past U of about 150
-    the scalar pass would be faster (on the 20000-row rowruns matrix, 4.2
-    against 1.5 s at u_max 256).
+    column widths the bound is O(nnz + P log P + m * U * (U + W) + R * U *
+    W + n) time and O(m * U * W + nnz + n) space. The m * U^2 min-plus
+    terms are numpy's, where a scalar pass takes m * U Python steps, so
+    past U of about 150 the scalar pass would be faster (on the 20000-row
+    rowruns matrix, 4.2 against 1.5 s at u_max 256).
 
     The per-column-part alpha term is a constant under a fixed column
     partition, so it is ignored here; ``evaluate`` includes it. The
@@ -88,20 +89,24 @@ def optimal_partition(A, col_partition, model, u_max):
     _check_sizes(col_partition, model.w_max, "column", "width")
 
     m = A.m
-    # the distinct (row t, column part l) pairs. Sorted by part, rows
-    # ascending within each part, their keys l * (m + U) + t step by
-    # g = min(t - prev, U) once clipped to U, prev being the previous row
-    # holding part l. At a part's first row the step exceeds U, so g is U
-    # where prev = -1 would give min(t + 1, U): the two differ only for
-    # windows that would start above row 0.
+    # the distinct (row t, column part l) pairs, listed by one sort of their
+    # distinct keys l * B + t, B = 2**shift >= m + U: by part, rows
+    # ascending within each. There the keys step by g = min(t - prev, U)
+    # once clipped to U, prev being the previous row holding part l. At a
+    # part's first row the step exceeds U, so g is U where prev = -1 would
+    # give min(t + 1, U): the two differ only for windows that would start
+    # above row 0.
     t, l = _block_pattern(A, trivial_partition(m), col_partition)[:2]
     if m == 0:
         return _Optimum([0], 0)
     U = min(u_max, m)
     span = m + U
-    order = _stable_order(l, col_partition.num_parts)
-    l, t = l[order], t[order]
-    g = np.minimum(np.diff(l * span + t, prepend=-U), U)
+    shift = (span - 1).bit_length()
+    keys = _pair_keys(l, t, col_partition.num_parts, 1 << shift)
+    keys.sort()
+    g = np.full_like(keys, U)
+    np.subtract(keys[1:], keys[:-1], out=g[1:])
+    np.minimum(g, U, out=g)
 
     widths, width_class = np.unique(col_partition.widths(), return_inverse=True)
     nw = len(widths)
@@ -111,7 +116,7 @@ def optimal_partition(A, col_partition, model, u_max):
         # every price and every path sum lies in [-bound, bound]; a sum that
         # takes the sentinel ``none`` once or twice stays in (bound, 3 * none)
         bound = m * max(map(abs, alpha))
-        bound += max(len(t), 1) * max((abs(p) for row in prices for p in row), default=0)
+        bound += max(len(keys), 1) * max((abs(p) for row in prices for p in row), default=0)
         none, finite = 2 * bound + 1, bound + 1
         dtype = np.int64 if 3 * none <= _INT64_MAX else object
     else:
@@ -122,9 +127,9 @@ def optimal_partition(A, col_partition, model, u_max):
     # more than d rows up, by a reverse cumulative sum over g of one
     # histogram; rows past m are empty, and U spare cells at the end let
     # the view whose row d starts d cells later read G[d, s + d]
-    cell = (g - 1) * span + t
+    cell = (g - 1) * span + (keys & ((1 << shift) - 1))  # t: the key's low bits
     if nw > 1:
-        cell = cell * nw + width_class[l]
+        cell = cell * nw + width_class[keys >> shift]
     G = np.bincount(cell, minlength=U * (span + 1) * nw)
     hist = G[:U * span * nw].reshape(U, span, nw)
     for d in range(U - 2, -1, -1):
@@ -157,16 +162,15 @@ def optimal_partition(A, col_partition, model, u_max):
         paths = np.empty((U, C, U), dtype=dtype)
         for i in range(L - 1, -1, -1):
             np.add(cost[i, :, :, None], far[i + 1:i + U + 1], out=paths)
-            np.min(paths, axis=0, out=far[i])
+            np.minimum.reduce(paths, axis=0, out=far[i])
 
         # (B) the best of the U rows below each chunk, from the bottom up,
         # starting from row m (cost 0) and the rows past it (none): a window
         # that runs past row m ends at one of those, so it is never taken
         best = np.empty((L + U, C), dtype=dtype)
-        edge = below[0]
-        for c in range(C - 1, -1, -1):
-            best[L:, c] = edge
-            edge = (far[:U, c] + edge).min(axis=1)
+        best[L:, C - 1] = below[0]
+        for c in range(C - 1, 0, -1):
+            np.minimum.reduce(far[:U, c] + best[L:, c], axis=1, out=best[L:, c - 1])
 
         # (C) each row's best and first argmin, all chunks at once
         step = np.empty((L, C), dtype=np.int64)

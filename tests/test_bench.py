@@ -1018,7 +1018,9 @@ class TestCli:
         (["--rank", "1", "--umax", "0"], "--umax must be at least 1, got 0"),
         (["--rank", "1", "--wmax", "0"], "--wmax must be at least 1, got 0"),
         (["--rank", "1", "--trials", "0"], "--trials must be at least 1, got 0"),
-    ], ids=["rank-above", "rank-zero", "no-blocks", "umax-zero", "wmax-zero", "trials-zero"])
+        (["--rank", "1", "--min-bytes", "-1"], "min_bytes must be at least 0, got -1"),
+    ], ids=["rank-above", "rank-zero", "no-blocks", "umax-zero", "wmax-zero", "trials-zero",
+            "bytes-negative"])
     def test_calibrate_flags_checked_before_the_run(self, tmp_path, monkeypatch, flags, message):
         import blockpart.calibrate as calibrate
 

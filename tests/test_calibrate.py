@@ -268,6 +268,28 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="block shape parameters must be positive"):
             run_calibration(1, 1, blocks_per_row=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(trials=0), "trials must be at least 1, got 0"),
+        (dict(trials=2.5), "trials must be a whole number, got 2.5"),
+        (dict(blocks_per_row=2.5), "blocks_per_row must be a whole number, got 2.5"),
+        (dict(min_bytes=-1), "min_bytes must be at least 0, got -1"),
+        (dict(min_bytes=0.5), "min_bytes must be a whole number, got 0.5"),
+        (dict(time_min=2.5), "trials must be a whole number, got 2.5"),
+    ], ids=["trials-zero", "trials-half", "blocks-half", "bytes-negative", "bytes-half",
+            "time-min-half"])
+    def test_sizes_refused_by_name_before_any_grid(self, monkeypatch, kwargs, message):
+        import blockpart.calibrate as calibrate
+
+        def refuse(*args):
+            raise AssertionError("no grid may be drawn")
+
+        monkeypatch.setattr(calibrate, "_grid_vbr", refuse)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            if "time_min" in kwargs:
+                time_min(lambda: None, trials=kwargs["time_min"])
+            else:
+                run_calibration(2, 2, **kwargs)
+
     def test_run_calibration_produces_full_design(self):
         ticks = [0]
 

@@ -162,8 +162,8 @@ class TestOptimalPartition:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.data())
     def test_matches_the_key_sort_past_one_radix_digit(self, data):
-        # more than 65536 column parts take a second radix digit, under the
-        # trivial partition and under one that merges a few column pairs
+        # more than 65536 column parts, under the trivial partition and under
+        # one that merges a few column pairs: pair keys far past 16 bits
         A = _widen(data.draw(patterned_csr(max_rows=12, max_cols=8)))
         merged = data.draw(st.sets(st.integers(1, A.n - 1), max_size=4))
         cols = Partition(np.setdiff1d(np.arange(A.n + 1), sorted(merged)))
