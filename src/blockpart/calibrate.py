@@ -71,17 +71,23 @@ class TimingSample:
     variant: str
 
     def __post_init__(self):
-        # numpy numbers are stored as Python ones, so samples_to_csv writes what reads back
+        # numpy numbers are stored as Python ones, so samples_to_csv writes what reads back;
+        # exact ints and floats, all that run_calibration makes, skip the ABC checks
         for field in ("u", "w", "m_rows", "blocks_per_row"):
             value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{field} must be a whole number, got {value!r}")
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{field} must be a whole number, got {value!r}")
+                value = int(value)
+                object.__setattr__(self, field, value)
             if value < 1:
                 raise ValueError(f"{field} must be at least 1, got {value}")
-            object.__setattr__(self, field, int(value))
-        if not isinstance(self.seconds, numbers.Real) or not 0 < self.seconds < math.inf:
+        seconds = self.seconds
+        if type(seconds) is not float and isinstance(seconds, numbers.Real):
+            seconds = float(seconds)
+            object.__setattr__(self, "seconds", seconds)
+        if type(seconds) is not float or not 0 < seconds < math.inf:
             raise ValueError(f"measured time must be positive and finite, got {self.seconds!r}")
-        object.__setattr__(self, "seconds", float(self.seconds))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         _sample_design(self)
@@ -134,9 +140,9 @@ def _grid_vbr(u, w, n_block_rows, n_block_cols, blocks_per_row, rng):
     order = picks.T.argsort(axis=1)
     blocks = (order + np.arange(0, k * b, b)[:, None]).ravel()
     pos = np.arange(k + 1) * b
-    return VbrMatrix(np.arange(k + 1) * u, np.arange(n_block_cols + 1) * w,
-                     pos, picks.T.ravel()[blocks], pos * (u * w),
-                     np.take(vals.transpose(0, 2, 1), blocks, axis=0).ravel())
+    return VbrMatrix._built(np.arange(k + 1) * u, np.arange(n_block_cols + 1) * w,
+                            pos, picks.T.ravel()[blocks], pos * (u * w),
+                            np.take(vals.transpose(0, 2, 1), blocks, axis=0).ravel())
 
 
 def _grid_shape(u, w, k0, b0, variant):
@@ -151,7 +157,8 @@ def _grid_shape(u, w, k0, b0, variant):
 
 def _variant_shape(u, w, blocks_per_row, min_bytes, variant):
     """``_grid_shape`` with the fewest base block rows holding ``min_bytes``
-    of values; both must be whole numbers, and ``min_bytes`` at least 0."""
+    of values; all four must be whole numbers, and ``min_bytes`` at least 0."""
+    u, w = _dimension(u, "u"), _dimension(w, "w")
     b = _dimension(blocks_per_row, "blocks_per_row")  # _grid_shape rejects b, u or w below 1
     k0 = max(1, math.ceil(_dimension(min_bytes, "min_bytes", 0) / (8 * u * w * b or 1)))
     return _grid_shape(u, w, k0, b, variant)
@@ -187,9 +194,9 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
     two timed samples. Its sample is then ``time_min`` of ``trials``
     calls. Returns the samples to feed ``fit_cost_model``.
 
-    ``trials`` must be at least 1, ``blocks_per_row`` at least 1 and
-    ``min_bytes`` at least 0, all whole numbers; any other value is
-    refused, by name, before the first grid is drawn.
+    ``u_max``, ``w_max``, ``trials`` and ``blocks_per_row`` must be at
+    least 1 and ``min_bytes`` at least 0, all whole numbers; any other
+    value is refused, by name, before the first grid is drawn.
 
     The CLI defaults make two batches and peak at 203 MB RSS (see
     ``_BATCH_BYTES``). ``blockpart calibrate`` with its defaults takes
@@ -200,6 +207,7 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
     grid was assembled as CSR and converted; and 1.2 s when each block
     column was drawn and each plan built with scatters.
     """
+    u_max, w_max = _dimension(u_max, "u_max", 1), _dimension(w_max, "w_max", 1)
     trials = _dimension(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     samples, batch, held = [], [], 0

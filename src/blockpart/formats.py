@@ -32,37 +32,57 @@ class VbrMatrix:
     index of each stored block, ascending within a block row), ``ofs``
     (K+1 offsets of each block row's values), ``val`` (dense block
     values, column-major within each block). ``_plan`` holds the
-    read-only multiply plan, built once when the container is made, after
-    every check (see ``kernels``).
+    read-only multiply plan, built once when the container is made (see
+    ``kernels``).
+
+    The constructor checks every array a caller passes. The package's own
+    builders, the converters and the calibration grids, make their arrays
+    by arithmetic and do not re-check them: they call ``_built``, which
+    freezes the arrays and builds the plan exactly as the constructor
+    does after its checks.
     """
 
     __slots__ = ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val", "_plan")
 
     def __init__(self, spl_rows, spl_cols, pos, idx, ofs, val):
         rows, cols = Partition(spl_rows), Partition(spl_cols)
-        self.spl_rows, self.spl_cols = rows.spl, cols.spl
-        self.pos = _frozen(pos, np.int64, "pos")
-        self.idx = _frozen(idx, np.int64, "idx")
-        self.ofs = _frozen(ofs, np.int64, "ofs")
-        self.val = _frozen(val, np.float64)
+        pos = _frozen(pos, np.int64, "pos")
+        idx = _frozen(idx, np.int64, "idx")
+        ofs = _frozen(ofs, np.int64, "ofs")
+        val = _frozen(val, np.float64)
         k, n_parts = rows.num_parts, cols.num_parts
-        if len(self.pos) != k + 1 or len(self.ofs) != k + 1:
+        if len(pos) != k + 1 or len(ofs) != k + 1:
             raise ValueError("pos and ofs must have one entry per block row plus one")
-        if self.pos[k] != len(self.idx) or self.ofs[k] != len(self.val):
+        if pos[k] != len(idx) or ofs[k] != len(val):
             raise ValueError("pos/ofs must end at the stored block and value counts")
-        if self.pos[0] != 0 or (self.pos[1:] < self.pos[:-1]).any():
+        if pos[0] != 0 or (pos[1:] < pos[:-1]).any():
             raise ValueError("pos must start at 0 and be non-decreasing")
-        if len(self.idx) and (self.idx.min() < 0 or self.idx.max() >= n_parts):
+        if len(idx) and (idx.min() < 0 or idx.max() >= n_parts):
             raise ValueError(f"block column index outside [0, {n_parts})")
-        q = _first_fall(self.pos, self.idx)
+        q = _first_fall(pos, idx)
         if q is not None:
             raise ValueError("block column indices not increasing in block row "
-                             f"{int(np.searchsorted(self.pos, q, side='right')) - 1}")
+                             f"{int(np.searchsorted(pos, q, side='right')) - 1}")
         # each block row's values: its height times the columns it stores
-        stored = _offsets(cols.widths()[self.idx])[self.pos]
-        wrong = (_value_starts(rows.widths(), stored[1:] - stored[:-1]) != self.ofs).nonzero()[0]
+        stored = _offsets(cols.widths()[idx])[pos]
+        wrong = (_value_starts(rows.widths(), stored[1:] - stored[:-1]) != ofs).nonzero()[0]
         if len(wrong):
             raise ValueError(f"block row {max(int(wrong[0]) - 1, 0)} disagrees with its pattern")
+        self._finish(rows.spl, cols.spl, pos, idx, ofs, val)
+
+    @classmethod
+    def _built(cls, spl_rows, spl_cols, pos, idx, ofs, val):
+        """A container of arrays valid by construction, made without the checks."""
+        B = cls.__new__(cls)
+        B._finish(spl_rows, spl_cols, pos, idx, ofs, val)
+        return B
+
+    def _finish(self, spl_rows, spl_cols, pos, idx, ofs, val):
+        """Freeze the six arrays and build the multiply plan: the last step of
+        every container, checked or built."""
+        self.spl_rows, self.spl_cols, self.pos, self.idx, self.ofs = (
+            _frozen(a, np.int64) for a in (spl_rows, spl_cols, pos, idx, ofs))
+        self.val = _frozen(val, np.float64)
         self._plan = kernels._build_plan(self)
 
     @property
@@ -148,8 +168,8 @@ def to_vbr(A, row_partition, col_partition):
     ``pos``, ``idx`` and ``val`` (``ofs`` is ``pos``) rather than copying
     them; only its multiply plan may copy values.
     """
-    return VbrMatrix(row_partition.spl, col_partition.spl,
-                     *_blocked_arrays(A, row_partition, col_partition))
+    return VbrMatrix._built(row_partition.spl, col_partition.spl,
+                            *_blocked_arrays(A, row_partition, col_partition))
 
 
 def to_1dvbr(A, row_partition):
@@ -159,8 +179,9 @@ def to_1dvbr(A, row_partition):
     ``pos``, ``idx`` and ``val`` (``ofs`` is ``pos``) rather than copying
     them; only its multiply plan may copy values.
     """
-    return OneDVbrMatrix(A.n, row_partition.spl,
-                         *_blocked_arrays(A, row_partition, trivial_partition(A.n)))
+    cols = trivial_partition(A.n)
+    return OneDVbrMatrix._built(row_partition.spl, cols.spl,
+                                *_blocked_arrays(A, row_partition, cols))
 
 
 def vbr_get(B, i, j):

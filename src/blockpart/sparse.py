@@ -61,8 +61,10 @@ def _check_whole(a, name):
 
 def _dimension(value, name, least=None):
     """``value`` as an int if it is a whole number, and at least ``least``
-    when that is given, else a ValueError naming ``name``."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+    when that is given, else a ValueError naming ``name``. A bool is not
+    a number here, as in ``TimingSample``."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value == int(value)):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {int(value)}")

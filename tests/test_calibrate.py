@@ -275,8 +275,14 @@ class TestMeasurement:
         (dict(min_bytes=-1), "min_bytes must be at least 0, got -1"),
         (dict(min_bytes=0.5), "min_bytes must be a whole number, got 0.5"),
         (dict(time_min=2.5), "trials must be a whole number, got 2.5"),
+        (dict(u_max=0), "u_max must be at least 1, got 0"),
+        (dict(w_max=-1), "w_max must be at least 1, got -1"),
+        (dict(u_max=1.5), "u_max must be a whole number, got 1.5"),
+        (dict(synth=(2.5, 1)), "u must be a whole number, got 2.5"),
+        (dict(synth=(1, 0)), "block shape parameters must be positive"),
     ], ids=["trials-zero", "trials-half", "blocks-half", "bytes-negative", "bytes-half",
-            "time-min-half"])
+            "time-min-half", "umax-zero", "wmax-negative", "umax-half", "synth-u-half",
+            "synth-w-zero"])
     def test_sizes_refused_by_name_before_any_grid(self, monkeypatch, kwargs, message):
         import blockpart.calibrate as calibrate
 
@@ -287,8 +293,10 @@ class TestMeasurement:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             if "time_min" in kwargs:
                 time_min(lambda: None, trials=kwargs["time_min"])
+            elif "synth" in kwargs:
+                synth_block_matrix(*kwargs["synth"])
             else:
-                run_calibration(2, 2, **kwargs)
+                run_calibration(**{"u_max": 2, "w_max": 2, **kwargs})
 
     def test_run_calibration_produces_full_design(self):
         ticks = [0]

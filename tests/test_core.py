@@ -785,6 +785,58 @@ class TestCostProperties:
         assert dp == brute_force_partition(A, cols, model, u_max)
 
 
+def same_parts(got, want):
+    """Whether two containers, or two parts of their plans, are equal part by
+    part: each array's dtype, shape, memory order, read-only flag and bytes,
+    and every other part by type and value."""
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and (got.dtype, got.shape) == (want.dtype, want.shape) \
+            and all(got.flags[f] == want.flags[f] for f in ("C", "F", "W")) \
+            and got.tobytes() == want.tobytes()
+    if isinstance(want, VbrMatrix):
+        return type(got) is type(want) and all(
+            same_parts(getattr(got, name), getattr(want, name)) for name in VbrMatrix.__slots__)
+    if isinstance(want, tuple):
+        return type(got) is type(want) and len(got) == len(want) and all(
+            same_parts(a, b) for a, b in zip(got, want))
+    return type(got) is type(want) and got == want
+
+
+def checked_copy(B):
+    """``B`` made again by the public constructor from writeable copies of its arrays."""
+    copies = [np.array(getattr(B, name)) for name in VbrMatrix.__slots__[:-1]]
+    if type(B) is OneDVbrMatrix:
+        return OneDVbrMatrix(B.n, copies[0], *copies[2:])
+    return VbrMatrix(*copies)
+
+
+class TestBuiltContainers:
+    @PROPERTY
+    @given(st.data())
+    def test_built_equals_checked(self, data):
+        # the converters and the calibration grids skip the constructor's
+        # checks; what they build must be what the constructor builds from
+        # the same arrays: every array read-only and equal, and every plan
+        # field equal, its value groups viewing the container's values alike
+        kind = data.draw(st.sampled_from(["drawn", "grid", "mixed"]))
+        if kind == "drawn":
+            containers = blocked_pair(*data.draw(blocked_inputs()))
+        elif kind == "grid":
+            containers = [data.draw(calibration_grids())]
+        else:  # the CSR of a checked container converts back to it: no block holds a zero
+            M = data.draw(mixed_vbr())
+            dense = np.array([[vbr_get(M, i, j) for j in range(M.n)] for i in range(M.m)])
+            A = build_csr(M.m, M.n, [(i, j, v) for (i, j), v in np.ndenumerate(dense) if v])
+            rows = Partition(M.spl_rows)
+            containers = blocked_pair(A, rows, Partition(M.spl_cols))
+            assert same_parts(containers[0], M)
+        for B in containers:
+            want = checked_copy(B)
+            assert same_parts(B, want)
+            assert [np.shares_memory(g[0], B.val) for g in B._plan.groups] == [
+                np.shares_memory(g[0], want.val) for g in want._plan.groups]
+
+
 class TestContainerChecks:
     def test_direct_construction(self):
         A = build_csr(2, 3, [(0, 0, 1.0), (1, 2, 2.0)])

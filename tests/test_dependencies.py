@@ -1,7 +1,7 @@
 """The package declares numpy as its only dependency; scipy and hypothesis
 may be installed next to it, so an import of either from ``src`` would
 otherwise pass every other test. No module calls ``np.dot`` either, which
-would reach BLAS, only ``VbrMatrix.__init__`` stores a multiply plan, and
+would reach BLAS, only ``VbrMatrix._finish`` stores a multiply plan, and
 every module-level def and class is used somewhere in the package."""
 
 import ast
@@ -99,7 +99,7 @@ def plan_writes(path):
 
 
 def test_plan_is_written_only_by_the_constructor():
-    # a container is immutable: VbrMatrix.__init__ builds its multiply plan
+    # a container is immutable: VbrMatrix._finish builds its multiply plan
     # once, and nothing else may store, replace or delete one
     writes = [(path.name, scope) for path in SOURCES for scope in plan_writes(path)]
-    assert writes == [("formats.py", "VbrMatrix.__init__")]
+    assert writes == [("formats.py", "VbrMatrix._finish")]

@@ -12,6 +12,9 @@ from blockpart import (
     build_csr,
     csr_memory_bits,
     row_pattern,
+    run_calibration,
+    strict_partition,
+    time_min,
     transpose,
     trivial_partition,
     Partition,
@@ -196,10 +199,17 @@ class TestDimensions:
         B = OneDVbrMatrix(two, [0, 1], [0, 0], [], [0, 0], [])
         assert (B.n, type(B.n)) == (2, int)
 
-    def test_bool_dimension_reads_as_its_int(self):
-        # as bool index arrays do: True is the whole number 1
-        A = CsrMatrix(True, 1, [0, 1], [0], [1.0])
-        assert (A.m, type(A.m), A.to_dense().tolist()) == (1, int, [[1.0]])
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CsrMatrix(True, 1, [0, 1], [0], [1.0]), "m must be a whole number, got True"),
+        (lambda: run_calibration(True, 1), "u_max must be a whole number, got True"),
+        (lambda: strict_partition(build_csr(1, 1, [(0, 0, 1.0)]), True),
+         "u_max must be a whole number, got True"),
+        (lambda: time_min(lambda: None, True), "trials must be a whole number, got True"),
+    ], ids=["csr-m", "calibration", "strict", "time-min"])
+    def test_bool_dimensions_are_refused(self, call, message):
+        # as TimingSample refuses them: a bool is a flag, not a count
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestTranspose:
