@@ -7,10 +7,11 @@ Calibration times synthetic block-grid matrices in four shapes per block
 size, fits the coefficients by least squares weighted to minimize
 relative error, and compresses the block-cost table to a low rank with
 an SVD. Each sample is drawn directly as a VbrMatrix from its block
-columns and values, with no CSR assembly and no conversion; the
-container builds its multiply plan as it is made, and one untimed
-warm-up multiply precedes the timed ones. ``synth_block_matrix`` draws
-the same grid and reads its CSR off that container.
+columns and values, with no CSR assembly, no conversion and no re-check
+of arrays that are valid by construction; the container builds its
+multiply plan as it is made, and one untimed warm-up multiply precedes
+the timed ones. ``synth_block_matrix`` draws the same grid and reads its
+CSR off that container.
 """
 
 import csv
@@ -199,13 +200,16 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
     value is refused, by name, before the first grid is drawn.
 
     The CLI defaults make two batches and peak at 203 MB RSS (see
-    ``_BATCH_BYTES``). ``blockpart calibrate`` with its defaults takes
-    0.36-0.38 s, median 0.37 s, on a 2-vCPU Xeon (5 fresh processes). With
-    the same draws it took 0.39-0.51 s, median 0.42 s, while the per-grid
-    checks, plan build and draws called numpy's Python-level wrappers
-    (``np.diff``, ``np.min``, ``np.take_along_axis``); 2.4-2.8 s when each
-    grid was assembled as CSR and converted; and 1.2 s when each block
-    column was drawn and each plan built with scatters.
+    ``_BATCH_BYTES``). In ``blockpart calibrate`` with its defaults this
+    call takes 0.34-0.49 s, median 0.38 s, on a shared 2-vCPU Xeon (5
+    fresh processes), against 0.36-0.41 s, median 0.39 s, when every grid
+    went through the container's checks (5 processes run alternately
+    with these). Earlier runs on the same machine took 0.39-0.51 s,
+    median 0.42 s, while the per-grid checks, plan build and draws called
+    numpy's Python-level wrappers (``np.diff``, ``np.min``,
+    ``np.take_along_axis``); 2.4-2.8 s when each grid was assembled as
+    CSR and converted; and 1.2 s when each block column was drawn and
+    each plan built with scatters.
     """
     u_max, w_max = _dimension(u_max, "u_max", 1), _dimension(w_max, "w_max", 1)
     trials = _dimension(trials, "trials", 1)

@@ -2,9 +2,9 @@
 
 The blocked kernel runs from a blocked-ELL multiply plan (the BELLPACK
 layout of Choi, Singh and Vuduc, with SELL-C-sigma-style padding) that
-every container builds once, read-only, as the last step of
-``VbrMatrix.__init__``: conversion pays for the plan and every multiply
-reuses it. VBR stores each block row's blocks one after another, column
+every container builds once, read-only, in ``VbrMatrix._finish``, the
+last step of every container, checked or built: conversion pays for the
+plan and every multiply reuses it. VBR stores each block row's blocks one after another, column
 by column, so block row k of height u with c stored columns is already a
 dense u x c matrix. The plan groups the non-empty block rows by height u
 and a padded column count c_pad, and holds, per group of G block rows,
