@@ -199,17 +199,11 @@ def run_calibration(u_max, w_max, blocks_per_row=8, min_bytes=256 * 1024,
     least 1 and ``min_bytes`` at least 0, all whole numbers; any other
     value is refused, by name, before the first grid is drawn.
 
-    The CLI defaults make two batches and peak at 203 MB RSS (see
-    ``_BATCH_BYTES``). In ``blockpart calibrate`` with its defaults this
+    The batch cap bounds the memory a batch holds, while fewer, larger
+    batches give better fits (see ``_BATCH_BYTES``): the CLI defaults
+    make two batches and peak at 203 MB RSS. In ``blockpart calibrate`` with its defaults this
     call takes 0.34-0.49 s, median 0.38 s, on a shared 2-vCPU Xeon (5
-    fresh processes), against 0.36-0.41 s, median 0.39 s, when every grid
-    went through the container's checks (5 processes run alternately
-    with these). Earlier runs on the same machine took 0.39-0.51 s,
-    median 0.42 s, while the per-grid checks, plan build and draws called
-    numpy's Python-level wrappers (``np.diff``, ``np.min``,
-    ``np.take_along_axis``); 2.4-2.8 s when each grid was assembled as
-    CSR and converted; and 1.2 s when each block column was drawn and
-    each plan built with scatters.
+    fresh processes).
     """
     u_max, w_max = _dimension(u_max, "u_max", 1), _dimension(w_max, "w_max", 1)
     trials = _dimension(trials, "trials", 1)

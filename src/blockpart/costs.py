@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sparse import _block_pattern, _check_widths, trivial_partition
+from .sparse import _block_pattern, _check_widths, _dimension, trivial_partition
 
 __all__ = [
     "CostModel",
@@ -158,7 +158,7 @@ def value_count(A, rows, cols):
 
 def vbr_memory_bits(A, rows, cols, s_index, s_value):
     """Bits used by the VBR representation of ``A`` under the partitions."""
-    _check_widths(s_index, s_value)
+    s_index, s_value = _check_widths(s_index, s_value)
     n_index, n_value = _blocked_counts(A, rows, cols)
     k = rows.num_parts
     l = cols.num_parts
@@ -168,6 +168,7 @@ def vbr_memory_bits(A, rows, cols, s_index, s_value):
 def onedvbr_memory_bits(A, rows, s_index, s_value):
     """Bits used by the 1D-VBR representation: VBR's on the trivial column
     partition, less the n + 1 column splits 1D-VBR does not store."""
+    s_index, s_value = _check_widths(s_index, s_value)
     return vbr_memory_bits(A, rows, trivial_partition(A.n), s_index, s_value) - (A.n + 1) * s_index
 
 
@@ -187,10 +188,17 @@ def evaluate(model, A, rows, cols):
     return total
 
 
-def model_block_count(u_max, w_max):
-    """Rank-1 model whose value is exactly the nonzero block count."""
+def _table_sizes(u_max, w_max):
+    """A model's table sizes as ints; each must be a positive whole number."""
+    u_max, w_max = _dimension(u_max, "u_max"), _dimension(w_max, "w_max")
     if u_max < 1 or w_max < 1:
         raise ValueError("table sizes must be positive")
+    return u_max, w_max
+
+
+def model_block_count(u_max, w_max):
+    """Rank-1 model whose value is exactly the nonzero block count."""
+    u_max, w_max = _table_sizes(u_max, w_max)
     return CostModel(
         alpha_row=(0,) * u_max,
         alpha_col=(0,) * w_max,
@@ -211,9 +219,8 @@ def model_memory_1dvbr(s_index, s_value, u_max):
 
 def model_memory_vbr(s_index, s_value, u_max, w_max):
     """Rank-2 model of VBR storage bits (constant offset 4*s_index)."""
-    if u_max < 1 or w_max < 1:
-        raise ValueError("table sizes must be positive")
-    _check_widths(s_index, s_value)
+    u_max, w_max = _table_sizes(u_max, w_max)
+    s_index, s_value = _check_widths(s_index, s_value)
     return CostModel(
         alpha_row=(3 * s_index,) * u_max,
         alpha_col=(s_index,) * w_max,

@@ -4,35 +4,30 @@ The blocked kernel runs from a blocked-ELL multiply plan (the BELLPACK
 layout of Choi, Singh and Vuduc, with SELL-C-sigma-style padding) that
 every container builds once, read-only, in ``VbrMatrix._finish``, the
 last step of every container, checked or built: conversion pays for the
-plan and every multiply reuses it. VBR stores each block row's blocks one after another, column
-by column, so block row k of height u with c stored columns is already a
-dense u x c matrix. The plan groups the non-empty block rows by height u
-and a padded column count c_pad, and holds, per group of G block rows,
-their values as a read-only (G, u, c_pad) array, the x index of every
-column as (G, c_pad) and the group's stretch of z, the multiply's buffer
-of products. A group whose block rows are consecutive and unpadded
-holds slices of the container: its values are a view of ``B.val`` when
-u = 1 (or c_pad = 1), where the slice is already in (G, u, c_pad) order.
-Every other group holds copies. Pad columns hold 0.0 and read a zero
+plan and every multiply reuses it. VBR stores each block row's blocks one
+after another, column by column, so block row k of height u with c stored
+columns is already a dense u x c matrix. The plan groups the non-empty
+block rows by height u and a padded column count c_pad, and holds, per
+group of G block rows, their values as a read-only (G, u, c_pad) array,
+the x index of every column as (G, c_pad) and the group's stretch of z,
+the multiply's buffer of products. Pad columns hold 0.0 and read a zero
 slot appended to a copy of x, so they add exactly +0.0 whatever x holds;
 the plan's ``pad`` flag says whether any group has one.
 
-A copy is stored with its block rows fastest: its values and x indices
-are Fortran-ordered, so the same slot of consecutive block rows sits
-side by side. This is ELLPACK's column-major layout, on which
-SELL-C-sigma and BELLPACK rely too. ``np.einsum`` and the gather of x
-follow their operands' memory order, so the multiply's inner loop then
-runs over the G block rows; in C order it ran over the c_pad stored
-columns of one block row, 11 to 15 on rowruns-1d, and started a loop
-for every (block row, row) pair. Against C-ordered copies of the same
-plans the multiply changed by (interleaved medians of 700, each call
-after a ``spmv_csr``, two runs at each of seeds 1234 and 7, 2 vCPUs):
-
-    rowruns-1d, 1D-VBR          10 groups, all copied    -8 to -13 %
-    blocks-2d, VBR              12 groups, all copied    -2 to -5 %
-    planned CSR on rowruns       2 groups, both copied   -1 to -6 %
-    calibrate-fit, VBR           1 group of u = 3, copied  -2 to +3 %
-    scatter-heuristic, 1 x 1     1 view each, unchanged   0 to +1 %
+A plan has one memory order: block rows fastest, the column-major layout
+in which ELLPACK, SELL-C-sigma and BELLPACK keep their slabs. Every
+group's stretch of z is its (G, u) products in Fortran order, and every
+group holds Fortran-ordered copies of its values and x indices, except a
+group of consecutive block rows with no pad and u = 1, which holds views
+of ``B.val`` and the x indices in storage order: its (G, 1) stretch is
+the same memory in either order, and the views cost the build no copy,
+so scatter-heuristic's 1 x 1 plans hold no array of their own.
+``np.einsum`` and the gather of x follow their operands' memory order,
+so in a copied group the multiply's inner loop runs over the G block
+rows, not over the 11 to 15 stored columns of one block row (as on
+rowruns-1d), and the products are written in the order the values are
+read: an einsum writing C order from Fortran-ordered values ran 2-3x
+slower.
 
 Each group costs one Python-level call per multiply and each pad column
 one more x gather and u multiply-adds, so each height's padded counts
@@ -40,89 +35,47 @@ are chosen by the paper's own 1-D problem on a few dozen points:
 ``_pad_classes`` splits the height's sorted distinct stored counts into
 contiguous classes, pads every block row of a class to the class's
 largest count c, and minimises the sum over classes of ``_GROUP + c *
-(block rows in the class)``.
-A height with a single count is one class with no pad, and a container
-whose heights all have one count skips the DP, so a calibration grid,
-whose block rows all store the same number of columns, is one group with
-no pad, and calibration times exactly the values the model prices. On the
-seed-1234 benchmark containers this replaced padding every count to a
-multiple of 4 as follows (groups, padded / stored values, change of the
-multiply in interleaved medians, 2 vCPUs):
-
-    blocks-2d, VBR                  39, 1.07 -> 12, 1.21    -23 to -33 %
-    scatter-heuristic, both kernels  1, 1.20 ->  1, 1.00     -8 to -16 %
-    calibrate-fit, VBR               1, 1.11 ->  1, 1.00     -4 to -6 %
-    rowruns-1d, 1D-VBR              10, 1.11 -> 10, 1.08    within noise
+(block rows in the class)``. A height with a single count is one class
+with no pad, and a container whose heights all have one count skips the
+DP, so a calibration grid, whose block rows all store the same number of
+columns, is one group with no pad, and calibration times exactly the
+values the model prices.
 
 Every group writes its products, through ``out=``, into its own stretch
 of one buffer z per multiply, and the multiply ends with one ``y[target]
-+= z[where]``. ``where`` holds the z position of every row of a
-non-empty block row, in row order, and ``target`` those rows. A stretch
-runs in its values' memory order, Fortran for a copy and C for a view:
-einsums writing C order from Fortran-ordered values ran 1.9-3.3x slower
-on calibrate-fit's 3 x 3 group and 2.1-2.3x on the groups of rowruns-1d
-and blocks-2d (min of 7 x 200 calls, two runs). ``where`` is
-``slice(None)`` when plan order is row order, as in 1 x 1 containers and
-consecutive u = 1 groups, and ``target`` is ``slice(0, m)`` when every
-block row stores a block. Otherwise ``target`` lists only the rows of
-non-empty block rows, and a non-empty block row of height u stores at
++= z[where]``, which costs one fancy read and write of y in all instead
+of one per group. ``where`` holds the z position of every row of a
+non-empty block row, in row order, and ``target`` those rows. ``where``
+is ``slice(None)`` when plan order is row order, as in 1 x 1 containers
+and consecutive u = 1 groups, and ``target`` is ``slice(0, m)`` when
+every block row stores a block. Otherwise ``target`` lists only the rows
+of non-empty block rows, and a non-empty block row of height u stores at
 least u values, so neither array is longer than ``len(B.val)``, however
 tall an empty block row is. ``where`` is built by one scatter per group,
-with no sort. Against a y update per group (``y[rows] += products``: a
-fancy read, an add and a fancy write for every group whose rows are not
-one range) the multiply changed by (interleaved medians of 800 calls,
-each after a ``spmv_csr``, three runs at seed 1234 and one at seed 7,
-2 vCPUs):
-
-    rowruns-1d, 1D-VBR          10 groups, where an array   -5 to -8 %
-    planned CSR on rowruns       2 groups, where an array   -8 to -10 %
-    blocks-2d, VBR              12 groups, where an array   -4 to -6 %
-    calibrate-fit, VBR           1 group of u = 3, copied   -7 to -12 %
-    scatter-heuristic, 1 x 1     1 view each, both slices   -1 to +1 %
-
-and the benchmark's ``spmv_s``, in medians of ten alternating 20 s
-pairs, by -12.1 and -10.9 % on rowruns-1d (two series), -6.0 % on
-blocks-2d, -9.0 % on calibrate-fit and -1.2 % on scatter-heuristic.
+with no sort.
 
 Building the plan loops in Python only over the groups and over the
 distinct counts of heights that have several. On the 20000-row rowruns
 benchmark matrix (225,891 stored values in 10 groups) the plan holds
-2.65 MB (2.73 MB under the pad to a multiple of 4), one padded copy of
-the values plus int64 x indices and ``where``, and builds in about 3-5 ms,
-the time of some 10 of its 0.34 ms multiplies (min of 20 and 200 runs,
-2 vCPUs). On scatter-heuristic's two 1 x 1 containers (100,000 values)
-each plan holds no array of its own, and on calibrate-fit's aligned
-3 x 3 container 0.46 MB. The build reads each group straight off the
-container, by one rule. A group of consecutive block rows with no pad
-takes its values and x indices as slices: block rows k0..k1 - 1 are
-``B.val[ofs[k0]:ofs[k1]]`` viewed as (G, c, u) and transposed, and
-copied with block rows fastest when u > 1 < c. This is the case for
-every group of a container with one height and one stored count, such
-as every calibration grid. Any other group takes its values and x
-indices by one gather each, whose (c_pad * u, G) index is a single
-broadcast add of the slots 0 .. c_pad * u - 1 to each block row's start;
-a pad slot reads past its block row and is then set to 0.0 and x index
-n. The gather comes out in (c_pad, u, G) order, whose transpose is the
-Fortran-ordered group. Against the same gather into C order, with a
-(G, u, c_pad) index built by two broadcast adds whose inner length is
-c_pad, the plans are equal in C order (``tobytes``) and the build times
-are (interleaved medians of 101, two runs at each of seeds 1234 and 7,
-2 vCPUs):
-
-    rowruns-1d, 1D-VBR           3.3-4.1 -> 2.4-3.0 ms    -27 to -28 %
-    blocks-2d, VBR               2.1-3.2 -> 1.9-2.8 ms    -11 to -17 %
-    planned CSR on rowruns       3.5-4.1 -> 2.8-3.2 ms    -20 to -23 %
-    scatter-heuristic, both      0.36-0.68 ms             -2 to -3 %
-    calibrate-fit, VBR           0.13-0.24 ms              +4 to +8 %
-    36 16-KiB grids, in all      1.7-2.7 ms                -2 to 0 %
-
-In a whole ``to_1dvbr`` or ``to_vbr`` call (medians of 61) that is -0.8
-to -1.2 ms (-3 to -6 %) on rowruns-1d and -0.1 to -0.6 ms (-2 to -7 %)
-on blocks-2d.
-Under a trivial column partition, as in every 1D-VBR container and
-calibration's w = 1 grids, every stored block is one column wide, so the
-x indices are ``idx`` itself and are read from it rather than rebuilt
-from block widths.
+2.65 MB, one padded copy of the values plus int64 x indices and
+``where``, and builds in about 3-5 ms, the time of some 10 of its 0.34
+ms multiplies (min of 20 and 200 runs, 2 vCPUs). On scatter-heuristic's
+two 1 x 1 containers (100,000 values) each plan holds no array of its
+own, and on calibrate-fit's aligned 3 x 3 container 0.46 MB. The build
+reads each group straight off the container, by one rule. A group of
+consecutive block rows with no pad takes its values and x indices as
+slices: block rows k0..k1 - 1 are ``B.val[ofs[k0]:ofs[k1]]`` viewed as
+(G, c, u) and transposed, and copied in Fortran order when u > 1. This
+is the case for every group of a container with one height and one
+stored count, such as every calibration grid. Any other group takes its
+values and x indices by one gather each, whose (c_pad * u, G) index is a
+single broadcast add of the slots 0 .. c_pad * u - 1 to each block row's
+start; a pad slot reads past its block row and is then set to 0.0 and x
+index n. The gather comes out in (c_pad, u, G) order, whose transpose is
+the Fortran-ordered group. Under a trivial column partition, as in
+every 1D-VBR container and calibration's w = 1 grids, every stored block
+is one column wide, so the x indices are ``idx`` itself and are read
+from it rather than rebuilt from block widths.
 
 A multiply loops in Python only over the groups: one gather of x and one
 batched product per group, written into its stretch of z, then one
@@ -130,13 +83,12 @@ gather of z added into y. Every row of y belongs to exactly one block
 row, so there is no scatter-add: a row's products over its stored
 columns and its pad are summed by one ``np.einsum`` reduction, in an
 order fixed by the plan, so repeated calls are bit-identical, and added
-to y once; y is the same to the bit as under a y update per group. x is
-copied with its zero slot only when ``pad`` is set; otherwise each group
-gathers from x itself. y is written only after every read of x, so
-``spmv_vbr(v, B, v)`` reads the old v either way. 1D-VBR is VBR with a
-trivial column partition, so ``spmv_1dvbr`` is the same kernel. Pass a dict as ``counter`` to tally
-multiply-adds (key ``"madds"``); it counts the stored values,
-``len(B.val)``, not the pad.
+to y once. x is copied with its zero slot only when ``pad`` is set;
+otherwise each group gathers from x itself. y is written only after
+every read of x, so ``spmv_vbr(v, B, v)`` reads the old v either way.
+1D-VBR is VBR with a trivial column partition, so ``spmv_1dvbr`` is the
+same kernel. Pass a dict as ``counter`` to tally multiply-adds (key
+``"madds"``); it counts the stored values, ``len(B.val)``, not the pad.
 """
 
 import itertools
@@ -150,20 +102,19 @@ __all__ = ["spmv_csr", "spmv_vbr", "spmv_1dvbr"]
 
 # What one plan group costs per multiply, in padded block-row columns; the
 # class DP trades groups against pad by it. Timing one group's step (x
-# gather and einsum into its stretch of z; y is updated once per multiply)
-# for 1-1000 block rows of 4-48 columns on a 2-vCPU Xeon, in two runs of a
-# fit weighted by relative error, gave 3-6 us per group and 1.6-2.7,
-# 2.3-4.0 and 3.6-4.1 ns per padded column at u = 1, 3 and 6: ratios of
-# 900-2,300, lower for taller blocks. With the y update in the step, two
-# earlier measurements gave 1,900-4,300 and about 1,250. On the seed-1234
-# benchmark containers values from 600 to 5,000 gave multiplies equal within
-# noise (blocks-2d 23-33 % faster than with a pad to 4 at each); this one
-# keeps rowruns-1d at 10 groups and takes blocks-2d from 39 groups to 12.
+# gather and einsum into its stretch of z) for 1-1000 block rows of 4-48
+# columns on a 2-vCPU Xeon, in two runs of a fit weighted by relative
+# error, gave 3-6 us per group and 1.6-2.7, 2.3-4.0 and 3.6-4.1 ns per
+# padded column at u = 1, 3 and 6: ratios of 900-2,300, lower for taller
+# blocks. On the seed-1234 benchmark containers values from 600 to 5,000
+# gave multiplies equal within noise; this one gives rowruns-1d 10 groups
+# and blocks-2d 12.
 _GROUP = 1250
 
-# groups: (values, x columns, stretch of z, its order "C" or "F") per group;
-# size: len(z); y[target] += z[where] adds the products to their rows;
-# pad: whether any x column is the zero slot n
+# groups: (values, x columns, stretch of z) per group, each stretch the
+# group's (G, u) products in Fortran order; size: len(z); y[target] +=
+# z[where] adds the products to their rows; pad: whether any x column is
+# the zero slot n
 _Plan = namedtuple("_Plan", "groups size where target pad")
 
 
@@ -223,12 +174,11 @@ def _build_plan(B):
     Groups go in ascending (u, c_pad), block rows by stored column count and
     then in storage order within a group. A group of consecutive block rows
     with no pad takes its values and x columns as slices of ``B.val`` and
-    the x indices, and copies both when the values are not a view in (G, u,
-    c_pad) order, that is when u > 1 < c_pad. Any other group gathers each
-    once, then sets its pad slots to 0.0 and x index n. Every copied array
-    is Fortran-ordered: block rows fastest, as ELLPACK stores its columns.
-    A group's stretch of z follows its values' memory order, Fortran for a
-    copy and C for a view, and ``where`` is filled by one scatter per group.
+    the x indices, and keeps them as views when u = 1 and copies them in
+    Fortran order otherwise. Any other group gathers each once, in Fortran
+    order, then sets its pad slots to 0.0 and x index n. Every group's
+    stretch of z runs block rows fastest, and ``where`` is filled by one
+    scatter per group.
     """
     heights = B.spl_rows[1:] - B.spl_rows[:-1]
     # at: the stored columns before each block row; column: the x index of
@@ -265,10 +215,8 @@ def _build_plan(B):
         if follows[a:b - 1].all() and stored[k0] == gc:  # k0 stores fewest: no pad
             values = B.val[B.ofs[k0]:B.ofs[k1]].reshape(b - a, gc, gu).transpose(0, 2, 1)
             cols = column[at[k0]:at[k1]].reshape(b - a, gc)
-            layout = "C"
-            if not values.flags.c_contiguous:  # u > 1 < c: copy with block rows fastest
+            if gu > 1:  # copy with block rows fastest; a u = 1 stretch is (G, 1) either way
                 values, cols = np.array(values, order="F"), np.array(cols, order="F")
-                layout = "F"
             rows = slice(covered[k0], covered[k1])
         else:  # a pad slot gathers past its block row (clipped at the end), then is reset
             j = np.arange(gc)[:, None]
@@ -279,13 +227,13 @@ def _build_plan(B):
             np.copyto(values, 0.0, where=slot[:, None])
             cols = column.take(j + at[k], mode="clip")
             np.copyto(cols, B.n, where=slot)
-            values, cols, layout = values.T, cols.T, "F"
+            values, cols = values.T, cols.T
             rows = (covered[k][:, None] + np.arange(gu)).ravel()
         values.flags.writeable = cols.flags.writeable = False
         hi = lo + (b - a) * gu
         # the z position of each of the group's rows, in row order
-        where[rows] = np.arange(lo, hi).reshape((b - a, gu), order=layout).ravel()
-        groups.append((values, cols, slice(lo, hi), layout))
+        where[rows] = np.arange(lo, hi).reshape((b - a, gu), order="F").ravel()
+        groups.append((values, cols, slice(lo, hi)))
         lo = hi
     if (where[1:] > where[:-1]).all():  # plan order is row order
         where = slice(None)
@@ -310,8 +258,8 @@ def spmv_vbr(y, B, x, counter=None):
     if plan.pad:
         x = np.append(x, 0.0)  # pad slots read x[n]
     z = np.empty(plan.size)
-    for values, cols, span, layout in plan.groups:
-        out = z[span].reshape(values.shape[:2], order=layout)
+    for values, cols, span in plan.groups:
+        out = z[span].reshape(values.shape[:2], order="F")
         np.einsum("guc,gc->gu", values, x[cols], out=out)
     y[plan.target] += z[plan.where]  # y is written only after every read of x
     if counter is not None:

@@ -156,13 +156,17 @@ def write_matrix_market(path, A, comment=None):
     """Write ``A`` as a general real coordinate Matrix Market file.
 
     Values are rendered with shortest round-trip precision, so a
-    read-back reproduces the matrix exactly.
+    read-back reproduces the matrix exactly. Each line of ``comment`` is
+    written as a ``%`` line; a comment that is not ASCII is refused
+    before the file is opened.
     """
+    if comment and not comment.isascii():
+        raise ValueError(f"comment must be ASCII, got {comment!r}")
     rows = (A.entry_rows() + 1).tolist()
     cols = (A.idx + 1).tolist()
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         if comment:
-            fh.write(f"% {comment}\n")
+            fh.write("".join(f"% {line}\n" for line in comment.splitlines()))
         fh.write(f"{A.m} {A.n} {A.nnz}\n")
         fh.write("".join([f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, A.val.tolist())]))

@@ -382,13 +382,15 @@ def row_pattern(A, i, col_partition):
 
 
 def _check_widths(s_index, s_value):
-    """Reject index or value widths that are not positive bit counts."""
+    """Index and value widths as ints; each must be a positive whole bit count."""
+    s_index, s_value = _dimension(s_index, "s_index"), _dimension(s_value, "s_value")
     if s_index <= 0 or s_value <= 0:
         raise ValueError(f"index and value widths must be positive, got {s_index} and {s_value}")
+    return s_index, s_value
 
 
 def csr_memory_bits(A, s_index, s_value):
     """Bits needed to store ``A`` in CSR with the given index/value widths."""
-    _check_widths(s_index, s_value)
+    s_index, s_value = _check_widths(s_index, s_value)
     nnz = A.nnz
     return (A.m + 1) * s_index + nnz * s_index + nnz * s_value

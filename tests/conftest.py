@@ -54,6 +54,23 @@ def patterned_csr(draw, max_rows=30, max_cols=10, m=None):
                             for i, cols in enumerate(rows) for j in sorted(cols)])
 
 
+def identity(n):
+    """The n x n identity matrix."""
+    return build_csr(n, n, [(i, i, 1.0) for i in range(n)])
+
+
+def partitions_capped(r, cap):
+    """Every partition of r rows into parts of at most ``cap`` rows."""
+    def extend(splits):
+        if splits[-1] == r:
+            yield Partition(splits)
+            return
+        for u in range(1, min(cap, r - splits[-1]) + 1):
+            yield from extend(splits + [splits[-1] + u])
+
+    yield from extend([0])
+
+
 def random_partition(r, max_width, rng):
     splits = [0]
     while splits[-1] < r:

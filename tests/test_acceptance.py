@@ -54,7 +54,7 @@ from blockpart.gadgets import (
 )
 from blockpart.cli import main as cli_main
 
-from conftest import planted_model, random_csr, random_partition
+from conftest import partitions_capped, planted_model, random_csr, random_partition
 
 
 def _report(number, description):
@@ -157,16 +157,6 @@ def test_criterion_3_mini_gadget():
 @_report(4, "count gadget: exhaustive minimum 3 blocks; non-isolating splits 4")
 def test_criterion_4_count_gadget():
     G = build_count_gadget("B1", 2, 2)
-
-    def partitions_capped(r, cap):
-        def extend(splits):
-            if splits[-1] == r:
-                yield Partition(splits)
-                return
-            for u in range(1, min(cap, r - splits[-1]) + 1):
-                yield from extend(splits + [splits[-1] + u])
-
-        yield from extend([0])
 
     parts = list(partitions_capped(5, 2))
     assert min(block_count(G, p, q) for p in parts for q in parts) == 3

@@ -414,7 +414,7 @@ class TestMultiplyPlan:
         for B in blocked_pair(A, Partition([0, 2, 3, 6, 8]), Partition([0, 3, 4, 9])):
             plan = B._plan
             assert plan.groups and isinstance(plan.where, np.ndarray)
-            arrays = [array for values, cols, _, _ in plan.groups for array in (values, cols)]
+            arrays = [array for values, cols, _ in plan.groups for array in (values, cols)]
             arrays += [a for a in (plan.where, plan.target) if isinstance(a, np.ndarray)]
             for array in arrays:
                 assert not array.flags.writeable
@@ -445,10 +445,9 @@ class TestMultiplyPlan:
             assert shapes == sorted(set(shapes))
             ranges = {}  # height -> (fewest, most) stored columns of each group, in plan order
             in_plan_order = []  # the y row of each product, in the order of z
-            for (values, x_cols, y_rows), (_, _, _, layout) in zip(plan_groups(B._plan),
-                                                                   B._plan.groups):
+            for values, x_cols, y_rows in plan_groups(B._plan):
                 g, u, c = values.shape
-                in_plan_order += y_rows.ravel(layout).tolist()
+                in_plan_order += y_rows.ravel("F").tolist()
                 assert x_cols.shape == (g, c) and y_rows.shape == (g, u)
                 assert np.array_equal(values, dense[y_rows[:, :, None], x_cols[:, None, :]])
                 counts = []
@@ -499,15 +498,13 @@ class TestMultiplyPlan:
         # a group the plan copies keeps the same slot of its block rows side by
         # side (ELLPACK's column-major order), so the multiply's inner loop runs
         # over the block rows, and so does its stretch of z; a group of
-        # consecutive, unpadded block rows one row tall stays a view of the
-        # container's values, and its stretch of z runs row by row
+        # consecutive, unpadded block rows stays a view of the container's
+        # values exactly when it is one row tall, and no other group shares
+        # memory with them
         for B in containers:
-            for (values, cols, rows), (_, _, _, layout) in zip(plan_groups(B._plan),
-                                                               B._plan.groups):
+            for values, cols, rows in plan_groups(B._plan):
                 view = np.shares_memory(values, B.val)
-                if values.shape[1] == 1 and _consecutive(rows) and B.n not in cols:
-                    assert view
-                assert layout == ("C" if view else "F")
+                assert view == (values.shape[1] == 1 and _consecutive(rows) and B.n not in cols)
                 if not view:
                     assert values.flags.f_contiguous and cols.flags.f_contiguous
 
@@ -518,15 +515,14 @@ class TestMultiplyPlan:
         # once, from the z slot of its products, and touches no other row;
         # where is slice(None) exactly when plan order is row order. The
         # plan order comes from the scattering build, each group's stretch
-        # of z in C order for a view and Fortran order for a copy. No array
-        # is longer than the stored values.
+        # of z in Fortran order. No array is longer than the stored values.
         for B in containers:
             plan = B._plan
             want = [i for k in range(len(B.spl_rows) - 1) if B.pos[k + 1] > B.pos[k]
                     for i in range(B.spl_rows[k], B.spl_rows[k + 1])]
             in_plan_order = []
-            for (values, *_), (_, _, rows) in zip(plan.groups, _scattering_plan(B)):
-                in_plan_order += rows.ravel("C" if np.shares_memory(values, B.val) else "F").tolist()
+            for _, _, rows in _scattering_plan(B):
+                in_plan_order += rows.ravel("F").tolist()
             assert plan.size == len(in_plan_order) == len(want)
             target = np.arange(B.m)[plan.target]
             assert target.tolist() == want
@@ -562,8 +558,8 @@ class TestMultiplyPlan:
         B = _grid_vbr(3, 2, *_grid_shape(3, 2, 5, 2, "base"), np.random.default_rng(0))
         x = np.arange(1.0, B.n + 1.0)
         y = spmv_vbr(np.zeros(B.m), B, x)
-        ((values, cols, span, layout),) = B._plan.groups
-        assert (B._plan.target, span, layout) == (slice(0, B.m), slice(0, B.m), "F")
+        ((values, cols, span),) = B._plan.groups
+        assert (B._plan.target, span) == (slice(0, B.m), slice(0, B.m))
         assert B._plan.where.tolist() == np.arange(B.m).reshape(3, 5).T.ravel().tolist()
         assert values.shape == (5, 3, 2 * 2) and B.n not in cols and not B._plan.pad
         assert np.array_equal(y, np.einsum("guc,gc->gu", values, x[cols]).ravel())
@@ -577,32 +573,38 @@ class TestMultiplyPlan:
                   to_1dvbr(A, trivial_partition(4))):
             x = np.arange(1.0, 6.0)
             assert np.array_equal(spmv_vbr(np.zeros(4), B, x), spmv_csr(A, x))
-            ((values, cols, span, _),) = B._plan.groups
+            ((values, cols, span),) = B._plan.groups
             assert (span, values.shape) == (slice(0, 4), (4, 1, 2)) and B.n not in cols
             assert (B._plan.target, B._plan.where, B._plan.pad) == (slice(0, 4), slice(None), False)
             assert np.shares_memory(values, B.val) and not values.flags.writeable
 
-    @pytest.mark.parametrize("spl, view", [
+    @pytest.mark.parametrize("spl, columns, view", [
         # heights 2, 1, 1: block rows 1 and 2 form the u = 1 group, consecutive
         # and unpadded, though the container as a whole is not laid out as
         # its plan, having two heights
-        ([0, 2, 3, 4], (2, 4)),
+        ([0, 2, 3, 4], [0, 2], (2, 4)),
         # heights 1, 1, 2: the u = 1 group is block rows 0 and 1
-        ([0, 1, 2, 4], (0, 2)),
-    ], ids=["heights-2-1-1", "heights-1-1-2"])
-    def test_consecutive_unpadded_group_is_a_view(self, spl, view):
-        # every row stores columns 0 and 2: each group is read off the
-        # container, and the u = 1 group's values are a view of B.val
-        A = build_csr(4, 3, [(i, j, float(3 * i + j + 1)) for i in range(4) for j in (0, 2)])
+        ([0, 1, 2, 4], [0, 2], (0, 2)),
+        # heights 2, 2, 1, 1, every row storing column 1 alone: the u = 2
+        # group stores one column (c_pad = 1) and is still a Fortran copy
+        ([0, 2, 4, 5, 6], [1], (4, 6)),
+    ], ids=["heights-2-1-1", "heights-1-1-2", "one-column"])
+    def test_consecutive_unpadded_group_is_a_view(self, spl, columns, view):
+        # every row stores the same columns: each group is read off the
+        # container, the u = 1 group's values are a view of B.val and the
+        # u = 2 group's a copy with block rows fastest
+        m, c = spl[-1], len(columns)
+        A = build_csr(m, 3, [(i, j, float(3 * i + j + 1)) for i in range(m) for j in columns])
         B = to_1dvbr(A, Partition(spl))
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(spmv_vbr(np.zeros(4), B, x), spmv_csr(A, x))
+        assert np.array_equal(spmv_vbr(np.zeros(m), B, x), spmv_csr(A, x))
         (ones, ones_cols, ones_rows), (twos, twos_cols, twos_rows) = plan_groups(B._plan)
         assert (ones.shape, ones_rows.ravel().tolist(), ones_cols.tolist()) == (
-            (2, 1, 2), list(range(*view)), [[0, 2]] * 2)
+            (2, 1, c), list(range(*view)), [columns] * 2)
         assert np.shares_memory(ones, B.val) and not ones.flags.writeable
-        assert (twos.shape, twos_cols.tolist()) == ((1, 2, 2), [[0, 2]])
+        assert (twos.shape[1:], twos_cols.tolist()) == ((2, c), [columns] * len(twos))
         assert _consecutive(twos_rows) and not np.shares_memory(twos, B.val)
+        assert twos.flags.f_contiguous and twos_cols.flags.f_contiguous
 
     @pytest.mark.parametrize("entries, pad, rows", [
         # rows 0 and 2 store 2 entries each and row 1 none: one unpadded
@@ -907,7 +909,7 @@ class TestContainerChecks:
         B = VbrMatrix([0, big, big + 1], [0, 4], [0, 0, 1], [0], [0, 0, 4], [1.0] * 4)
         assert B.m == big + 1
         plan = B._plan
-        arrays = [array for values, cols, _, _ in plan.groups for array in (values, cols)]
+        arrays = [array for values, cols, _ in plan.groups for array in (values, cols)]
         arrays += [a for a in (plan.where, plan.target) if isinstance(a, np.ndarray)]
         assert max(array.size for array in arrays) <= len(B.val)
         assert (plan.target.tolist(), plan.where, plan.size) == ([big], slice(None), 1)
@@ -990,8 +992,8 @@ def plan_groups(plan):
     rows = np.empty(plan.size, dtype=np.int64)  # the y row of each slot of z
     rows[plan.where] = target
     out = []
-    for values, cols, span, layout in plan.groups:
-        group_rows = rows[span].reshape(values.shape[:2], order=layout)
+    for values, cols, span in plan.groups:
+        group_rows = rows[span].reshape(values.shape[:2], order="F")
         group_rows.flags.writeable = False
         out.append((values, cols, group_rows))
     return out

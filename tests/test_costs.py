@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,15 +27,11 @@ from blockpart import (
 from blockpart.gadgets import GadgetParams, build_gadget, case_row_partition, case_col_partition
 from blockpart.partition import optimal_partition
 
-from conftest import random_csr, random_partition, planted_model
+from conftest import identity, random_csr, random_partition, planted_model
 
 
 def dense_2x2():
     return build_csr(2, 2, [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0), (1, 1, 4.0)])
-
-
-def identity(n):
-    return build_csr(n, n, [(i, i, 1.0) for i in range(n)])
 
 
 class TestCounts:
@@ -134,6 +132,31 @@ class TestStorageWidths:
                       lambda: model_memory_vbr(s_index, s_value, 2, 2)):
             with pytest.raises(ValueError, match="widths must be positive"):
                 count()
+
+    @pytest.mark.parametrize("count, message", [
+        (lambda A, r: csr_memory_bits(A, float("nan"), 64), "s_index must be a whole number, got nan"),
+        (lambda A, r: vbr_memory_bits(A, r, r, 64, float("nan")),
+         "s_value must be a whole number, got nan"),
+        (lambda A, r: onedvbr_memory_bits(A, r, 2.5, 64), "s_index must be a whole number, got 2.5"),
+        (lambda A, r: model_memory_vbr(2.5, 64, 2, 2), "s_index must be a whole number, got 2.5"),
+        (lambda A, r: model_memory_1dvbr(64, True, 2), "s_value must be a whole number, got True"),
+        (lambda A, r: model_block_count(2.5, 2), "u_max must be a whole number, got 2.5"),
+        (lambda A, r: model_block_count(True, 2), "u_max must be a whole number, got True"),
+        (lambda A, r: model_memory_vbr(64, 64, 2, 2.5), "w_max must be a whole number, got 2.5"),
+        (lambda A, r: model_memory_1dvbr(64, 64, float("inf")),
+         "u_max must be a whole number, got inf"),
+    ], ids=["csr-nan", "vbr-nan", "1dvbr-fraction", "model-vbr-width", "model-1dvbr-bool",
+            "count-fraction", "count-bool", "model-vbr-size", "model-1dvbr-inf"])
+    def test_widths_and_table_sizes_are_whole_numbers(self, count, message):
+        # a width or table size that is not a whole number is refused, not
+        # counted into a float, a NaN or a bare TypeError; a whole float is
+        # read as the int it equals
+        A, r = dense_2x2(), trivial_partition(2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            count(A, r)
+        assert csr_memory_bits(A, 64.0, np.int64(32)) == csr_memory_bits(A, 64, 32)
+        assert type(csr_memory_bits(A, 64.0, 32.0)) is int
+        assert model_memory_vbr(64.0, 64, 2.0, 2) == model_memory_vbr(64, 64, 2, 2)
 
 
 class TestEvaluate:

@@ -16,11 +16,7 @@ from blockpart import (
     vbr_get,
 )
 
-from conftest import random_csr, random_partition
-
-
-def identity(n):
-    return build_csr(n, n, [(i, i, 1.0) for i in range(n)])
+from conftest import identity, random_csr, random_partition
 
 
 class TestToVbr:

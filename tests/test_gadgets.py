@@ -26,7 +26,7 @@ from blockpart.gadgets import (
     mini_pair_row_partition,
 )
 
-from conftest import random_csr
+from conftest import partitions_capped, random_csr
 
 
 class TestGadgetParams:
@@ -202,7 +202,7 @@ class TestCountGadget:
 
     def test_exhaustive_minimum_is_three(self):
         G = build_count_gadget("B1", 2, 2)
-        parts = list(_partitions_capped(5, 2))
+        parts = list(partitions_capped(5, 2))
         best = min(block_count(G, p, q) for p in parts for q in parts)
         assert best == 3
 
@@ -280,14 +280,3 @@ class TestSymmetricEmbed:
             assert (B.m, B.n) == (A.m + A.n, A.m + A.n)
             assert B.nnz == 2 * A.nnz
             assert B == transpose(B)
-
-
-def _partitions_capped(r, cap):
-    def extend(splits):
-        if splits[-1] == r:
-            yield Partition(splits)
-            return
-        for u in range(1, min(cap, r - splits[-1]) + 1):
-            yield from extend(splits + [splits[-1] + u])
-
-    yield from extend([0])

@@ -15,11 +15,7 @@ from blockpart import (
     trivial_partition,
 )
 
-from conftest import random_csr, random_partition
-
-
-def identity(n):
-    return build_csr(n, n, [(i, i, 1.0) for i in range(n)])
+from conftest import identity, random_csr, random_partition
 
 
 def mixed_tolerance(A, x):

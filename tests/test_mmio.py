@@ -148,6 +148,30 @@ class TestRoundTrip:
         write_matrix_market(path, A)
         assert read_matrix_market(path) == A
 
+    @pytest.mark.parametrize("comment", ["one\ntwo", "one\r\ntwo", "one\rtwo", "ends\n", "\n",
+                                         "2 3 2\n1 1 1.0", "feed\fand\vtab"])
+    def test_comment_lines_round_trip(self, tmp_path, comment):
+        # every line of the comment is a % line ending in \n, so no comment
+        # line can be read as the size line or an entry
+        A = build_csr(2, 3, [(0, 1, 1.5), (1, 2, -2.0)])
+        path = tmp_path / "comment.mtx"
+        write_matrix_market(path, A, comment=comment)
+        data = path.read_bytes()
+        lines = data.split(b"\n")
+        assert b"\r" not in data and lines[0].startswith(b"%%MatrixMarket")
+        size = lines.index(b"2 3 2", 1)
+        assert size > 1 and all(line.startswith(b"%") for line in lines[1:size])
+        assert read_matrix_market(path) == A
+        assert parse_matrix_market(data.decode("ascii")) == A
+
+    @pytest.mark.parametrize("comment", ["na\u00efve", "line\u2028break", "snow \u2603"])
+    def test_non_ascii_comment_leaves_the_file(self, tmp_path, comment):
+        path = tmp_path / "kept.mtx"
+        path.write_bytes(b"existing bytes\n")
+        with pytest.raises(ValueError, match="comment must be ASCII"):
+            write_matrix_market(path, build_csr(1, 1, [(0, 0, 1.0)]), comment=comment)
+        assert path.read_bytes() == b"existing bytes\n"
+
 
 @st.composite
 def csr_matrices(draw, max_dim=8):

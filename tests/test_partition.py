@@ -25,13 +25,10 @@ from blockpart import (
     trivial_partition,
 )
 
-from conftest import patterned_csr, random_csr, random_partition, planted_model
+from conftest import (identity, partitions_capped, patterned_csr, random_csr,
+                      random_partition, planted_model)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
-
-
-def identity(n):
-    return build_csr(n, n, [(i, i, 1.0) for i in range(n)])
 
 
 class TestOptimalPartition:
@@ -376,8 +373,8 @@ class TestAlternating:
         # oracle: exhaustive minimum over all (row, column) partition pairs
         best = min(
             evaluate(model, A, p, q)
-            for p in _partitions_capped(4, 2)
-            for q in _partitions_capped(4, 2)
+            for p in partitions_capped(4, 2)
+            for q in partitions_capped(4, 2)
         )
         assert evaluate(model, A, rows, cols) == best
         assert rows.spl.tolist() == [0, 2, 4]
@@ -484,17 +481,6 @@ class TestWholeCaps:
             call(A, 2.5)
         assert call(A, 2.0) == call(A, 2)
         assert call(A, np.int64(3)) == call(A, 3)
-
-
-def _partitions_capped(r, cap):
-    def extend(splits):
-        if splits[-1] == r:
-            yield Partition(splits)
-            return
-        for u in range(1, min(cap, r - splits[-1]) + 1):
-            yield from extend(splits + [splits[-1] + u])
-
-    yield from extend([0])
 
 
 def _strict_walk(A, u_max):
