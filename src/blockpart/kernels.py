@@ -43,8 +43,8 @@ values the model prices.
 
 Every group writes its products, through ``out=``, into its own stretch
 of one buffer z per multiply, and the multiply ends with one ``y[target]
-+= z[where]``, which costs one fancy read and write of y in all instead
-of one per group. ``where`` holds the z position of every row of a
++= z[where]``, so y is read and written once per multiply however many
+groups there are. ``where`` holds the z position of every row of a
 non-empty block row, in row order, and ``target`` those rows. ``where``
 is ``slice(None)`` when plan order is row order, as in 1 x 1 containers
 and consecutive u = 1 groups, and ``target`` is ``slice(0, m)`` when

@@ -160,13 +160,13 @@ def write_matrix_market(path, A, comment=None):
     written as a ``%`` line; a comment that is not ASCII is refused
     before the file is opened.
     """
-    if comment and not comment.isascii():
+    text = str(comment) if comment else ""
+    if not text.isascii():
         raise ValueError(f"comment must be ASCII, got {comment!r}")
     rows = (A.entry_rows() + 1).tolist()
     cols = (A.idx + 1).tolist()
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            fh.write("".join(f"% {line}\n" for line in comment.splitlines()))
+        fh.write("".join(f"% {line}\n" for line in text.splitlines()))
         fh.write(f"{A.m} {A.n} {A.nnz}\n")
         fh.write("".join([f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, A.val.tolist())]))
