@@ -37,7 +37,7 @@ class _Optimum(Partition):
         self.cost = cost
 
 
-def optimal_partition(A, col_partition, model, u_max):
+def optimal_partition(A, col_partition, model, u_max, *, _transposed=None):
     """Row partition minimizing ``model`` under a fixed column partition.
 
     A candidate part [s, s + u) pays the price of a u x w_l block once for
@@ -59,6 +59,15 @@ def optimal_partition(A, col_partition, model, u_max):
     over d of the skewed view G[d, s + d] and one product with each
     height's class prices give every window cost in one (U, m) table:
     int64 or Python ints for an integer model, float64 otherwise.
+
+    Under the trivial column partition the pairs are the stored entries
+    and their sorted keys are the transpose's CSR order, l * B + t for
+    row l of the transpose and its column t. ``alternating_partition``
+    holds the transpose and passes it as the private ``_transposed`` to
+    its first half-step, whose keys are then built from it, with no
+    pattern and no sort: 0.30 against 1.61 ms on the blocks-2d benchmark
+    matrix (114,082 entries; min of 7 x 20 calls, 2 vCPUs). ``_transposed``
+    must be ``transpose(A)`` and ``col_partition`` trivial.
 
     The backward pass best[i] = min over u of cost(i, u) + best[i + u] is
     linear in the min-plus semiring, so it runs on chunks of L =
@@ -96,14 +105,18 @@ def optimal_partition(A, col_partition, model, u_max):
     # part's first row the step exceeds U, so g is U where prev = -1 would
     # give min(t + 1, U): the two differ only for windows that would start
     # above row 0.
-    t, l = _block_pattern(A, trivial_partition(m), col_partition)[:2]
+    if _transposed is None:
+        t, l = _block_pattern(A, trivial_partition(m), col_partition)[:2]
     if m == 0:
         return _Optimum([0], 0)
     U = min(u_max, m)
     span = m + U
     shift = (span - 1).bit_length()
-    keys = _pair_keys(l, t, col_partition.num_parts, 1 << shift)
-    keys.sort()
+    if _transposed is None:
+        keys = _pair_keys(l, t, col_partition.num_parts, 1 << shift)
+        keys.sort()
+    else:  # under trivial columns the pairs are the entries, in the transpose's CSR order
+        keys = _pair_keys(_transposed.entry_rows(), _transposed.idx, A.n, 1 << shift)
     g = np.full_like(keys, U)
     np.subtract(keys[1:], keys[:-1], out=g[1:])
     np.minimum(g, U, out=g)
@@ -346,7 +359,9 @@ def alternating_partition(A, model, u_max, w_max, rounds=3, objective_trace=None
     Pass a list as ``objective_trace`` to record it after each half-step:
     the DP's minimum plus the alpha sum of the axis held fixed, which is
     ``evaluate`` of the pair (exactly so for an integer model). The
-    transpose is built only when a column half-step runs.
+    transpose is built only when a column half-step runs, and the first
+    half-step, a row DP under the trivial column partition, then takes its
+    sorted pairs from the transpose's CSR order (see ``optimal_partition``).
     """
     rounds = _dimension(rounds, "rounds", 1)
     u_max, w_max = _dimension(u_max, "u_max", 1), _dimension(w_max, "w_max", 1)
@@ -358,7 +373,8 @@ def alternating_partition(A, model, u_max, w_max, rounds=3, objective_trace=None
     col_part = trivial_partition(A.n)
     for step in range(rounds):
         if step % 2 == 0:
-            row_part = optimal_partition(A, col_part, model, u_max)
+            row_part = optimal_partition(A, col_part, model, u_max,
+                                         _transposed=At if step == 0 else None)
             found, alpha, fixed = row_part, model.alpha_col, col_part
         else:
             col_part = optimal_partition(At, row_part, swapped, w_max)

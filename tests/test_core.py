@@ -492,6 +492,55 @@ class TestMultiplyPlan:
                     assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
                     assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("u", [1, 3])
+    @pytest.mark.parametrize("width", [1, 2], ids=["trivial-columns", "grouped-columns"])
+    def test_one_shape_plan_is_the_scattering_build(self, k, u, width):
+        # block rows all u tall, each storing two blocks of one width: the plan
+        # is one group built with no sort, which must equal the scattering
+        # build bit for bit; a u = 1 group stays a view of val, and of idx
+        # under trivial columns, and z is then in row order
+        patterns = [[0, 2], [1, 2], [0, 1], [0, 2]][:k]
+        with mock.patch.object(kernels, "_one_shape_plan",
+                               wraps=kernels._one_shape_plan) as one_shape:
+            B = _numbered_vbr([u] * k, [width] * 3, patterns)
+        assert one_shape.call_count == 1
+        plan = B._plan
+        (values, cols, span), = plan.groups
+        (want_values, want_cols, rows), = _scattering_plan(B)
+        for a, b in ((values, want_values), (cols, want_cols)):
+            assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
+            assert a.tobytes() == b.tobytes()
+        assert (span, plan.size, plan.target, plan.pad) == (slice(0, B.m), B.m, slice(0, B.m),
+                                                            False)
+        assert rows.ravel("F")[plan.where].tolist() == list(range(B.m))
+        assert isinstance(plan.where, slice) == (u == 1 or k == 1)
+        if not isinstance(plan.where, slice):
+            assert not plan.where.flags.writeable
+        assert np.shares_memory(values, B.val) == (u == 1)
+        assert np.shares_memory(cols, B.idx) == (u == 1 and width == 1)
+        if u > 1:
+            assert values.flags.f_contiguous and cols.flags.f_contiguous
+
+    @pytest.mark.parametrize("heights, widths, patterns", [
+        ([2, 2, 2], [2, 2, 2], [[0, 2], [1], [0, 1]]),  # one block row stores fewer blocks
+        ([2, 2, 2], [2, 2, 2], [[0, 2], [], [0, 1]]),  # or none
+        ([2, 1, 2], [2, 2, 2], [[0, 2], [1, 2], [0, 1]]),  # one is shorter
+        ([1, 1, 1], [2, 1, 2], [[0, 1], [1, 2], [0, 1]]),  # one holds a block of another width
+    ], ids=["count", "empty", "height", "width"])
+    def test_near_one_shape_takes_the_general_build(self, heights, widths, patterns):
+        # each container misses one shape by one block row: it must not take
+        # the one-group build, and its plan must still be the scattering one
+        with mock.patch.object(kernels, "_one_shape_plan",
+                               wraps=kernels._one_shape_plan) as one_shape:
+            B = _numbered_vbr(heights, widths, patterns)
+        assert one_shape.call_count == 0
+        got, want = plan_groups(B._plan), _scattering_plan(B)
+        assert len(got) == len(want)
+        for got_group, want_group in zip(got, want):
+            for a, b in zip(got_group, want_group):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     @PROPERTY
     @given(plan_containers())
     def test_copied_groups_run_block_rows_fastest(self, containers):

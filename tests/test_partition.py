@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -421,6 +422,31 @@ class TestAlternating:
                 assert trace[-1] == expected and isinstance(trace[-1], int)
             else:
                 assert abs(trace[-1] - expected) <= 1e-12 * abs(expected)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(patterned_csr(max_rows=20, max_cols=8), st.integers(2, 3), st.integers(1, 4),
+           st.integers(1, 4), st.sampled_from(["blocks", "memvbr", "float"]),
+           st.integers(0, 2**32 - 1))
+    def test_first_half_step_is_the_dp_alone(self, A, rounds, u_max, w_max, kind, seed):
+        """The first half-step reads its pairs off the transpose: it must
+        give the partition and the cost of the DP run alone, which lists
+        them itself."""
+        model = {"blocks": model_block_count(u_max, w_max),
+                 "memvbr": model_memory_vbr(32, 64, u_max, w_max),
+                 "float": planted_model(u_max, w_max, np.random.default_rng(seed))}[kind]
+        calls = []
+
+        def dp(*args, run=partition.optimal_partition, **kwargs):
+            calls.append((kwargs, run(*args, **kwargs)))
+            return calls[-1][1]
+
+        with mock.patch.object(partition, "optimal_partition", dp):
+            alternating_partition(A, model, u_max, w_max, rounds=rounds)
+        (kwargs, first), *_ = calls
+        assert kwargs["_transposed"] is not None
+        alone = optimal_partition(A, trivial_partition(A.n), model, u_max)
+        assert first.spl.tolist() == alone.spl.tolist()
+        assert type(first.cost) is type(alone.cost) and first.cost == alone.cost
 
     def test_one_round_skips_transpose(self, monkeypatch):
         def no_transpose(A):
