@@ -73,17 +73,18 @@ the x indices, with no sort of the block rows, no run detection and no
 scatter or order test of ``where``. Every calibration grid, the aligned
 3 x 3 container of calibrate-fit and the two 1 x 1 containers of
 scatter-heuristic are of one shape; those of rowruns-1d and blocks-2d
-are not. It builds a grid of ``run_calibration(3, 3, min_bytes=16 *
-1024)`` in 9-28 us against 27-43 us through the general build (min of 7
-x 200 builds of each grid's base variant, 2 vCPUs). Any other group
-takes its values and x indices by one gather each, whose (c_pad * u, G)
-index is a single broadcast add of the slots 0 .. c_pad * u - 1 to each
-block row's start; a pad slot reads past its block row and is then set
-to 0.0 and x index n. The gather comes out in (c_pad, u, G) order, whose
-transpose is the Fortran-ordered group. Under a trivial column
-partition, as in every 1D-VBR container and calibration's w = 1 grids,
-every stored block is one column wide, so the x indices are ``idx``
-itself and are read from it rather than rebuilt from block widths.
+are not. It builds the base grid of each block size of
+``run_calibration(3, 3, min_bytes=16 * 1024)`` in 12-35 us, against
+36-58 us through the general build (min of 15 x 300 builds, 2 vCPUs).
+Any other group takes its values and x indices by one gather each, whose
+(c_pad * u, G) index is a single broadcast add of the slots 0 .. c_pad *
+u - 1 to each block row's start; a pad slot reads past its block row and
+is then set to 0.0 and x index n. The gather comes out in (c_pad, u, G)
+order, whose transpose is the Fortran-ordered group. Under a trivial
+column partition, as in every 1D-VBR container and calibration's w = 1
+grids, every stored block is one column wide, so the x indices are
+``idx`` itself and are read from it rather than rebuilt from block
+widths.
 
 A multiply loops in Python only over the groups: one gather of x and one
 batched product per group, written into its stretch of z, then one

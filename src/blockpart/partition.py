@@ -107,16 +107,16 @@ def optimal_partition(A, col_partition, model, u_max, *, _transposed=None):
     # above row 0.
     if _transposed is None:
         t, l = _block_pattern(A, trivial_partition(m), col_partition)[:2]
+    else:  # trivial columns: the pairs are the entries, in key order in the transpose
+        t, l = _transposed.idx, _transposed.entry_rows()
     if m == 0:
         return _Optimum([0], 0)
     U = min(u_max, m)
     span = m + U
     shift = (span - 1).bit_length()
+    keys = _pair_keys(l, t, col_partition.num_parts, 1 << shift)
     if _transposed is None:
-        keys = _pair_keys(l, t, col_partition.num_parts, 1 << shift)
         keys.sort()
-    else:  # under trivial columns the pairs are the entries, in the transpose's CSR order
-        keys = _pair_keys(_transposed.entry_rows(), _transposed.idx, A.n, 1 << shift)
     g = np.full_like(keys, U)
     np.subtract(keys[1:], keys[:-1], out=g[1:])
     np.minimum(g, U, out=g)
