@@ -230,10 +230,8 @@ def _build_plan(B):
         k, gu, gc = order[a:b], int(u[a]), int(c[a])
         k0, k1 = int(k[0]), int(k[-1]) + 1  # the block rows are k0..k1 - 1 if they follow
         if follows[a:b - 1].all() and stored[k0] == gc:  # k0 stores fewest: no pad
-            values = B.val[B.ofs[k0]:B.ofs[k1]].reshape(b - a, gc, gu).transpose(0, 2, 1)
-            cols = column[at[k0]:at[k1]].reshape(b - a, gc)
-            if gu > 1:  # copy with block rows fastest; a u = 1 stretch is (G, 1) either way
-                values, cols = np.array(values, order="F"), np.array(cols, order="F")
+            values, cols = _slice_group(B.val[B.ofs[k0]:B.ofs[k1]], column[at[k0]:at[k1]],
+                                        b - a, gu)
             rows = slice(covered[k0], covered[k1])
         else:  # a pad slot gathers past its block row (clipped at the end), then is reset
             j = np.arange(gc)[:, None]
@@ -264,26 +262,32 @@ def _build_plan(B):
     return _Plan(tuple(groups), lo, where, target, pad)
 
 
+def _slice_group(val, column, g, u):
+    """The values and x columns of g consecutive, unpadded block rows u tall
+    from their stretch of ``B.val`` and of the x indices: views when u = 1,
+    Fortran-ordered copies otherwise, block rows fastest either way."""
+    values, cols = val.reshape(g, -1, u).transpose(0, 2, 1), column.reshape(g, -1)
+    if u > 1:  # a u = 1 stretch is (G, 1) in either order
+        values, cols = np.array(values, order="F"), np.array(cols, order="F")
+    return values, cols
+
+
 def _one_shape_plan(B, u, column):
     """The plan of a container whose K block rows are all u tall and each
     store as many blocks, all of one width, ``column`` being the x index of
     every stored column in storage order: one group of every block row in
     storage order, with no pad and every row covered.
 
-    It is the group ``_build_plan`` would take as slices, with no sort:
-    ``B.val`` viewed as (K, c, u) and transposed, and ``column`` as (K, c),
-    copied in Fortran order when u > 1. Then ``where`` lists the rows' z
-    slots, unless K = 1; a u = 1 group keeps its views, in row order.
+    It is the group ``_build_plan`` would take as slices, with no sort.
+    When u > 1 and K > 1, ``where`` lists the rows' z slots; otherwise plan
+    order is row order.
     """
     k = len(B.spl_rows) - 1
-    values = B.val.reshape(k, -1, u).transpose(0, 2, 1)
-    cols = column.reshape(k, -1)
+    values, cols = _slice_group(B.val, column, k, u)
     where = slice(None)
-    if u > 1:
-        values, cols = np.array(values, order="F"), np.array(cols, order="F")
-        if k > 1:
-            where = np.arange(k * u).reshape((k, u), order="F").ravel()
-            where.flags.writeable = False
+    if u > 1 and k > 1:
+        where = np.arange(k * u).reshape((k, u), order="F").ravel()
+        where.flags.writeable = False
     values.flags.writeable = cols.flags.writeable = False
     return _Plan(((values, cols, slice(0, k * u)),), k * u, where, slice(0, B.m), False)
 
