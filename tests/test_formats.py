@@ -1,22 +1,32 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from blockpart import (
     Partition,
+    alternating_partition,
     block_count,
     build_csr,
+    evaluate,
+    model_block_count,
+    model_memory_1dvbr,
+    model_memory_vbr,
     onedvbr_get,
+    optimal_partition,
+    overlap_partition,
     serialize_1dvbr,
     stored_counts,
     strict_partition,
     to_1dvbr,
     to_vbr,
+    transpose,
     trivial_partition,
     value_count,
     vbr_get,
 )
 
-from conftest import identity, random_csr, random_partition
+from conftest import identity, mesh_csr, random_csr, random_partition
 
 
 class TestToVbr:
@@ -167,3 +177,59 @@ class TestStoredCounts:
         B = to_vbr(A, Partition([0, 2, 4]), Partition([0, 2, 4]))
         assert len(B.ofs) == 3
         assert int(B.ofs[-1]) == len(B.val)
+
+
+class TestSetUpPin:
+    def test_every_set_up_output_is_pinned(self):
+        # sha256 of what each partitioner and converter gives on a mesh, a
+        # random matrix and rows in runs: partitions, DP minima, objective
+        # traces, counts, each container's six arrays and every array of its
+        # multiply plan. A refactor of the block pattern, the DP or the plan
+        # must leave it unchanged byte for byte.
+        digest = hashlib.sha256()
+
+        def pin(*items):
+            for a in items:
+                if isinstance(a, np.ndarray):
+                    digest.update(f"{a.dtype.str} {a.shape} {np.isfortran(a)}".encode())
+                    digest.update(a.tobytes())
+                else:
+                    digest.update(repr(a).encode())
+
+        def pin_container(B):
+            pin(*(getattr(B, name) for name in ("spl_rows", "spl_cols", "pos", "idx", "ofs", "val")))
+            plan = B._plan
+            for values, cols, stretch in plan.groups:
+                pin(values, cols, stretch)
+            pin(plan.size, plan.where, plan.target, plan.pad)
+
+        # runs of three rows sharing five columns give plan groups of
+        # consecutive block rows three tall, which a plan copies as slices
+        rng, entries = np.random.default_rng(23), []
+        for r in range(12):
+            cols = np.sort(rng.choice(40, 5, replace=False)).tolist()
+            entries += [(i, j, float(rng.uniform(-1.0, 1.0)))
+                        for i in range(3 * r, 3 * r + 3) for j in cols]
+        runs = build_csr(36, 40, entries)
+        for A in (mesh_csr(8, np.random.default_rng(7))[0],
+                  random_csr(60, 50, 0.15, np.random.default_rng(19)), runs):
+            trivial = trivial_partition(A.n)
+            rows = optimal_partition(A, trivial, model_memory_1dvbr(64, 64, 8), 8)
+            pin(rows.spl, rows.cost)
+            pin_container(to_1dvbr(A, rows))
+            for model in (model_memory_vbr(64, 64, 8, 8), model_block_count(8, 8)):
+                trace = []
+                rows, cols = alternating_partition(A, model, 8, 8, objective_trace=trace)
+                pin(rows.spl, rows.cost, cols.spl, cols.cost, trace)
+                pin(evaluate(model, A, rows, cols), block_count(A, rows, cols),
+                    value_count(A, rows, cols))
+                pin_container(to_vbr(A, rows, cols))
+            rows, cols = strict_partition(A, 8), strict_partition(transpose(A), 8)
+            pin(rows.spl, cols.spl, block_count(A, rows, cols), value_count(A, rows, cols))
+            pin_container(to_vbr(A, rows, cols))
+            pin_container(to_1dvbr(A, rows))
+            rows = overlap_partition(A, 0.5, 8)
+            pin(rows.spl, block_count(A, rows, trivial), value_count(A, rows, trivial))
+            pin_container(to_1dvbr(A, rows))
+        assert digest.hexdigest() == (
+            "e5c12b5d0f197a642d1e23eee50cc0baa79c14a575c11f9ffaa24cf7305b5889")
