@@ -134,21 +134,12 @@ def _blocked_arrays(A, rows, cols):
     value array, so a block covering a missing entry holds an explicit 0.0.
     Under two trivial partitions every block is one entry and these are
     A's own read-only arrays, with ``ofs = pos``; partitions of the wrong
-    size go on to ``_block_pattern``, which rejects them. Otherwise each
-    entry's block is its pair index, expanded here from the pattern's
-    ``fresh`` mask, the one use of that index.
+    size go on to ``_block_pattern``, which rejects them and otherwise
+    gives the blocks and each entry's block.
     """
     if rows.is_trivial() and cols.is_trivial() and (rows.size, cols.size) == (A.m, A.n):
         return A.pos, A.idx, A.pos, A.val
-    k, l, fresh, order = _block_pattern(A, rows, cols)
-    # each entry's pair index; a cumulative sum of int64 is several times
-    # faster than one of bool
-    rank = fresh.astype(np.int64)
-    rank[:1] = 0
-    pair = np.cumsum(rank, out=rank)
-    if order is not None:
-        pair = np.empty_like(rank)
-        pair[order] = rank
+    k, l, pair = _block_pattern(A, rows, cols)
     heights = rows.widths()[k]
     starts = _value_starts(heights, cols.widths()[l])
     pos = _offsets(np.bincount(k, minlength=rows.num_parts))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .costs import _alpha_sum, _check_sizes, evaluate, CostModel
-from .sparse import (_INT64_MAX, _block_pattern, _dimension, _offsets, _pair_keys, _stable_order,
+from .sparse import (_INT64_MAX, _dimension, _offsets, _pair_keys, _row_pairs, _stable_order,
                      Partition, transpose, trivial_partition)
 
 __all__ = [
@@ -44,10 +44,10 @@ def optimal_partition(A, col_partition, model, u_max, *, _transposed=None):
     every column part l it touches. Pair (t, l), whose previous row
     holding part l is ``prev``, is the first occurrence of l in the window
     [s, s + u) exactly when 0 <= t - s < min(u, t - prev). The P <= nnz
-    distinct (row, column part) pairs are the nonzero blocks under the
-    trivial row partition, which ``sparse._block_pattern`` reads off CSR
-    order with no sort. With U = min(u_max, m), one in-place sort of their
-    distinct int64 keys l * B + t, B the least power of two at least m + U
+    distinct (row, column part) pairs come from ``sparse._row_pairs``,
+    which reads them off CSR order with no sort, each row's as a slice.
+    With U = min(u_max, m), one in-place sort of their distinct int64 keys
+    l * B + t, B the least power of two at least m + U
     (``sparse._pair_keys`` checks that they fit), lists them by part, rows
     ascending within each, and the step between consecutive keys, clipped
     to U, is then g = min(t - prev, U); t, and l when there are several
@@ -106,7 +106,8 @@ def optimal_partition(A, col_partition, model, u_max, *, _transposed=None):
     # give min(t + 1, U): the two differ only for windows that would start
     # above row 0.
     if _transposed is None:
-        t, l = _block_pattern(A, trivial_partition(m), col_partition)[:2]
+        pos, l, _ = _row_pairs(A, col_partition)
+        t = np.repeat(np.arange(m), np.diff(pos))
     else:  # trivial columns: the pairs are the entries, in key order in the transpose
         t, l = _transposed.idx, _transposed.entry_rows()
     if m == 0:

@@ -281,59 +281,72 @@ def _pair_keys(a, b, na, nb):
     return a * nb + b
 
 
+def _row_pairs(A, cols):
+    """The distinct (row, column part) pairs of ``A``'s stored entries under
+    the column partition ``cols``: its pattern in CSR form with the columns
+    grouped.
+
+    Returns ``(pos, l, first)``: row i's pairs are ``l[pos[i]:pos[i + 1]]``,
+    column parts ascending, and pair p holds the stored entries
+    ``first[p]:first[p + 1]``, ``first`` ending at nnz. In CSR order a row's
+    column parts rise, so a pair starts where the part changes or a row
+    starts, and no sort is needed: O(nnz + m log P) time for P pairs. Under
+    the trivial column partition every entry is its own pair: ``pos`` and
+    ``l`` are ``A.pos`` and ``A.idx``, uncopied, and ``first`` is None.
+    """
+    if cols.size != A.n:
+        raise ValueError(f"column partition covers {cols.size} columns, matrix has {A.n}")
+    if cols.is_trivial():
+        return A.pos, A.idx, None
+    l = cols.assignments()[A.idx]
+    # one slot past the entries takes the row starts at the end
+    new = np.ones(len(l) + 1, dtype=bool)
+    np.not_equal(l[1:], l[:-1], out=new[1:-1])
+    new[A.pos] = True
+    first = new.nonzero()[0]
+    return first.searchsorted(A.pos), l[first[:-1]], first
+
+
 def _block_pattern(A, rows, cols):
     """Nonzero blocks of ``A`` under a row and a column partition.
 
-    The one answer to "which (block row, column part) pairs hold a
-    stored entry", for the converters, the counters, ``evaluate`` and the
-    DP. Returns ``(k, l, fresh, order)``: the block row and column part
-    of every such pair, sorted row-major; the stored entries, listed in
-    ``order`` (None for CSR order), run pair by pair, and the bool mask
-    ``fresh`` marks each run's first entry in that list. Only the
-    converters need each entry's pair index, so they expand it
-    themselves.
+    The one answer to "which (block row, column part) pairs hold a stored
+    entry", for the converters, the counters and ``evaluate``; the DP needs
+    only the row pairs it starts from. Returns ``(k, l, pair)``: the block
+    row and column part of every such block, sorted row-major, and the
+    index in that list of the block that holds each stored entry.
 
-    The entries are sorted by their pairs' int64 keys (``_pair_keys``)
-    only when they are out of pair order. In CSR order the block rows
-    arrive in order, each starting at ``A.pos[rows.spl[k]]``, so the pairs
-    are out of order only where ``l`` falls inside a block row, and a run
-    of one pair ends where ``l`` changes or a block row starts: the order
-    test and ``fresh`` read ``l`` and those starts, and the keys are built
-    only for the sort, which keeps every block row's entries in place.
-    Under a trivial row partition CSR order is pair order, so the DP, and
-    the counters and ``evaluate`` there, never sort; when every entry is
-    also its own pair, ``k`` and ``l`` come back uncopied. Otherwise a
-    block row's entries are a few ascending runs in CSR order, one per
-    row, which a stable sort (Timsort) merges, unless each block row holds
-    one non-empty row.
+    It starts from the row pairs (``_row_pairs``), which arrive by block
+    row, each block row's as a few runs of ascending ``l``, one per row. One
+    stable sort (Timsort) of their int64 keys (``_pair_keys``) merges the
+    runs, and keeps every block row in place, only when the keys are out of
+    order, which never happens under a trivial row partition nor when each
+    block row holds one non-empty row. A block starts in the merged list
+    where the key changes. Under grouped columns a row pair stands for its
+    entries, so only it is sorted: 35,339 row pairs, not 114,082 entries,
+    on the blocks-2d benchmark matrix.
     """
     if rows.size != A.m:
         raise ValueError(f"row partition covers {rows.size} rows, matrix has {A.m}")
-    if cols.size != A.n:
-        raise ValueError(f"column partition covers {cols.size} columns, matrix has {A.n}")
-    l = A.idx if cols.is_trivial() else cols.assignments()[A.idx]
-    k = np.repeat(rows.assignments(), np.diff(A.pos))
-    # the entry at which each block row starts, then the entry count; one
-    # slot past the entries takes the starts at the end
-    starts = A.pos[rows.spl]
-    falls = np.zeros(len(l) + 1, dtype=bool)  # l falls from entry j - 1 to entry j
-    np.less(l[1:], l[:-1], out=falls[1:-1])
-    falls[starts] = False
-    order = None
-    if falls.any():
-        order = np.argsort(_pair_keys(k, l, rows.num_parts, cols.num_parts), kind="stable")
-    listed = l if order is None else l[order]
-    fresh = np.ones(len(l) + 1, dtype=bool)
-    np.not_equal(listed[1:], listed[:-1], out=fresh[1:-1])
-    fresh[starts] = True
-    fresh = fresh[:-1]
-    if order is None and fresh.all():
-        return k, l, fresh, None
+    pos, l, first = _row_pairs(A, cols)
+    k = np.repeat(rows.assignments(), np.diff(pos))
+    keys = _pair_keys(k, l, rows.num_parts, cols.num_parts)
+    order = np.argsort(keys, kind="stable") if (keys[1:] < keys[:-1]).any() else None
+    listed = keys if order is None else keys[order]
+    fresh = np.ones(len(keys), dtype=bool)  # where a block starts in the list
+    np.not_equal(listed[1:], listed[:-1], out=fresh[1:])
+    # each listed row pair's block; a cumulative sum of int64 is several
+    # times faster than one of bool
+    block = fresh.astype(np.int64)
+    block[:1] = 0
+    np.cumsum(block, out=block)
     # gathering at the kept indices beats a boolean mask several times over
-    first = np.flatnonzero(fresh)
-    if order is not None:
-        first = order[first]
-    return k[first], l[first], fresh, order
+    head = fresh.nonzero()[0]
+    if order is not None:  # the i-th listed row pair is row pair order[i]
+        head = order[head]
+        # the keys are spent: their buffer, already paged in, takes the blocks
+        keys[order], block = block, keys
+    return k[head], l[head], block if first is None else np.repeat(block, np.diff(first))
 
 
 def _stable_order(a, size):

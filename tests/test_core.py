@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockpart.kernels as kernels
+import blockpart.sparse as sparse
 from blockpart import (
     CostModel,
     CsrMatrix,
@@ -48,7 +49,7 @@ from blockpart import (
     vbr_memory_bits,
 )
 from blockpart.calibrate import VARIANTS, _grid_shape, _grid_vbr
-from blockpart.sparse import _block_pattern, _frozen, _offsets
+from blockpart.sparse import _frozen, _offsets
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 _EYE3 = build_csr(3, 3, [(i, i, 1.0) for i in range(3)])
@@ -319,8 +320,12 @@ class TestConverterProperties:
                 row = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
                 entries += [(i, j, data.draw(st.sampled_from(VALUES))) for j in sorted(row)]
         A = build_csr(m, n, entries)
-        assert _block_pattern(A, rows, cols)[3] is None
-        B, D = blocked_pair(A, rows, cols)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("the block pattern sorted its pairs")
+
+        with mock.patch.object(sparse.np, "argsort", no_sort):
+            B, D = blocked_pair(A, rows, cols)
         dense = A.to_dense()
         K, L = rows.num_parts, cols.num_parts
         for C, part in ((B, cols), (D, trivial_partition(n))):

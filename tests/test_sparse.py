@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -318,21 +319,45 @@ class TestBlockPattern:
             return Partition([0, *sorted(cuts), size])
 
         row_part, col_part = partition(m), partition(n)
-        k, l, fresh, order = sparse._block_pattern(A, row_part, col_part)
+        with mock.patch.object(sparse.np, "argsort", wraps=np.argsort) as sort:
+            k, l, pair = sparse._block_pattern(A, row_part, col_part)
         keys = (np.repeat(row_part.assignments(), np.diff(A.pos)) * col_part.num_parts
                 + col_part.assignments()[A.idx])
         uniq, want = np.unique(keys, return_inverse=True)
         assert k.tolist() == (uniq // col_part.num_parts).tolist()
         assert l.tolist() == (uniq % col_part.num_parts).tolist()
-        # each entry's pair index as ``formats._blocked_arrays`` expands it:
-        # the entries listed in ``order`` run pair by pair, each run's first
-        # marked in ``fresh``
-        assert (order is None) == bool((np.diff(keys) >= 0).all())
-        listed = np.arange(A.nnz) if order is None else order
-        assert fresh.dtype == bool and fresh.shape == (A.nnz,) and fresh[:1].all()
-        pair = np.empty(A.nnz, dtype=np.int64)
-        pair[listed] = np.cumsum(fresh) - 1
-        assert pair.tolist() == want.tolist()
+        assert pair.dtype == np.int64 and pair.tolist() == want.tolist()
+        # the pairs are sorted exactly when the entries' keys are out of order
+        assert sort.called == bool((np.diff(keys) < 0).any())
+
+
+class TestRowPairs:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(patterned_csr(max_rows=12, max_cols=12), st.data())
+    def test_matches_a_per_row_walk(self, A, data):
+        # the columns trivial one time in three, else cut at random
+        if data.draw(st.integers(0, 2)) == 0:
+            cols = trivial_partition(A.n)
+        else:
+            cuts = data.draw(st.sets(st.integers(1, A.n - 1))) if A.n > 1 else set()
+            cols = Partition([0, *sorted(cuts), A.n])
+        pos, l, first = sparse._row_pairs(A, cols)
+        # each row's entries, a pair opening at the row's first and wherever
+        # the column part changes
+        want_pos, want_l, want_first = [0], [], []
+        for i in range(A.m):
+            for p in range(int(A.pos[i]), int(A.pos[i + 1])):
+                part = cols.inverse(int(A.idx[p]))
+                if p == A.pos[i] or part != want_l[-1]:
+                    want_l.append(part)
+                    want_first.append(p)
+            want_pos.append(len(want_l))
+        assert pos.tolist() == want_pos
+        assert l.tolist() == want_l
+        if cols.is_trivial():
+            assert first is None and pos is A.pos and l is A.idx
+        else:
+            assert first.tolist() == [*want_first, A.nnz]
 
 
 class TestRowPattern:
